@@ -441,65 +441,18 @@ func BenchmarkBroadphase_Sweep_1000(b *testing.B)   { benchDetectWith(b, broadph
 func BenchmarkBroadphase_Sweep_10000(b *testing.B)  { benchDetectWith(b, broadphase.SweepName, 10000) }
 func BenchmarkBroadphase_Sweep_100000(b *testing.B) { benchDetectWith(b, broadphase.SweepName, 100000) }
 
-// Temporal coherence — the steady-state detection period at the
-// mid-sweep point (T-COH / results/coherence.csv). Unlike benchDetect,
-// the world is not restored between iterations: it advances one period
-// of dead reckoning per op, exactly the motion a persistent broad phase
-// sees in a real run, so the incremental lane measures the repair path
-// (the first iteration's full build is excluded by a warm-up pass).
-// Both lanes use a persistent sweep source; the only difference is the
-// coherent mode, so the pair is the rebuild-vs-incremental comparison
-// scripts/benchdiff.sh and DESIGN.md §10 cite.
-func benchCoherentDetect(b *testing.B, incremental bool) {
-	b.Helper()
-	b.ReportAllocs()
-	w, _ := benchWorld(benchN)
-	var src broadphase.PairSource
-	if incremental {
-		src = broadphase.NewIncrementalSweep()
-	} else {
-		src = broadphase.MustNew(broadphase.SweepName)
-	}
-	pool := parexec.NewPool(1)
-	advance := func() {
-		for i := range w.Aircraft {
-			a := &w.Aircraft[i]
-			a.X += a.DX
-			a.Y += a.DY
-			airspace.Wrap(a)
-		}
-	}
-	// Warm-up: size every buffer and pay the initial full sort so the
-	// timed loop is pure steady state.
-	tasks.DetectResolveExec(w, src, pool)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		advance()
-		b.StartTimer()
-		tasks.DetectResolveExec(w, src, pool)
-	}
-}
-
-func BenchmarkCoherent_Task23_4000_Rebuild(b *testing.B)     { benchCoherentDetect(b, false) }
-func BenchmarkCoherent_Task23_4000_Incremental(b *testing.B) { benchCoherentDetect(b, true) }
-
-// Worker-parallel broad phase + batched pair kernel (T-PS /
-// results/parshard.csv) — the same steady-state fused Task 2+3 period
-// as benchCoherentDetect, on the sharded table mode composed with the
-// coherent sweep: the broad phase builds its pair table across the
-// worker pool and the scan runs the branch-free 8-wide kernel. The W1
-// lanes price the batched kernel alone (the table build and repair run
-// serially); the W8 lanes add the worker-parallel build. Results are
-// bit-identical to the scalar lanes at every worker count, so the
-// delta against BenchmarkCoherent_Task23_4000_Incremental is pure
-// host-time win (scripts/benchdiff.sh reports it as
-// parshard_improvement_pct).
-func benchParShardDetect(b *testing.B, n, workers int) {
+// Steady-state fused Task 2+3 periods (T-COH / results/coherence.csv,
+// T-PS / results/parshard.csv). Unlike benchDetect, the world is not
+// restored between iterations: it advances one period of dead
+// reckoning per op, exactly the motion a persistent broad phase sees in
+// a real run, so the production sweep measures its repair path. The
+// warm-up sizes every buffer, pays the initial full sort, and lets the
+// table's headroom policy settle at the workload's drift rate, so the
+// timed loop is pure steady state.
+func benchSteadyDetect(b *testing.B, src broadphase.PairSource, n, workers int) {
 	b.Helper()
 	b.ReportAllocs()
 	w, _ := benchWorld(n)
-	src := broadphase.NewShardedSweep(true)
 	pool := parexec.NewPool(workers)
 	advance := func() {
 		for i := range w.Aircraft {
@@ -509,10 +462,6 @@ func benchParShardDetect(b *testing.B, n, workers int) {
 			airspace.Wrap(a)
 		}
 	}
-	// Warm-up: size the table, scratch and segment buffers and pay the
-	// initial full sort so the timed loop is pure steady state. A few
-	// moving passes let the table's headroom policy settle at the
-	// workload's drift rate.
 	for i := 0; i < 4; i++ {
 		tasks.DetectResolveExec(w, src, pool)
 		advance()
@@ -526,10 +475,32 @@ func benchParShardDetect(b *testing.B, n, workers int) {
 	}
 }
 
-func BenchmarkParShard_Task23_4000_W1(b *testing.B)  { benchParShardDetect(b, 4000, 1) }
-func BenchmarkParShard_Task23_4000_W8(b *testing.B)  { benchParShardDetect(b, 4000, 8) }
-func BenchmarkParShard_Task23_10000_W1(b *testing.B) { benchParShardDetect(b, 10000, 1) }
-func BenchmarkParShard_Task23_10000_W8(b *testing.B) { benchParShardDetect(b, 10000, 8) }
+// BenchmarkCoherent_Task23_4000_Rebuild is the rebuild sweep oracle
+// (full sort every pass, per-track queries, scalar kernel) at one
+// worker: the baseline the production sweep's lanes below are read
+// against.
+func BenchmarkCoherent_Task23_4000_Rebuild(b *testing.B) {
+	benchSteadyDetect(b, broadphase.NewSweep(), benchN, 1)
+}
+
+// The production sweep: order repair, worker-parallel table build and
+// the branch-free 8-wide kernel. The W1 lanes run the table build
+// serially; the W8 lanes spread it across the pool. Results are
+// bit-identical to the rebuild lane at every worker count, so the delta
+// is pure host-time win (scripts/benchdiff.sh reports it as
+// sweep_improvement_pct).
+func BenchmarkParShard_Task23_4000_W1(b *testing.B) {
+	benchSteadyDetect(b, broadphase.MustNew(broadphase.SweepName), 4000, 1)
+}
+func BenchmarkParShard_Task23_4000_W8(b *testing.B) {
+	benchSteadyDetect(b, broadphase.MustNew(broadphase.SweepName), 4000, 8)
+}
+func BenchmarkParShard_Task23_10000_W1(b *testing.B) {
+	benchSteadyDetect(b, broadphase.MustNew(broadphase.SweepName), 10000, 1)
+}
+func BenchmarkParShard_Task23_10000_W8(b *testing.B) {
+	benchSteadyDetect(b, broadphase.MustNew(broadphase.SweepName), 10000, 8)
+}
 
 // Extension — radar-network report generation (multi-site coverage,
 // cones of silence, dropouts).

@@ -180,10 +180,11 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 // processor: nothing on the wide path. Exactness is unaffected: pairs
 // outside a candidate set have tmin >= SafeTime and could never survive
 // the criticality mask anyway.
-// In coherent mode (cols non-nil) the PE-memory reads come from the
-// machine's SoA mirror instead of the []Aircraft records: same values
-// (the mirror is refreshed each program run and updated at heading
-// commits), so the responder masks and reductions are bit-identical.
+// With a candidate table (tab and cols non-nil) the PE-memory reads
+// come from the machine's SoA mirror instead of the []Aircraft records:
+// same values (the mirror is refreshed each program run and updated at
+// heading commits), so the responder masks and reductions are
+// bit-identical.
 func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.DetectStats, src broadphase.PairSource, tab *broadphase.PairTable, cols *airspace.Columns) (earliest float64, with int32, critical bool) {
 	ac := w.Aircraft
 	track := &ac[idx]
@@ -199,8 +200,8 @@ func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.De
 	var cand []int32
 	if src != nil {
 		if tab != nil {
-			// Sharded source: the scatter reads the pre-built table slice
-			// — the identical candidate set a fresh query would emit.
+			// The scatter reads the pre-built table slice — the
+			// identical candidate set a fresh query would emit.
 			cand = tab.Candidates(idx)
 		} else {
 			cand = src.AppendCandidates(m.candBuf[:0], w, track)
@@ -308,39 +309,40 @@ func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.Pair
 	var st tasks.DetectStats
 	m.mark("ap.load", 0)
 	m.LoadDatabase(databaseFields)
-	var cols *airspace.Columns
-	if im := broadphase.MaintainerOf(src); im != nil && im.Incremental() {
-		// Coherent mode: the wide scans read the machine's SoA mirror,
-		// and an incremental source repairs its order from it. The
-		// cycle charge is identical to the rebuild path; only the span
-		// name reports which path ran.
-		cols = &m.cols
-		cols.FillFrom(w)
-		name := "ap.index.rebuild"
+	// A table source (the production sweep) repairs its order from the
+	// machine's SoA mirror and materializes the candidate table once
+	// (serial on the control unit: the AP models no host worker pool).
+	// With a table the per-PE scatter reads table slices and the wide
+	// scans read the mirror; otherwise they query per track and read
+	// the records. Candidates, values and cycle charges are identical
+	// either way; only the span name reports whether the order was
+	// repaired.
+	var tab *broadphase.PairTable
+	if ts := broadphase.TableOf(src); ts != nil {
+		m.cols.FillFrom(w)
+		im := broadphase.MaintainerOf(src)
 		if cp, ok := im.(broadphase.ColumnsPreparer); ok {
-			cp.PrepareColumns(cols)
+			cp.PrepareColumns(&m.cols)
 		} else {
 			src.Prepare(w)
 		}
-		if im.LastPrepareIncremental() {
+		name := "ap.index.rebuild"
+		if im != nil && im.LastPrepareIncremental() {
 			name = "ap.index.update"
 		}
 		m.mark(name, 0)
-		// Control-unit index build over the database.
-		m.Scalar(w.N())
+		ts.SetPool(nil)
+		tab = ts.PrepareTable()
 	} else if src != nil {
 		src.Prepare(w)
+	}
+	if src != nil {
 		// Control-unit index build over the database.
 		m.Scalar(w.N())
 	}
-	// A sharded source materializes the candidate table once (serial on
-	// the control unit: the AP models no host worker pool); the per-PE
-	// scatter then reads table slices instead of re-querying, with
-	// identical candidates and cycle charges.
-	var tab *broadphase.PairTable
-	if ts := broadphase.TableOf(src); ts != nil {
-		ts.SetPool(nil)
-		tab = ts.PrepareTable()
+	var cols *airspace.Columns
+	if tab != nil {
+		cols = &m.cols
 	}
 	m.mark("ap.scanresolve", 0)
 	ac := w.Aircraft

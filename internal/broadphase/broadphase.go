@@ -130,7 +130,7 @@ func New(name string) (PairSource, error) {
 	case GridName:
 		return NewGrid(), nil
 	case SweepName:
-		return NewSweep(), nil
+		return newCoherentSweep(), nil
 	}
 	return nil, fmt.Errorf("broadphase: unknown pair source %q (known: %v)", name, Names())
 }

@@ -42,7 +42,7 @@ func TestNoByValueSyncFields(t *testing.T) {
 		}
 	}
 	for _, src := range []PairSource{
-		NewBrute(), NewGrid(), NewGridCell(16), NewSweep(), NewIncrementalSweep(), NewCounted(NewSweep()),
+		NewBrute(), NewGrid(), NewGridCell(16), NewSweep(), newCoherentSweep(), NewCounted(NewSweep()),
 	} {
 		typ := reflect.TypeOf(src).Elem()
 		check(t, typ, typ.Name())

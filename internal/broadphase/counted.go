@@ -72,8 +72,8 @@ func (c *Counted) Take() (queries, candidates int64) {
 	return c.queries.Swap(0), c.candidates.Swap(0)
 }
 
-// Sharded forwards to the wrapped source; false when it has no
-// worker-parallel table mode. Counted thereby satisfies TableSource
+// Sharded forwards to the wrapped source; false when it builds no
+// candidate table. Counted thereby satisfies TableSource
 // whenever the wrapped source does, so TableOf resolves through it and
 // table builds are tallied like any other query traffic.
 func (c *Counted) Sharded() bool {
@@ -86,11 +86,16 @@ func (c *Counted) SetPool(p *parexec.Pool) { c.src.(TableSource).SetPool(p) }
 
 // PrepareTable forwards to the wrapped source, tallying the build as
 // one query per track and its candidate total — the same traffic the
-// equivalent per-track AppendCandidates calls would have counted.
+// equivalent per-track AppendCandidates calls would have counted. A
+// nil table (over the source's size limit) tallies nothing here; the
+// per-track queries that replace it are counted as they run.
 //
 //atm:allow atomic -- order-independent sums, drained sequentially between tasks
 func (c *Counted) PrepareTable() *PairTable {
 	t := c.src.(TableSource).PrepareTable()
+	if t == nil {
+		return nil
+	}
 	c.queries.Add(int64(len(t.Start) - 1))
 	c.candidates.Add(int64(len(t.Cand)))
 	return t

@@ -42,36 +42,20 @@ type ColumnsPreparer interface {
 	PrepareColumns(c *airspace.Columns)
 }
 
-// Options selects pair-source variants in NewWith.
+// Options is ignored: NewWith builds what New builds.
+//
+// Deprecated: the sweep has one behaviour; use New.
 type Options struct {
-	// Incremental requests temporal-coherence index maintenance:
-	// Prepare reuses the previous invocation's index and repairs it in
-	// place. Sources without an incremental mode (brute, grid) ignore
-	// the option — they already rebuild in O(N) — so the flag is safe
-	// to apply uniformly from a config switch.
+	// Deprecated: ignored; the sweep always repairs its order in place.
 	Incremental bool
-	// Sharded requests the worker-parallel table mode: the sweep
-	// materializes every track's candidate set in one parallel walk of
-	// its sorted order (PrepareTable), and the incremental repair
-	// splits into independent runs. Candidate sets — and therefore
-	// results — are bit-identical with the flag on or off, at every
-	// worker count; only host time changes. Sources without the mode
-	// (brute, grid) ignore the flag.
+	// Deprecated: ignored; the sweep always builds its candidate table.
 	Sharded bool
 }
 
-// NewWith constructs the named pair source with the given options. The
-// candidate sets produced are bit-identical to New's for every option
-// combination; options only change how the index is maintained.
-func NewWith(name string, opts Options) (PairSource, error) {
-	if (opts.Incremental || opts.Sharded) && name == SweepName {
-		s := NewSweep()
-		s.incremental = opts.Incremental
-		s.sharded = opts.Sharded
-		return s, nil
-	}
-	return New(name)
-}
+// NewWith returns New(name); the options are ignored.
+//
+// Deprecated: use New.
+func NewWith(name string, _ Options) (PairSource, error) { return New(name) }
 
 // MaintainerOf returns the Maintainer behind src, unwrapping decorators
 // such as Counted, or nil if the underlying source has none. Callers

@@ -41,17 +41,23 @@ func advancePeriod(r *rng.Rand, w *airspace.World, period int) {
 	}
 }
 
+// newSweep returns the production sweep New(SweepName) builds.
+func newSweep() *broadphase.Sweep {
+	return broadphase.MustNew(broadphase.SweepName).(*broadphase.Sweep)
+}
+
 // TestIncrementalSweepCandidatesIdentical is the bit-identity property
 // at the candidate level: through long randomized mutation sequences
-// (motion, rotations, wraparounds, stacked positions) the incremental
-// sweep must emit exactly the candidate slice the rebuild sweep emits —
-// same elements, same order — for every track, every period.
+// (motion, rotations, wraparounds, stacked positions) the production
+// sweep, which repairs its order in place, must emit exactly the
+// candidate slice the rebuild sweep emits — same elements, same order —
+// for every track, every period.
 func TestIncrementalSweepCandidatesIdentical(t *testing.T) {
 	r := rng.New(0x1c0e)
 	for _, n := range []int{0, 1, 2, 17, 120, 300} {
 		w := randomWorld(r.Split(), n, 0.3)
 		plain := broadphase.NewSweep()
-		inc := broadphase.NewIncrementalSweep()
+		inc := newSweep()
 		var bufP, bufI []int32
 		for period := 0; period < 48; period++ {
 			advancePeriod(r, w, period)
@@ -83,10 +89,10 @@ func TestIncrementalSweepCandidatesIdentical(t *testing.T) {
 }
 
 // TestIncrementalSweepDetectionAgrees drives full detection/resolution
-// through a mutation sequence under brute, grid, rebuild sweep, and
-// incremental sweep at workers {1, 3, 8}: every period, every source,
-// every worker count must produce the bit-identical world the all-pairs
-// serial reference produces.
+// through a mutation sequence under brute, grid, the rebuild sweep and
+// the production sweep at workers {1, 3, 8}: every period, every
+// source, every worker count must produce the bit-identical world the
+// all-pairs serial reference produces.
 func TestIncrementalSweepDetectionAgrees(t *testing.T) {
 	pools := map[int]*parexec.Pool{1: parexec.NewPool(1), 3: parexec.NewPool(3), 8: parexec.NewPool(8)}
 	type lane struct {
@@ -104,8 +110,8 @@ func TestIncrementalSweepDetectionAgrees(t *testing.T) {
 		lanes = append(lanes,
 			&lane{"brute", broadphase.NewBrute(), workers, base.Clone()},
 			&lane{"grid", broadphase.NewGrid(), workers, base.Clone()},
-			&lane{"sweep", broadphase.NewSweep(), workers, base.Clone()},
-			&lane{"incremental-sweep", broadphase.NewIncrementalSweep(), workers, base.Clone()},
+			&lane{"rebuild-sweep", broadphase.NewSweep(), workers, base.Clone()},
+			&lane{"sweep", newSweep(), workers, base.Clone()},
 		)
 	}
 
@@ -147,7 +153,7 @@ func TestIncrementalSweepFallbackRebuild(t *testing.T) {
 	r := rng.New(0xfa11)
 	w := randomWorld(r.Split(), 250, 0.3)
 	plain := broadphase.NewSweep()
-	inc := broadphase.NewIncrementalSweep()
+	inc := newSweep()
 	var bufP, bufI []int32
 	for period := 0; period < 6; period++ {
 		// Teleport everyone: fresh random positions, no coherence.
@@ -185,13 +191,13 @@ func TestIncrementalSweepFallbackRebuild(t *testing.T) {
 }
 
 // TestIncrementalSweepStats pins the steady-state telemetry shape: under
-// gentle per-period motion the incremental sweep repairs in place every
+// gentle per-period motion the production sweep repairs in place every
 // period after the first, and the shift work stays far below the
 // fallback budget.
 func TestIncrementalSweepStats(t *testing.T) {
 	r := rng.New(0x57a7)
 	w := randomWorld(r.Split(), 400, 0.5)
-	inc := broadphase.NewIncrementalSweep()
+	inc := newSweep()
 	inc.Prepare(w)
 	first := inc.TakeUpdateStats()
 	if first.Rebuilds != 1 || first.Updates != 0 {
@@ -225,9 +231,9 @@ func TestIncrementalSweepStats(t *testing.T) {
 // through the Counted decorator core installs under telemetry, and must
 // be absent for sources without an incremental mode.
 func TestMaintainerOf(t *testing.T) {
-	inc := broadphase.NewIncrementalSweep()
+	inc := newSweep()
 	if m := broadphase.MaintainerOf(inc); m == nil || !m.Incremental() {
-		t.Fatal("MaintainerOf missed the incremental sweep itself")
+		t.Fatal("MaintainerOf missed the production sweep itself")
 	}
 	wrapped := broadphase.NewCounted(inc)
 	if m := broadphase.MaintainerOf(wrapped); m == nil || !m.Incremental() {
@@ -244,28 +250,28 @@ func TestMaintainerOf(t *testing.T) {
 	}
 }
 
-// TestNewWithIncremental pins the options constructor: the sweep gains
-// incremental maintenance, other sources accept and ignore the flag.
+// TestNewWithIncremental pins the deprecated options constructor: it is
+// New under every option combination, so a caller still passing
+// options gets the one sweep behaviour, and other sources are
+// unaffected.
 func TestNewWithIncremental(t *testing.T) {
 	for _, name := range broadphase.Names() {
-		src, err := broadphase.NewWith(name, broadphase.Options{Incremental: true})
-		if err != nil {
-			t.Fatalf("NewWith(%q): %v", name, err)
-		}
-		m := broadphase.MaintainerOf(src)
-		if name == broadphase.SweepName {
-			if m == nil || !m.Incremental() {
-				t.Fatalf("NewWith(%q, Incremental) did not enable incremental mode", name)
+		want := broadphase.MustNew(name)
+		for _, opts := range []broadphase.Options{{}, {Incremental: true}, {Sharded: true}, {Incremental: true, Sharded: true}} {
+			src, err := broadphase.NewWith(name, opts)
+			if err != nil {
+				t.Fatalf("NewWith(%q, %+v): %v", name, opts, err)
 			}
-		} else if m != nil && m.Incremental() {
-			t.Fatalf("NewWith(%q, Incremental) unexpectedly claims incremental maintenance", name)
-		}
-		plain, err := broadphase.NewWith(name, broadphase.Options{})
-		if err != nil || plain == nil {
-			t.Fatalf("NewWith(%q, {}): %v", name, err)
-		}
-		if m := broadphase.MaintainerOf(plain); m != nil && m.Incremental() {
-			t.Fatalf("NewWith(%q, {}) enabled incremental mode", name)
+			if src.Name() != want.Name() {
+				t.Fatalf("NewWith(%q, %+v) built %q", name, opts, src.Name())
+			}
+			gotM, wantM := broadphase.MaintainerOf(src), broadphase.MaintainerOf(want)
+			if (gotM == nil) != (wantM == nil) || gotM != nil && gotM.Incremental() != wantM.Incremental() {
+				t.Fatalf("NewWith(%q, %+v) maintenance differs from New", name, opts)
+			}
+			if (broadphase.TableOf(src) == nil) != (broadphase.TableOf(want) == nil) {
+				t.Fatalf("NewWith(%q, %+v) table mode differs from New", name, opts)
+			}
 		}
 	}
 	if _, err := broadphase.NewWith("nope", broadphase.Options{Incremental: true}); err == nil {

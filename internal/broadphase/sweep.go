@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/airspace"
 	"repro/internal/parexec"
@@ -18,18 +19,23 @@ import (
 // because no stored interval is wider than maxWidth: anything starting
 // earlier has necessarily ended before the query interval begins.
 //
-// In incremental mode (NewWith with Options.Incremental) the sorted
-// order persists across Prepare calls and is repaired with an
-// insertion-sort pass instead of re-sorted from scratch. Aircraft move
-// a tiny fraction of the airspace between consecutive detection
-// invocations (0.5 s tracking period, ~600 kt speeds), so the previous
-// order is nearly sorted and the repair is O(N) plus the few shifts
-// the motion actually caused; a shift budget bounds the pathological
-// case (mass teleports) by falling back to the full sort. Candidate
-// sets are bit-identical in both modes: the per-query bitmap emits
-// ascending aircraft indices regardless of how the sorted order
-// permutes aircraft with equal low-x keys, and window membership
-// depends only on the envelope values, which are computed identically.
+// The production sweep New(SweepName) returns keeps its sorted order
+// across Prepare calls and repairs it with an insertion-sort pass
+// instead of re-sorting from scratch. Aircraft move a tiny fraction of
+// the airspace between consecutive detection invocations (0.5 s
+// tracking period, ~600 kt speeds), so the previous order is nearly
+// sorted and the repair is O(N) plus the few shifts the motion actually
+// caused; a shift budget bounds the pathological case (mass teleports)
+// by falling back to the full sort. It also materializes every track's
+// candidate set per invocation in one worker-parallel table build, up
+// to a size limit past which consumers query it per track (see
+// table.go). NewSweep returns the rebuild sweep — full sort on every
+// Prepare, queried per track, no table — which is the oracle the
+// repair is checked against. Candidate sets are bit-identical between
+// the two: the per-query bitmap emits ascending aircraft indices
+// regardless of how the sorted order permutes aircraft with equal
+// low-x keys, and window membership depends only on the envelope
+// values, which are computed identically.
 type Sweep struct {
 	n int
 	// order holds aircraft indices sorted by ascending envelope low-x;
@@ -46,16 +52,18 @@ type Sweep struct {
 	// shrink-tracking scheme could.
 	maxW float64
 
-	// incremental enables the persistent-order repair path and the
-	// sorted mirror arrays; prepared records that order holds a valid
-	// permutation from a previous Prepare of the same world size.
-	incremental bool
-	prepared    bool
-	// sortedBox, maintained only in incremental mode, interleaves the
-	// remaining envelope edges permuted into sorted order — hi-x, lo-y,
-	// hi-y at stride 3 — so the window walk reads one dense sequential
-	// stream instead of gathering through order (a dependent indexed
-	// load per visited element) or striding three parallel arrays.
+	// coherent marks the production sweep New(SweepName) returns: the
+	// sorted order persists across Prepares and is repaired in place,
+	// and PrepareTable builds the candidate table. NewSweep leaves it
+	// false. prepared records that order holds a valid permutation from
+	// a previous Prepare of the same world size.
+	coherent bool
+	prepared bool
+	// sortedBox interleaves the remaining envelope edges permuted into
+	// sorted order — hi-x, lo-y, hi-y at stride 3 — so the window walk
+	// reads one dense sequential stream instead of gathering through
+	// order (a dependent indexed load per visited element) or striding
+	// three parallel arrays.
 	sortedBox []float64
 
 	// lastIncremental records whether the most recent Prepare repaired
@@ -66,22 +74,20 @@ type Sweep struct {
 	// sequential by contract, so plain fields suffice.
 	statUpdates, statRebuilds, statMoved, statResorted int64
 
-	// sharded enables the worker-parallel table mode (see table.go):
-	// PrepareTable walks the sorted order in parallel segments on pool,
-	// and the incremental repair splits into independent runs. pool may
-	// be nil (serial); consumers install it through SetPool.
-	sharded bool
-	pool    *parexec.Pool
+	// pool runs PrepareTable's segment walk; nil keeps it serial.
+	// Consumers install it through SetPool.
+	pool *parexec.Pool
 	// table is the source-owned candidate table PrepareTable fills;
-	// chunkBufs / cnt are its build scratch.
-	table     PairTable
-	chunkBufs []tableBuf
-	cnt       []int32
-	// Parallel-repair scratch: per-block key extrema, run boundaries
-	// and per-run outcomes.
-	chunkMin, chunkMax []float64
-	runs               []int32
-	runStats           []runStat
+	// chunkBufs / cnt are its build scratch. tableTotal is the build's
+	// running candidate total, shared by the segment walks (held by
+	// pointer like scratch, so a copy of the struct shares it), and
+	// tableLimit the total past which the build gives up (see
+	// tableLimit in table.go).
+	table      PairTable
+	chunkBufs  []tableBuf
+	cnt        []int32
+	tableTotal *atomic.Int64 //atm:allow atomic -- order-independent sum of the segment walks, read only after they finish
+	tableLimit int64
 	// Shard counters, drained by TakeShardStats. statSegments counts
 	// table-build segments; statBatches accumulates consumer-reported
 	// batched-kernel iterations. Sequential, like the update counters.
@@ -90,8 +96,6 @@ type Sweep struct {
 	// fields so steady-state parallel phases allocate nothing.
 	fill   fillJob
 	copier copyJob
-	minmax minmaxJob
-	repair repairJob
 
 	// sorter is the reusable sort.Interface over order/lox: sort.Slice
 	// allocates its closure pair on every call, which made Prepare the
@@ -124,36 +128,29 @@ type sweepScratch struct {
 	words []uint64
 }
 
-// NewSweep returns a sweep-and-prune source that rebuilds its index on
-// every Prepare.
-func NewSweep() *Sweep { return &Sweep{scratch: &sync.Pool{}} }
-
-// NewIncrementalSweep returns a sweep-and-prune source that keeps its
-// sorted order across Prepare calls and repairs it in place, exploiting
-// temporal coherence. Candidate sets are bit-identical to NewSweep's.
-func NewIncrementalSweep() *Sweep {
-	s := NewSweep()
-	s.incremental = true
-	return s
+// NewSweep returns the rebuild sweep: a full sort on every Prepare,
+// queried per track, no candidate table. It is the reference the
+// production sweep's order repair is checked against.
+func NewSweep() *Sweep {
+	return &Sweep{scratch: &sync.Pool{}, tableTotal: new(atomic.Int64)} //atm:allow atomic -- the table build's running total, see tableTotal
 }
 
-// NewShardedSweep returns a sweep source with the worker-parallel table
-// mode enabled (see table.go); incremental additionally selects the
-// temporal-coherence repair. Candidate sets are bit-identical to
-// NewSweep's in every combination.
-func NewShardedSweep(incremental bool) *Sweep {
+// newCoherentSweep returns the production sweep: the sorted order is
+// repaired across Prepares and every track's candidates are served
+// from one table build per invocation. Candidate sets are
+// bit-identical to NewSweep's.
+func newCoherentSweep() *Sweep {
 	s := NewSweep()
-	s.incremental = incremental
-	s.sharded = true
+	s.coherent = true
 	return s
 }
 
 // Name returns "sweep".
 func (s *Sweep) Name() string { return SweepName }
 
-// Incremental reports whether the persistent-order repair path is
-// enabled.
-func (s *Sweep) Incremental() bool { return s.incremental }
+// Incremental reports whether the sorted order is repaired across
+// Prepares: true for the production sweep, false for NewSweep's.
+func (s *Sweep) Incremental() bool { return s.coherent }
 
 // LastPrepareIncremental reports whether the most recent Prepare
 // repaired the previous order in place rather than running a full sort.
@@ -174,8 +171,8 @@ func (s *Sweep) TakeUpdateStats() UpdateStats {
 }
 
 // Prepare computes every aircraft's reach envelope and establishes the
-// sorted x order — by full sort normally, by insertion repair of the
-// previous order in incremental mode.
+// sorted x order — by insertion repair of the previous order on the
+// production sweep, by full sort on NewSweep's.
 func (s *Sweep) Prepare(w *airspace.World) {
 	n := w.N()
 	reuse := s.growFor(n)
@@ -216,7 +213,7 @@ func (s *Sweep) PrepareColumns(c *airspace.Columns) {
 // growFor sizes the per-aircraft arrays for n and reports whether the
 // previous sorted order may be repaired in place rather than rebuilt.
 func (s *Sweep) growFor(n int) (reuse bool) {
-	reuse = s.incremental && s.prepared && s.n == n && n > 1
+	reuse = s.coherent && s.prepared && s.n == n && n > 1
 	s.n = n
 	if cap(s.order) < n {
 		s.order = make([]int32, n)
@@ -238,22 +235,10 @@ func (s *Sweep) growFor(n int) (reuse bool) {
 // otherwise — and rebuilds the sorted-axis views.
 func (s *Sweep) finishPrepare(reuse bool) {
 	n := s.n
-	repaired := false
-	if reuse {
-		if s.sharded {
-			// The run-partitioned repair is used at every worker count
-			// (including pool == nil) so its statistics — per-run budget
-			// accounting differs from the serial cumulative budget only
-			// on aborts — are invariant across workers.
-			repaired = s.repairOrderRuns()
-		} else {
-			repaired = s.repairOrder()
-		}
-		if repaired {
-			s.statUpdates++
-		}
-	}
-	if !repaired {
+	repaired := reuse && s.repairOrder()
+	if repaired {
+		s.statUpdates++
+	} else {
 		if !reuse {
 			// Fresh build (first Prepare, or the world size changed):
 			// start from the identity permutation like the rebuild
@@ -267,27 +252,21 @@ func (s *Sweep) finishPrepare(reuse bool) {
 		// candidate set does not depend on how equal keys permute).
 		s.sorter.order, s.sorter.lox = s.order, s.lox
 		sort.Sort(&s.sorter)
-		if s.incremental {
+		if s.coherent {
 			s.statRebuilds++
 		}
 	}
 	s.lastIncremental = repaired
 
-	if s.incremental {
-		if cap(s.sortedBox) < 3*n {
-			s.sortedBox = make([]float64, 3*n)
-		}
-		s.sortedBox = s.sortedBox[:3*n]
-		for k, id := range s.order {
-			s.sortedLo[k] = s.lox[id]
-			s.sortedBox[3*k] = s.hix[id]
-			s.sortedBox[3*k+1] = s.loy[id]
-			s.sortedBox[3*k+2] = s.hiy[id]
-		}
-	} else {
-		for k, id := range s.order {
-			s.sortedLo[k] = s.lox[id]
-		}
+	if cap(s.sortedBox) < 3*n {
+		s.sortedBox = make([]float64, 3*n)
+	}
+	s.sortedBox = s.sortedBox[:3*n]
+	for k, id := range s.order {
+		s.sortedLo[k] = s.lox[id]
+		s.sortedBox[3*k] = s.hix[id]
+		s.sortedBox[3*k+1] = s.loy[id]
+		s.sortedBox[3*k+2] = s.hiy[id]
 	}
 	s.prepared = true
 }
@@ -388,47 +367,31 @@ func (s *Sweep) appendCandidatesID(dst []int32, i int, words []uint64) []int32 {
 	qloY, qhiY := s.loy[i], s.hiy[i]
 
 	nw := (s.n + 63) / 64
+	// The window is [qloX − maxW, qhiX] in sorted order; its end is
+	// resolved by binary search up front (first sorted low-x above
+	// qhiX) so the walk spends no comparison on it.
 	start := sort.SearchFloat64s(s.sortedLo, qloX-s.maxW)
-	if s.incremental {
-		// Dense walk over the sorted mirror: identical comparisons on
-		// identical values, so the bitmap — and therefore the emitted
-		// candidate set — matches the gather path bit for bit. The
-		// window end is resolved by binary search up front (first
-		// sorted low-x above qhiX — exactly where the rebuild path's
-		// walk stops) so the walk spends no comparison on it.
-		lo, hi := start, s.n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if s.sortedLo[mid] <= qhiX {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	lo, hi := start, s.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.sortedLo[mid] <= qhiX {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		end := lo
-		box := s.sortedBox
-		for k := start; k < end; k++ {
-			b := 3 * k
-			if box[b] < qloX {
-				continue
-			}
-			if box[b+1] > qhiY || box[b+2] < qloY {
-				continue
-			}
-			j := s.order[k]
-			words[j>>6] |= 1 << (uint(j) & 63)
+	}
+	end := lo
+	box := s.sortedBox
+	for k := start; k < end; k++ {
+		b := 3 * k
+		if box[b] < qloX {
+			continue
 		}
-	} else {
-		for k := start; k < s.n && s.sortedLo[k] <= qhiX; k++ {
-			j := s.order[k]
-			if s.hix[j] < qloX {
-				continue
-			}
-			if s.loy[j] > qhiY || s.hiy[j] < qloY {
-				continue
-			}
-			words[j>>6] |= 1 << (uint(j) & 63)
+		if box[b+1] > qhiY || box[b+2] < qloY {
+			continue
 		}
+		j := s.order[k]
+		words[j>>6] |= 1 << (uint(j) & 63)
 	}
 	for wi := 0; wi < nw; wi++ {
 		word := words[wi]

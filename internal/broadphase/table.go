@@ -1,4 +1,4 @@
-// Worker-parallel candidate tables: the sharded sweep mode.
+// Worker-parallel candidate tables, built by the production sweep.
 //
 // A PairTable materializes every track's broad-phase candidate set for
 // one detection invocation in CSR form. Building it walks the sweep's
@@ -21,10 +21,23 @@
 // rescan can therefore serve from the table instead of re-running the
 // bitmap walk — bit-identically, because AppendCandidates is a pure
 // function of the prepared index.
+//
+// What the table costs is memory: each candidate is held twice (segment
+// buffer and CSR slot) plus headroom, about 9 bytes, and dense traffic
+// has up to N² candidates. The build therefore stops as soon as the
+// running total passes tableLimit(n) and PrepareTable returns nil;
+// consumers then query the same repaired index per track. The segment
+// buffers the stopped build filled stay allocated for the next build,
+// so a sweep past the limit holds about the limit's worth of
+// candidates, never more. Whether the limit is passed depends
+// only on the total candidate count, so the choice is deterministic and
+// identical at every worker count, and both paths emit the same
+// candidate sets.
 package broadphase
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/parexec"
 )
@@ -35,10 +48,30 @@ import (
 // bookkeeping (owner, offset, scratch acquisition) is noise.
 const tableGrain = 256
 
-// repairChunk is the block size of the parallel insertion-repair run
-// detection: per-block key minima/maxima are computed in parallel, and
-// a serial prefix pass marks block boundaries no element can cross.
-const repairChunk = 512
+// Table size limits, in candidates. tableMaxCand caps one build at
+// ~300 MB whatever the world size, so a request at a server's aircraft
+// limit cannot exhaust host memory; it also keeps every CSR offset
+// inside int32. tableMaxPerTrack additionally bounds the table to a
+// constant multiple of the world size below that: uniform traffic has
+// ~420 candidates per track at N=8000 and ~850 at N=16000, the default
+// dense family ~1600 at N=8000 (where the table runs Tasks 2-3 about
+// 3.5x faster than per-track queries, for ~130 MB), while one tight
+// cluster, with every aircraft a candidate of every other, passes it
+// beyond ~2000 aircraft. tablePublish is how many candidates a segment
+// may emit before adding them to the shared running total, which
+// bounds a build's overshoot past the limit to about that many per
+// worker plus one track's set.
+const (
+	tableMaxPerTrack = 2048
+	tableMaxCand     = 1 << 25
+	tablePublish     = 1 << 16
+)
+
+// tableLimit is the largest candidate total a table over n tracks may
+// hold.
+func tableLimit(n int) int64 {
+	return min(int64(n)*tableMaxPerTrack, tableMaxCand, math.MaxInt32)
+}
 
 // PairTable holds every track's candidate set in CSR form: track i's
 // candidates are Cand[Start[i]:Start[i+1]], ascending, exactly the
@@ -58,22 +91,22 @@ func (t *PairTable) Candidates(i int) []int32 {
 }
 
 // TableSource is implemented by pair sources that can materialize a
-// candidate table with a worker-parallel index walk (the sharded mode).
-// Sources without the mode — or instances constructed without it — are
-// discovered via TableOf, which returns nil for them.
+// candidate table with a worker-parallel index walk. Sources without
+// one — or instances that do not build it, such as NewSweep's rebuild
+// sweep — are discovered via TableOf, which returns nil for them.
 type TableSource interface {
 	PairSource
-	// Sharded reports whether the worker-parallel table mode is enabled
-	// on this instance.
+	// Sharded reports whether this instance builds the candidate table.
 	Sharded() bool
-	// SetPool hands the source the engine pool its parallel phases
-	// (table build, index repair) run on. nil keeps them serial.
-	// Sequential, like Prepare.
+	// SetPool hands the source the engine pool its table build runs
+	// on. nil keeps it serial. Sequential, like Prepare.
 	SetPool(p *parexec.Pool)
 	// PrepareTable builds the candidate table for every track against
 	// the index established by the most recent Prepare. Sequential
 	// orchestration, like Prepare; the returned table is read-only and
-	// valid until the next Prepare.
+	// valid until the next Prepare. It returns nil when the table would
+	// pass the source's size limit; callers then query per track with
+	// AppendCandidates on the same index.
 	PrepareTable() *PairTable
 	// AddKernelBatches accumulates consumer-side batched-kernel
 	// iteration counts so telemetry can drain them alongside the
@@ -83,8 +116,8 @@ type TableSource interface {
 	TakeShardStats() (segments, batches int64)
 }
 
-// TableOf returns the TableSource behind src when the sharded mode is
-// enabled on it, unwrapping decorators such as Counted, and nil
+// TableOf returns the TableSource behind src when it builds the
+// candidate table, unwrapping decorators such as Counted, and nil
 // otherwise.
 func TableOf(src PairSource) TableSource {
 	for src != nil {
@@ -110,19 +143,12 @@ type tableBuf struct {
 	_    [40]byte
 }
 
-// runStat is one repair run's outcome: the shifts it spent, the
-// elements it found out of place, and whether it stayed within budget.
-type runStat struct {
-	shifts   int64
-	resorted int64
-	ok       bool
-}
-
-// Sharded reports whether the worker-parallel table mode is enabled.
-func (s *Sweep) Sharded() bool { return s.sharded }
+// Sharded reports whether the sweep builds the candidate table: true
+// for the production sweep, false for NewSweep's.
+func (s *Sweep) Sharded() bool { return s.coherent }
 
 // SetPool hands the sweep the engine pool PrepareTable's segment walk
-// and Prepare's parallel repair run on; nil keeps both serial.
+// runs on; nil keeps it serial.
 func (s *Sweep) SetPool(p *parexec.Pool) { s.pool = p }
 
 // AddKernelBatches accumulates a consumer's batched-kernel iteration
@@ -142,20 +168,35 @@ func (s *Sweep) TakeShardStats() (segments, batches int64) {
 // the run length per track. The buffer belongs to the segment, not the
 // claiming worker, so the copy pass finds each run at a fixed place and
 // steady-state buffer sizes are independent of the claim order.
+//
+// Every segment adds what it emitted to the shared running total at
+// least every tablePublish candidates and stops once the total passes
+// the limit; segments claimed after that skip their walk.
 type fillJob struct{ s *Sweep }
 
 //atm:noalloc
+//atm:allow atomic -- the running total is an order-independent sum; whether it passes the limit depends only on the final sum, never on the claim order
 func (j *fillJob) Chunk(_, lo, hi int) {
 	s := j.s
+	if s.tableTotal.Load() > s.tableLimit {
+		return
+	}
 	chunk := lo / tableGrain
 	buf := s.chunkBufs[chunk].cand[:0]
 	nw := (s.n + 63) / 64
 	sc := s.getScratch(nw) //atm:allow noallocflow -- scratch acquisition allocates only on pool miss or fleet growth; steady state reuses pooled words
+	published := 0
 	for k := lo; k < hi; k++ {
 		id := s.order[k]
 		before := len(buf)
 		buf = s.appendCandidatesID(buf, int(id), sc.words)
 		s.cnt[id] = int32(len(buf) - before)
+		if len(buf)-published >= tablePublish || k == hi-1 {
+			if s.tableTotal.Add(int64(len(buf)-published)) > s.tableLimit {
+				break
+			}
+			published = len(buf)
+		}
 	}
 	s.scratch.Put(sc)
 	s.chunkBufs[chunk].cand = withHeadroom(buf) //atm:allow noallocflow -- headroom regrow only, amortized to nothing in steady state
@@ -199,8 +240,11 @@ func (j *copyJob) Chunk(_, lo, hi int) {
 }
 
 // PrepareTable builds the candidate table for every track by walking
-// the sorted order in parallel segments. Must follow Prepare (or
+// the sorted order in parallel segments, or returns nil once the
+// candidate total passes tableLimit. Must follow Prepare (or
 // PrepareColumns) of the same world state.
+//
+//atm:allow atomic -- resets the running total before the walks and reads it after they finish
 func (s *Sweep) PrepareTable() *PairTable {
 	n := s.n
 	t := &s.table
@@ -214,9 +258,11 @@ func (s *Sweep) PrepareTable() *PairTable {
 	s.cnt = s.cnt[:n]
 	chunks := (n + tableGrain - 1) / tableGrain
 	if len(s.chunkBufs) < chunks {
-		s.chunkBufs = append(s.chunkBufs[:cap(s.chunkBufs)], make([]tableBuf, chunks-cap(s.chunkBufs))...)
+		s.chunkBufs = slices.Grow(s.chunkBufs, chunks-len(s.chunkBufs))[:chunks]
 	}
 
+	s.tableLimit = tableLimit(n)
+	s.tableTotal.Store(0)
 	s.fill.s = s
 	if s.pool == nil {
 		for lo := 0; lo < n; lo += tableGrain {
@@ -230,17 +276,23 @@ func (s *Sweep) PrepareTable() *PairTable {
 		s.pool.RunBody(n, tableGrain, &s.fill)
 	}
 
-	sum := int32(0)
-	for i := 0; i < n; i++ {
-		t.Start[i] = sum
-		sum += s.cnt[i]
+	s.statSegments += int64(chunks)
+	if s.tableTotal.Load() > s.tableLimit {
+		return nil
 	}
-	t.Start[n] = sum
-	if cap(t.Cand) < int(sum) {
+
+	// The total is at most tableLimit, so every offset fits in int32.
+	sum := 0
+	for i := 0; i < n; i++ {
+		t.Start[i] = int32(sum)
+		sum += int(s.cnt[i])
+	}
+	t.Start[n] = int32(sum)
+	if cap(t.Cand) < sum {
 		// An eighth of headroom: the candidate total drifts by a few
 		// hundred entries per period as traffic moves, and exact sizing
 		// would reallocate the whole table on every new high-water mark.
-		t.Cand = make([]int32, sum, int(sum)+int(sum)/8)
+		t.Cand = make([]int32, sum, sum+sum/8)
 	}
 	t.Cand = t.Cand[:sum]
 
@@ -256,148 +308,5 @@ func (s *Sweep) PrepareTable() *PairTable {
 	} else {
 		s.pool.RunBody(n, tableGrain, &s.copier)
 	}
-	s.statSegments += int64(chunks)
 	return t
-}
-
-// minmaxJob computes one repair block's key minimum and maximum (the
-// low-x of the current order) for the run-boundary scan.
-type minmaxJob struct{ s *Sweep }
-
-//atm:noalloc
-//atm:noescape
-func (j *minmaxJob) Chunk(_, lo, hi int) {
-	s := j.s
-	mn, mx := math.Inf(1), math.Inf(-1)
-	for k := lo; k < hi; k++ {
-		v := s.lox[s.order[k]]
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	c := lo / repairChunk
-	s.chunkMin[c], s.chunkMax[c] = mn, mx
-}
-
-// repairJob insertion-repairs one independent run of the sorted order.
-type repairJob struct{ s *Sweep }
-
-//atm:noalloc
-//atm:noescape
-func (j *repairJob) Chunk(_, lo, hi int) {
-	s := j.s
-	for ri := lo; ri < hi; ri++ {
-		runLo := int(s.runs[ri])
-		runHi := s.n
-		if ri+1 < len(s.runs) {
-			runHi = int(s.runs[ri+1])
-		}
-		s.runStats[ri] = s.repairRun(runLo, runHi)
-	}
-}
-
-// repairRun is repairOrder restricted to order[lo:hi) with a local
-// shift budget. An abort leaves the run a valid permutation, exactly
-// like the serial repair.
-//
-//atm:noalloc
-//atm:noescape
-func (s *Sweep) repairRun(lo, hi int) runStat {
-	order, lox := s.order, s.lox
-	budget := repairBudget(s.n)
-	var shifts, resorted int64
-	for k := lo + 1; k < hi; k++ {
-		id := order[k]
-		key := lox[id]
-		j := k
-		for j > lo && lox[order[j-1]] > key {
-			order[j] = order[j-1]
-			j--
-		}
-		if j == k {
-			continue
-		}
-		order[j] = id
-		resorted++
-		shifts += int64(k - j)
-		if shifts > budget {
-			return runStat{shifts: shifts, resorted: resorted, ok: false}
-		}
-	}
-	return runStat{shifts: shifts, resorted: resorted, ok: true}
-}
-
-// repairOrderRuns is the sharded mode's repairOrder: it splits the
-// nearly sorted order into independent runs at "clean" block boundaries
-// — positions where every key to the left is <= every key to the right,
-// which the strict-> insertion comparison can never move an element
-// across — and repairs the runs in parallel. The run partition depends
-// only on the data, and each run's repair (and its abort point, bounded
-// by a per-run budget) is deterministic, so the resulting order and the
-// drained statistics are identical at every worker count. Any aborted
-// run, or a total spend over the global budget, falls back to the full
-// sort exactly as the serial repair does.
-//
-//atm:ordered-merge
-func (s *Sweep) repairOrderRuns() bool {
-	n := len(s.order)
-	chunks := (n + repairChunk - 1) / repairChunk
-	if cap(s.chunkMin) < chunks {
-		s.chunkMin = make([]float64, chunks)
-		s.chunkMax = make([]float64, chunks)
-	}
-	s.chunkMin = s.chunkMin[:chunks]
-	s.chunkMax = s.chunkMax[:chunks]
-	s.minmax.s = s
-	if s.pool == nil {
-		for lo := 0; lo < n; lo += repairChunk {
-			hi := lo + repairChunk
-			if hi > n {
-				hi = n
-			}
-			s.minmax.Chunk(0, lo, hi)
-		}
-	} else {
-		s.pool.RunBody(n, repairChunk, &s.minmax)
-	}
-
-	s.runs = s.runs[:0]
-	s.runs = append(s.runs, 0)
-	prefix := s.chunkMax[0]
-	for c := 1; c < chunks; c++ {
-		if prefix <= s.chunkMin[c] {
-			s.runs = append(s.runs, int32(c*repairChunk))
-		}
-		if s.chunkMax[c] > prefix {
-			prefix = s.chunkMax[c]
-		}
-	}
-	nr := len(s.runs)
-	if cap(s.runStats) < nr {
-		s.runStats = make([]runStat, nr)
-	}
-	s.runStats = s.runStats[:nr]
-
-	s.repair.s = s
-	if s.pool == nil || nr == 1 {
-		for ri := 0; ri < nr; ri++ {
-			s.repair.Chunk(0, ri, ri+1)
-		}
-	} else {
-		s.pool.RunBody(nr, 1, &s.repair)
-	}
-
-	var shifts, resorted int64
-	ok := true
-	for ri := range s.runStats {
-		shifts += s.runStats[ri].shifts
-		resorted += s.runStats[ri].resorted
-		ok = ok && s.runStats[ri].ok
-	}
-	s.statMoved += shifts
-	s.statResorted += resorted
-	return ok && shifts <= repairBudget(n)
 }

@@ -1,56 +1,63 @@
 package broadphase_test
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/airspace"
 	"repro/internal/broadphase"
 	"repro/internal/parexec"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 )
 
-// TestPairTableMatchesQueries is the table-mode exactness property:
-// through long randomized mutation sequences, the sharded sweep's
-// table must hold, for every track, exactly the slice AppendCandidates
-// emits — same elements, same order — at every worker count, with and
-// without the incremental repair, and the tables built by different
-// pools must be byte-identical to each other.
+// checkTableMatches requires tab to hold, for every track of w, exactly
+// the slice ref.AppendCandidates emits — same elements, same order.
+func checkTableMatches(t *testing.T, label string, w *airspace.World, ref *broadphase.Sweep, tab *broadphase.PairTable) {
+	t.Helper()
+	if len(tab.Start) != w.N()+1 {
+		t.Fatalf("%s: table has %d rows, world %d aircraft", label, len(tab.Start)-1, w.N())
+	}
+	var buf []int32
+	for i := range w.Aircraft {
+		buf = ref.AppendCandidates(buf[:0], w, &w.Aircraft[i])
+		got := tab.Candidates(i)
+		if len(got) != len(buf) {
+			t.Fatalf("%s track %d: table has %d candidates, rebuild sweep %d", label, i, len(got), len(buf))
+		}
+		for k := range got {
+			if got[k] != buf[k] {
+				t.Fatalf("%s track %d: table[%d]=%d, rebuild sweep %d", label, i, k, got[k], buf[k])
+			}
+		}
+	}
+}
+
+// TestPairTableMatchesQueries is the table exactness property: through
+// long randomized mutation sequences, the production sweep's table
+// must hold, for every track, exactly the slice the rebuild sweep's
+// AppendCandidates emits — same elements, same order — at every worker
+// count, and the tables built by different pools must be byte-identical
+// to each other.
 func TestPairTableMatchesQueries(t *testing.T) {
 	pools := []*parexec.Pool{nil, parexec.NewPool(1), parexec.NewPool(3), parexec.NewPool(8)}
 	r := rng.New(0x7ab1e)
-	for _, incremental := range []bool{false, true} {
-		for _, n := range []int{0, 1, 2, 17, 120, 300, 700} {
-			w := randomWorld(r.Split(), n, 0.3)
-			ref := broadphase.NewSweep()
-			sharded := make([]*broadphase.Sweep, len(pools))
-			for i, p := range pools {
-				sharded[i] = broadphase.NewShardedSweep(incremental)
-				sharded[i].SetPool(p)
-			}
-			var buf []int32
-			for period := 0; period < 24; period++ {
-				advancePeriod(r, w, period)
-				ref.Prepare(w)
-				tables := make([]*broadphase.PairTable, len(pools))
-				for i := range sharded {
-					sharded[i].Prepare(w)
-					tables[i] = sharded[i].PrepareTable()
-				}
-				for i := range w.Aircraft {
-					buf = ref.AppendCandidates(buf[:0], w, &w.Aircraft[i])
-					for pi, tab := range tables {
-						got := tab.Candidates(i)
-						if len(got) != len(buf) {
-							t.Fatalf("inc=%v n=%d period=%d pool=%d track %d: table has %d candidates, query %d",
-								incremental, n, period, pi, i, len(got), len(buf))
-						}
-						for k := range got {
-							if got[k] != buf[k] {
-								t.Fatalf("inc=%v n=%d period=%d pool=%d track %d: table[%d]=%d, query %d",
-									incremental, n, period, pi, i, k, got[k], buf[k])
-							}
-						}
-					}
-				}
+	for _, n := range []int{0, 1, 2, 17, 120, 300, 700} {
+		w := randomWorld(r.Split(), n, 0.3)
+		ref := broadphase.NewSweep()
+		sweeps := make([]*broadphase.Sweep, len(pools))
+		for i, p := range pools {
+			sweeps[i] = newSweep()
+			sweeps[i].SetPool(p)
+		}
+		for period := 0; period < 24; period++ {
+			advancePeriod(r, w, period)
+			ref.Prepare(w)
+			for pi, s := range sweeps {
+				s.Prepare(w)
+				checkTableMatches(t, fmt.Sprintf("n=%d period=%d pool=%d", n, period, pi), w, ref, s.PrepareTable())
 			}
 		}
 	}
@@ -63,7 +70,7 @@ func TestPairTableMatchesQueries(t *testing.T) {
 func TestPairTableRepeatable(t *testing.T) {
 	r := rng.New(0x7ab1e2)
 	w := randomWorld(r.Split(), 400, 0.3)
-	s := broadphase.NewShardedSweep(true)
+	s := newSweep()
 	s.SetPool(parexec.NewPool(4))
 	s.Prepare(w)
 	first := s.PrepareTable()
@@ -88,51 +95,267 @@ func TestPairTableRepeatable(t *testing.T) {
 	}
 }
 
-// TestShardedRepairOrderInvariant: the sharded (run-partitioned)
-// incremental repair must produce candidate sets identical to the
-// serial incremental sweep's — and identical update statistics at
-// every worker count.
+// TestShardedRepairOrderInvariant: the production sweep's in-place
+// repair must produce candidate sets identical to the rebuild sweep's,
+// and identical update statistics whatever pool its table build runs
+// on.
 func TestShardedRepairOrderInvariant(t *testing.T) {
 	r := rng.New(0x5eed5)
 	w := randomWorld(r.Split(), 500, 0.3)
-	serial := broadphase.NewIncrementalSweep()
-	pools := []*parexec.Pool{parexec.NewPool(1), parexec.NewPool(3), parexec.NewPool(8)}
-	sharded := make([]*broadphase.Sweep, len(pools))
+	ref := broadphase.NewSweep()
+	pools := []*parexec.Pool{nil, parexec.NewPool(1), parexec.NewPool(3), parexec.NewPool(8)}
+	sweeps := make([]*broadphase.Sweep, len(pools))
 	for i, p := range pools {
-		sharded[i] = broadphase.NewShardedSweep(true)
-		sharded[i].SetPool(p)
+		sweeps[i] = newSweep()
+		sweeps[i].SetPool(p)
 	}
 	var bufS, bufP []int32
-	var stats []broadphase.UpdateStats
 	for period := 0; period < 40; period++ {
 		advancePeriod(r, w, period)
-		serial.Prepare(w)
-		for i := range sharded {
-			sharded[i].Prepare(w)
+		ref.Prepare(w)
+		for i := range sweeps {
+			sweeps[i].Prepare(w)
+			sweeps[i].PrepareTable()
 		}
 		for i := range w.Aircraft {
-			bufS = serial.AppendCandidates(bufS[:0], w, &w.Aircraft[i])
-			for si := range sharded {
-				bufP = sharded[si].AppendCandidates(bufP[:0], w, &w.Aircraft[i])
+			bufS = ref.AppendCandidates(bufS[:0], w, &w.Aircraft[i])
+			for si := range sweeps {
+				bufP = sweeps[si].AppendCandidates(bufP[:0], w, &w.Aircraft[i])
 				if len(bufS) != len(bufP) {
-					t.Fatalf("period %d pool %d track %d: %d candidates vs serial %d",
+					t.Fatalf("period %d pool %d track %d: %d candidates vs rebuild %d",
 						period, si, i, len(bufP), len(bufS))
 				}
 				for k := range bufS {
 					if bufS[k] != bufP[k] {
-						t.Fatalf("period %d pool %d track %d: candidate[%d] = %d, serial %d",
+						t.Fatalf("period %d pool %d track %d: candidate[%d] = %d, rebuild %d",
 							period, si, i, k, bufP[k], bufS[k])
 					}
 				}
 			}
 		}
 	}
-	for i := range sharded {
-		stats = append(stats, sharded[i].TakeUpdateStats())
+	var stats []broadphase.UpdateStats
+	for i := range sweeps {
+		stats = append(stats, sweeps[i].TakeUpdateStats())
 	}
 	for i := 1; i < len(stats); i++ {
 		if stats[i] != stats[0] {
 			t.Fatalf("update stats vary with workers: pool %d %+v vs pool 0 %+v", i, stats[i], stats[0])
 		}
+	}
+}
+
+// lineWorld makes n aircraft at x = i*spacing, y = 0, with a tiny
+// speed, so envelopes barely overlap and the sorted order is the index
+// order.
+func lineWorld(n int, spacing float64) *airspace.World {
+	w := &airspace.World{Aircraft: make([]airspace.Aircraft, n)}
+	for i := range w.Aircraft {
+		a := &w.Aircraft[i]
+		a.ID = int32(i)
+		a.X = float64(i) * spacing
+		a.Alt = 10000
+		a.DX = 0.001
+	}
+	return w
+}
+
+// TestRepairRunBoundaryCrossing teleports one aircraft backward from
+// sorted rank 1100 to rank 0, across several 256-slot table segments
+// in one Prepare. The repair must move it the whole way: the repaired
+// table and queries must match the rebuild sweep.
+func TestRepairRunBoundaryCrossing(t *testing.T) {
+	const n = 1536
+	w := lineWorld(n, 50)
+	ref := broadphase.NewSweep()
+	s := newSweep()
+	s.Prepare(w)
+	w.Aircraft[1100].X = 5
+	ref.Prepare(w)
+	s.Prepare(w)
+	if !s.LastPrepareIncremental() {
+		t.Fatal("a single teleport fell back to the full sort; the repair was not exercised")
+	}
+	checkTableMatches(t, "after teleport", w, ref, s.PrepareTable())
+	var a, b []int32
+	for i := range w.Aircraft {
+		a = ref.AppendCandidates(a[:0], w, &w.Aircraft[i])
+		b = s.AppendCandidates(b[:0], w, &w.Aircraft[i])
+		if len(a) != len(b) {
+			t.Fatalf("track %d: rebuild %d candidates, production %d (a=%v b=%v)", i, len(a), len(b), a, b)
+		}
+		for k := range a {
+			if a[k] != b[k] {
+				t.Fatalf("track %d: cand[%d] rebuild %d production %d", i, k, a[k], b[k])
+			}
+		}
+	}
+}
+
+// TestPrepareTableGrowPanic grows the world on one source so the
+// segment-buffer count lands between the length and the capacity an
+// earlier growth rounded up to (4 → 5 segments doubles the capacity to
+// 8, then 6 segments fit in it).
+func TestPrepareTableGrowPanic(t *testing.T) {
+	ref := broadphase.NewSweep()
+	s := newSweep()
+	for _, n := range []int{1024, 1280, 1536} {
+		w := lineWorld(n, 50)
+		ref.Prepare(w)
+		s.Prepare(w)
+		checkTableMatches(t, fmt.Sprintf("n=%d", n), w, ref, s.PrepareTable())
+	}
+}
+
+// resizeWorld grows w with fresh uniform traffic or truncates it to n
+// aircraft, keeping the ID == index invariant the sweep relies on.
+func resizeWorld(w *airspace.World, n int, r *rng.Rand) {
+	if n <= w.N() {
+		w.Aircraft = w.Aircraft[:n]
+		return
+	}
+	extra := airspace.NewWorld(n-w.N(), r)
+	for i := range extra.Aircraft {
+		a := extra.Aircraft[i]
+		a.ID = int32(w.N())
+		w.Aircraft = append(w.Aircraft, a)
+	}
+}
+
+// TestCoherentSweepMatchesRebuildAtScale is the production sweep's
+// exactness property in the regime where its fast paths engage: N
+// spans several 256-slot table segments and is not a multiple of 256,
+// and one reused source sees 24 consecutive Prepares of dead reckoning,
+// torus re-entry (x, y) → (−x, −y), random teleports and N growing and
+// shrinking. Every table row must equal the rebuild sweep's candidate
+// set exactly.
+func TestCoherentSweepMatchesRebuildAtScale(t *testing.T) {
+	for _, n0 := range []int{1100, 2600} {
+		r := rng.New(uint64(n0))
+		w := airspace.NewWorld(n0, r.Split())
+		ref := broadphase.NewSweep()
+		s := newSweep()
+		s.SetPool(parexec.NewPool(3))
+		var cols airspace.Columns
+		// The first growth rounds the segment-buffer capacity up, so
+		// the last lands between length and capacity (n0=1100: 5 → 6
+		// segments with capacity 10, then 4, then 7).
+		sizes := map[int]int{6: n0 + 300, 12: n0 - 250, 18: n0 + 600}
+		for step := 0; step < 24; step++ {
+			if n, ok := sizes[step]; ok {
+				resizeWorld(w, n, r)
+			}
+			// Aircraft parked at the field edge flying outward re-enter
+			// at the negated position during the dead reckoning below:
+			// a jump across the whole sorted order.
+			for k := 0; k < 8; k++ {
+				a := &w.Aircraft[r.IntN(w.N())]
+				sign := r.Sign()
+				a.X = sign * (airspace.FieldHalf - 0.05)
+				if a.DX*sign < 0 {
+					a.DX = -a.DX
+				}
+			}
+			// One period or a whole major cycle of dead reckoning: short
+			// steps keep neighbouring segments apart in key space, long
+			// steps mix them.
+			periods := 1
+			if step%2 == 1 {
+				periods = airspace.PeriodsPerMajorCycle
+			}
+			for p := 0; p < periods; p++ {
+				for i := range w.Aircraft {
+					a := &w.Aircraft[i]
+					a.X += a.DX
+					a.Y += a.DY
+					airspace.Wrap(a)
+				}
+			}
+			for k := 0; k < 6; k++ {
+				a := &w.Aircraft[r.IntN(w.N())]
+				a.X = r.Range(-airspace.SetupHalf, airspace.SetupHalf)
+				a.Y = r.Range(-airspace.SetupHalf, airspace.SetupHalf)
+			}
+			if step%2 == 0 {
+				s.Prepare(w)
+			} else {
+				cols.FillFrom(w)
+				s.PrepareColumns(&cols)
+			}
+			ref.Prepare(w)
+			checkTableMatches(t, fmt.Sprintf("n0=%d step=%d", n0, step), w, ref, s.PrepareTable())
+		}
+		st := s.TakeUpdateStats()
+		// One initial build and one per resize; every other Prepare must
+		// have repaired in place, or the repair was never tested.
+		if st.Rebuilds != 1+int64(len(sizes)) || st.Updates != 24-st.Rebuilds {
+			t.Errorf("n0=%d: want %d rebuilds and the rest in-place repairs, got %+v", n0, 1+len(sizes), st)
+		}
+	}
+}
+
+// TestPrepareTableSizeLimit drives the table past its size limit: one
+// dense cluster puts nearly every aircraft in every other's candidate
+// set, N² in all, far beyond the table's per-track average. There
+// PrepareTable must return nil at every worker count, leave the sweep
+// holding less than half of one copy of the full table (the build stops
+// early rather than filling and then discarding), and leave the
+// production sweep's per-track queries equal to the rebuild sweep's.
+// The same source must build tables again once the traffic thins out.
+func TestPrepareTableSizeLimit(t *testing.T) {
+	spec, err := scenario.ParseSpec("dense:clusters=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8000
+	dense := spec.Generate(n, rng.New(7))
+	ref := broadphase.NewSweep()
+	ref.Prepare(dense)
+	total := 0
+	var buf []int32
+	for i := range dense.Aircraft {
+		buf = ref.AppendCandidates(buf[:0], dense, &dense.Aircraft[i])
+		total += len(buf)
+	}
+	if total < 2*2048*n {
+		t.Fatalf("dense cluster has %d candidates, %.0f per track: too sparse to test the limit", total, float64(total)/n)
+	}
+	sparse := airspace.NewWorld(n, rng.New(8))
+
+	for _, workers := range []int{0, 1, 3, 8} {
+		s := newSweep()
+		if workers > 0 {
+			s.SetPool(parexec.NewPool(workers))
+		}
+		s.Prepare(dense)
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		if tab := s.PrepareTable(); tab != nil {
+			t.Fatalf("workers=%d: built a table of %d candidates past the size limit", workers, len(tab.Cand))
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		if held, full := int64(ms.HeapAlloc)-int64(before), int64(4*total); 2*held >= full {
+			t.Errorf("workers=%d: the aborted build left %d bytes live, one copy of the full table is %d", workers, held, full)
+		}
+		var a, b []int32
+		for i := 0; i < n; i += 97 {
+			a = ref.AppendCandidates(a[:0], dense, &dense.Aircraft[i])
+			b = s.AppendCandidates(b[:0], dense, &dense.Aircraft[i])
+			if !slices.Equal(a, b) {
+				t.Fatalf("workers=%d track %d: production sweep queries %d candidates, rebuild sweep %d", workers, i, len(b), len(a))
+			}
+		}
+
+		s.Prepare(sparse)
+		ref.Prepare(sparse)
+		tab := s.PrepareTable()
+		if tab == nil {
+			t.Fatalf("workers=%d: no table for uniform traffic after the dense world", workers)
+		}
+		checkTableMatches(t, fmt.Sprintf("workers=%d uniform after dense", workers), sparse, ref, tab)
+		ref.Prepare(dense)
 	}
 }

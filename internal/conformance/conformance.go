@@ -12,8 +12,6 @@
 //     trajectory — conflicts, resolutions, headings. Modeled times may
 //     differ (pruning changes op counts), so only the world hash is
 //     compared across sources.
-//   - The coherent sweep is bit-identical to the rebuild sweep,
-//     including modeled times.
 //   - Within a resolution discipline, platforms agree on the world
 //     trajectory: the snapshot group (CUDA devices, the multicore
 //     Xeon, the wide-vector machines) resolves against a frozen copy
@@ -41,17 +39,11 @@ import (
 )
 
 // Lane is one execution configuration orthogonal to the workload:
-// broad-phase pair source, coherence mode and host worker count.
+// broad-phase pair source and host worker count.
 type Lane struct {
 	// PairSource is a broadphase source name, or "" for the paper's
 	// all-pairs kernels.
 	PairSource string
-	// Coherent selects the temporal-coherence incremental broad phase
-	// (meaningful with PairSource "sweep").
-	Coherent bool
-	// Sharded selects the worker-parallel table broad phase with the
-	// batched pair kernel (meaningful with PairSource "sweep").
-	Sharded bool
 	// Workers pins the host worker pool (0 = process default).
 	Workers int
 }
@@ -60,12 +52,6 @@ func (l Lane) String() string {
 	src := l.PairSource
 	if src == "" {
 		src = "allpairs"
-	}
-	if l.Coherent {
-		src += "+coherent"
-	}
-	if l.Sharded {
-		src += "+parshard"
 	}
 	return fmt.Sprintf("%s/w%d", src, l.Workers)
 }
@@ -114,12 +100,10 @@ func Run(rs RunSpec) Fingerprint {
 		w.SetWorkers(rs.Lane.Workers)
 	}
 	sys := core.NewSystem(p, core.Config{
-		N:           rs.N,
-		Seed:        rs.Seed,
-		Scenario:    rs.Scenario,
-		PairSource:  rs.Lane.PairSource,
-		Incremental: rs.Lane.Coherent,
-		ParShard:    rs.Lane.Sharded,
+		N:          rs.N,
+		Seed:       rs.Seed,
+		Scenario:   rs.Scenario,
+		PairSource: rs.Lane.PairSource,
 	})
 	worldH := sha256.New()
 	buf := make([]byte, 0, rs.N*aircraftBytes)
@@ -222,22 +206,6 @@ func SequentialPlatforms() []string {
 // AllPlatforms is every registry key, snapshot group first.
 func AllPlatforms() []string {
 	return append(SnapshotPlatforms(), SequentialPlatforms()...)
-}
-
-// WorkerLanes is the acceptance worker matrix over one pair source.
-func WorkerLanes(pairSource string, coherent bool) []Lane {
-	return ShardedWorkerLanes(pairSource, coherent, false)
-}
-
-// ShardedWorkerLanes is WorkerLanes with the sharded table mode
-// selectable, so the acceptance matrix folds the worker-parallel broad
-// phase into the same worker-invariance relations.
-func ShardedWorkerLanes(pairSource string, coherent, sharded bool) []Lane {
-	return []Lane{
-		{PairSource: pairSource, Coherent: coherent, Sharded: sharded, Workers: 1},
-		{PairSource: pairSource, Coherent: coherent, Sharded: sharded, Workers: 3},
-		{PairSource: pairSource, Coherent: coherent, Sharded: sharded, Workers: 8},
-	}
 }
 
 // MajorCycles converts major cycles to periods for RunSpec.Periods.

@@ -6,14 +6,20 @@ import (
 )
 
 // -conformance.full widens the matrix to every family, every pair
-// source and the full worker set at a larger aircraft count — the
-// `make conformance` / CI configuration. The default trimmed matrix
-// keeps `go test ./...` fast while still covering every platform and
-// every invariance relation.
+// source and the full worker set at a larger aircraft count, and adds
+// sweep lanes at scaleN — the `make conformance` / CI configuration.
+// The default trimmed matrix keeps `go test ./...` fast while still
+// covering every platform and every invariance relation.
 var full = flag.Bool("conformance.full", false,
 	"run the full conformance matrix (all families x pair sources x workers {1,3,8})")
 
 const seed = 2018
+
+// scaleN is the aircraft count of the full matrix's extra sweep lanes:
+// enough that the sweep's candidate table spans five segments and one
+// invocation repairs thousands of order slots, the regime the n=400
+// lanes never reach.
+const scaleN = 1100
 
 // conformanceFamilies are the workloads the oracle runs. The
 // parameters are tuned so every family produces live conflicts and
@@ -51,6 +57,10 @@ func TestConformance(t *testing.T) {
 	runLane := func(fam, plat string, lane Lane) Fingerprint {
 		t.Helper()
 		return Run(RunSpec{Platform: plat, Scenario: fam, N: n, Periods: periods, Seed: seed, Lane: lane})
+	}
+	runScale := func(fam, plat string, lane Lane) Fingerprint {
+		t.Helper()
+		return Run(RunSpec{Platform: plat, Scenario: fam, N: scaleN, Periods: periods, Seed: seed, Lane: lane})
 	}
 
 	for _, fam := range conformanceFamilies(*full) {
@@ -93,39 +103,46 @@ func TestConformance(t *testing.T) {
 						}
 					}
 				}
-
-				// The coherent sweep must be bit-identical to the rebuild
-				// sweep, modeled times included — and the sharded table
-				// mode bit-identical to both, with coherence on or off, at
-				// every worker count.
-				for _, w := range workers {
-					rebuild := runLane(fam, plat, Lane{PairSource: "sweep", Workers: w})
-					coherent := runLane(fam, plat, Lane{PairSource: "sweep", Coherent: true, Workers: w})
-					if coherent.Full != rebuild.Full {
-						t.Errorf("%s sweep+coherent/w%d: full fingerprint diverged from the rebuild sweep\n  rebuild  %s\n  coherent %s",
-							plat, w, rebuild.Full[:16], coherent.Full[:16])
-					}
-					for _, coh := range []bool{false, true} {
-						lane := Lane{PairSource: "sweep", Coherent: coh, Sharded: true, Workers: w}
-						if fp := runLane(fam, plat, lane); fp.Full != rebuild.Full {
-							t.Errorf("%s %s: full fingerprint diverged from the rebuild sweep\n  rebuild %s\n  sharded %s",
-								plat, lane, rebuild.Full[:16], fp.Full[:16])
-						}
-					}
-				}
 			}
 
 			// Within a resolution discipline every platform must walk the
 			// world through the identical trajectory.
-			for group, plats := range map[string][]string{
+			groups := map[string][]string{
 				"snapshot":   SnapshotPlatforms(),
 				"sequential": SequentialPlatforms(),
-			} {
+			}
+			for group, plats := range groups {
 				lead := refWorld[plats[0]]
 				for _, plat := range plats[1:] {
 					if fp := refWorld[plat]; fp.World != lead.World {
 						t.Errorf("%s group: %s world trajectory diverged from %s\n  %s conflicts=%d\n  %s conflicts=%d",
 							group, plat, plats[0], lead.World[:16], lead.Conflicts, fp.World[:16], fp.Conflicts)
+					}
+				}
+			}
+
+			// At scale, every platform's sweep must walk its group lead's
+			// all-pairs world trajectory, identically at one and eight
+			// workers.
+			if !*full {
+				return
+			}
+			for group, plats := range groups {
+				scaleRef := runScale(fam, plats[0], Lane{Workers: 1})
+				for _, plat := range plats {
+					var first Fingerprint
+					for i, w := range []int{1, 8} {
+						lane := Lane{PairSource: "sweep", Workers: w}
+						fp := runScale(fam, plat, lane)
+						if fp.World != scaleRef.World {
+							t.Errorf("%s %s n=%d: world trajectory diverged from %s group's all-pairs lead %s\n  ref  %s conflicts=%d\n  got  %s conflicts=%d",
+								plat, lane, scaleN, group, plats[0], scaleRef.World[:16], scaleRef.Conflicts, fp.World[:16], fp.Conflicts)
+						}
+						if i == 0 {
+							first = fp
+						} else if fp.Full != first.Full {
+							t.Errorf("%s %s n=%d: full fingerprint diverged from workers=1", plat, lane, scaleN)
+						}
 					}
 				}
 			}

@@ -9,22 +9,45 @@ import (
 	"repro/internal/replay"
 )
 
-// TestCoherentBitIdentical pins the tentpole contract of the
-// temporal-coherence mode on every registered platform: a run with the
-// incremental sweep broad phase produces byte-identical replay output —
-// same worlds, same per-period modeled task times, same deadline record
-// — as the same run with the per-task rebuild sweep. Three major cycles
-// give the incremental path two Prepare calls that repair a previous
-// order (periods 31 and 47) on top of the initial rebuild (period 15).
+// TestCoherentBitIdentical pins the sweep's contract on every
+// registered platform: a run on the production sweep (order repaired
+// across periods, candidate table, batched kernel) produces
+// byte-identical replay output — same worlds, same per-period modeled
+// task times, same deadline record — as the same run on the rebuild
+// sweep oracle installed straight on the platform. Three major cycles
+// give the production sweep two Prepare calls that repair a previous
+// order (periods 31 and 47) on top of the initial build (period 15).
+// The inputs are the paper's uniform setup plus the other conformance
+// scenario families, and one dense cluster whose ~2170 candidates per
+// track pass the candidate table's size limit, so every executor's
+// per-track query path on the production sweep is compared too (one
+// cycle; TestBatchedKernelMatchesScalar repairs under the same limit).
+// Its altitudes spread over 28000 ft, so the altitude filter rejects
+// most candidate pairs and the run stays cheap.
 func TestCoherentBitIdentical(t *testing.T) {
-	record := func(name string, incremental bool) []byte {
+	inputs := []struct {
+		scenario  string
+		n, cycles int
+	}{
+		{"", 500, 3},
+		{"circle:radius=12,speed=500", 500, 3},
+		{"burst:interval=30", 500, 3},
+		{"streams", 500, 3},
+		{"dense", 500, 3},
+		{"layers:gap=800", 500, 3},
+		{"dense:clusters=1,alt=25000,altspread=14000", 2200, 1},
+	}
+	record := func(name, scenario string, n, cycles int, rebuild bool) []byte {
 		p := platform.MustNew(name, 2018)
 		p.(platform.Workered).SetWorkers(1)
-		sys := NewSystem(p, Config{N: 500, Seed: 2018, PairSource: "sweep", Incremental: incremental})
+		sys := NewSystem(p, Config{N: n, Seed: 2018, Scenario: scenario, PairSource: "sweep"})
+		if rebuild {
+			p.(platform.PairSourced).SetPairSource(broadphase.NewSweep())
+		}
 		var buf bytes.Buffer
 		rec := replay.NewRecorder(&buf)
 		sys.SetRecorder(rec)
-		sys.RunMajorCycles(3)
+		sys.RunMajorCycles(cycles)
 		if err := rec.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -33,26 +56,28 @@ func TestCoherentBitIdentical(t *testing.T) {
 	for _, name := range append(platform.Names(), platform.ExtensionNames()...) {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			rebuild := record(name, false)
-			coherent := record(name, true)
-			if !bytes.Equal(rebuild, coherent) {
-				t.Fatalf("%s: coherent run diverged from rebuild run (replay bytes differ, %d vs %d bytes)",
-					name, len(rebuild), len(coherent))
+			for _, in := range inputs {
+				rebuild := record(name, in.scenario, in.n, in.cycles, true)
+				production := record(name, in.scenario, in.n, in.cycles, false)
+				if !bytes.Equal(rebuild, production) {
+					t.Errorf("%s %q n=%d: production sweep run diverged from rebuild sweep run (replay bytes differ, %d vs %d bytes)",
+						name, in.scenario, in.n, len(rebuild), len(production))
+				}
 			}
 		})
 	}
 }
 
-// TestCoherentMaintainerWired verifies NewSystem actually installs an
-// incremental source when asked: the maintainer is discoverable, and a
-// run that crosses two Tasks 2-3 invocations records at least one
-// in-place update.
+// TestCoherentMaintainerWired verifies NewSystem installs the
+// production sweep for "sweep": the maintainer and the table source are
+// discoverable, and a run that crosses two Tasks 2-3 invocations
+// records at least one in-place update.
 func TestCoherentMaintainerWired(t *testing.T) {
 	p := platform.MustNew(platform.Xeon16, 7)
 	p.(platform.Workered).SetWorkers(1)
-	sys := NewSystem(p, Config{N: 300, Seed: 7, PairSource: "sweep", Incremental: true})
-	if sys.maintainer == nil {
-		t.Fatal("Incremental config produced no broadphase.Maintainer")
+	sys := NewSystem(p, Config{N: 300, Seed: 7, PairSource: "sweep"})
+	if sys.maintainer == nil || sys.tableSrc == nil {
+		t.Fatal("sweep config produced no broadphase.Maintainer or TableSource")
 	}
 	sys.RunMajorCycles(2)
 	u := sys.maintainer.TakeUpdateStats()
@@ -67,14 +92,14 @@ func TestCoherentMaintainerWired(t *testing.T) {
 	}
 }
 
-// TestCoherentWithoutSourcePanicsAtValidation is covered by
-// RunParams.Validate; Config itself tolerates Incremental without a
-// source (it simply has nothing to make incremental).
+// TestCoherentConfigWithoutSource: the deprecated mode fields are
+// ignored, so setting them without a pair source installs nothing and
+// the run is the paper's all-pairs run.
 func TestCoherentConfigWithoutSource(t *testing.T) {
 	p := platform.MustNew(platform.TitanXPascal, 1)
-	sys := NewSystem(p, Config{N: 50, Seed: 1, Incremental: true})
-	if sys.maintainer != nil {
-		t.Fatal("maintainer present without a pair source")
+	sys := NewSystem(p, Config{N: 50, Seed: 1, Incremental: true, ParShard: true})
+	if sys.maintainer != nil || sys.tableSrc != nil || sys.pairSrc != nil {
+		t.Fatal("pair source installed without a PairSource")
 	}
 	sys.RunMajorCycles(1)
 }

@@ -51,21 +51,15 @@ type Config struct {
 	// empty string keeps the paper's all-pairs kernels. Unknown names
 	// panic.
 	PairSource string
-	// Incremental turns on the temporal-coherence mode: the sweep pair
-	// source keeps its sorted order across periods and repairs it
-	// incrementally, and the platforms feed it (and their own inner
-	// loops) from a structure-of-arrays snapshot. Results are
-	// bit-identical to the rebuild mode; only host time changes.
-	// Sources other than "sweep" accept and ignore the flag.
+	// Incremental is ignored: the "sweep" source always repairs its
+	// order across periods.
+	//
+	// Deprecated: the sweep has one behaviour; leave the field unset.
 	Incremental bool
-	// ParShard turns on the worker-parallel sharded broad phase: the
-	// sweep source materializes every track's candidate set in one
-	// parallel walk of its sorted order per Tasks 2-3 invocation, and
-	// the executors feed the fused pair kernel from that table in
-	// branch-free batches of 8. Results are bit-identical to every other
-	// mode at every worker count; only host time changes. Sources other
-	// than "sweep" accept and ignore the flag. Composes freely with
-	// Incremental.
+	// ParShard is ignored: the "sweep" source always builds its
+	// candidate table on the worker pool and feeds the batched kernel.
+	//
+	// Deprecated: the sweep has one behaviour; leave the field unset.
 	ParShard bool
 }
 
@@ -89,8 +83,8 @@ type System struct {
 	rec                         *telemetry.Recorder
 	pairSrc                     broadphase.PairSource  // as installed on the platform
 	counted                     *broadphase.Counted    // non-nil while telemetry is attached
-	maintainer                  broadphase.Maintainer  // non-nil when the source runs incrementally
-	tableSrc                    broadphase.TableSource // non-nil when the source runs sharded
+	maintainer                  broadphase.Maintainer  // non-nil when the source maintains its index
+	tableSrc                    broadphase.TableSource // non-nil when the source builds a candidate table
 	schedObs                    telemetry.SchedObserver
 	idBPQueries, idBPCandidates telemetry.NameID
 	idBPUpdates, idBPRebuilds   telemetry.NameID
@@ -153,12 +147,6 @@ func (s *System) SetTelemetry(rec *telemetry.Recorder) {
 	}
 	if s.cfg.PairSource != "" {
 		rec.Meta("pairsource", s.cfg.PairSource)
-	}
-	if s.cfg.Incremental {
-		rec.Meta("coherent", "true")
-	}
-	if s.cfg.ParShard {
-		rec.Meta("parshard", "true")
 	}
 	rec.Meta("n", fmt.Sprintf("%d", s.World.N()))
 	rec.Meta("seed", fmt.Sprintf("%d", s.cfg.Seed))
@@ -223,7 +211,7 @@ func applyPairSource(p platform.Platform, cfg Config) broadphase.PairSource {
 	if cfg.PairSource == "" {
 		return nil
 	}
-	src, err := broadphase.NewWith(cfg.PairSource, broadphase.Options{Incremental: cfg.Incremental, Sharded: cfg.ParShard})
+	src, err := broadphase.New(cfg.PairSource)
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
@@ -328,8 +316,8 @@ func Measure(platformName string, n, cycles int, seed uint64) (Measurement, erro
 	return MeasureWith(platformName, cycles, Config{N: n, Seed: seed})
 }
 
-// MeasureWith is Measure under a full Config: scenario, pair source
-// and coherence mode all apply. cfg.N is the aircraft count. Unlike
+// MeasureWith is Measure under a full Config: scenario and pair source
+// both apply. cfg.N is the aircraft count. Unlike
 // NewSystem, a scenario that cannot hold cfg.N aircraft is an error,
 // not a panic — sweeps reach counts front-end validation cannot see.
 func MeasureWith(platformName string, cycles int, cfg Config) (Measurement, error) {

@@ -2,6 +2,7 @@ package cuda
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -412,7 +413,7 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 	s.newDY = growFloat64(s.newDY, n)
 	s.resolved = growInt32(s.resolved, n)
 	if nw := e.dev.Workers(); len(s.candBufs) < nw {
-		s.candBufs = append(s.candBufs[:cap(s.candBufs)], make([]candBuf, nw-cap(s.candBufs))...)
+		s.candBufs = slices.Grow(s.candBufs, nw-len(s.candBufs))[:nw]
 	}
 	ac := w.Aircraft
 	res.add(e.dev.Launch("snapshot", n, func(t *Thread) {
@@ -430,34 +431,31 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 	}))
 	if e.src != nil {
 		// Host-side index build over the committed snapshot, modeled as
-		// one launch of per-aircraft insertion work. An incremental
-		// source builds straight from the snapshot columns and reports
-		// whether it repaired in place; only the span name changes —
-		// the modeled charge is identical in both modes, as the
-		// bit-identity contract requires.
+		// one launch of per-aircraft insertion work. A table source
+		// (the production sweep) builds straight from the snapshot
+		// columns, reports whether it repaired in place, and
+		// materializes the candidate table on the host workers (nil
+		// over its size limit: the scans then query per track). Only
+		// the span name changes — the modeled charge is the launch
+		// below either way, as the bit-identity contract requires.
 		name := "broadphase"
-		if m := broadphase.MaintainerOf(e.src); m != nil && m.Incremental() {
+		if ts := broadphase.TableOf(e.src); ts != nil {
+			m := broadphase.MaintainerOf(e.src)
 			if cp, ok := m.(broadphase.ColumnsPreparer); ok {
 				cp.PrepareColumns(&s.snap)
 			} else {
 				e.src.Prepare(w)
 			}
-			if m.LastPrepareIncremental() {
+			name = "broadphase.rebuild"
+			if m != nil && m.LastPrepareIncremental() {
 				name = "broadphase.update"
-			} else {
-				name = "broadphase.rebuild"
 			}
+			ts.SetPool(parexec.Resolve(e.dev.pool))
+			s.tab = ts.PrepareTable()
 		} else {
 			e.src.Prepare(w)
 		}
 		s.src = e.src
-		// A sharded source additionally materializes the candidate
-		// table on the host workers; the modeled charge is unchanged
-		// (the launch below), as bit-identity requires.
-		if ts := broadphase.TableOf(e.src); ts != nil {
-			ts.SetPool(parexec.Resolve(e.dev.pool))
-			s.tab = ts.PrepareTable()
-		}
 		res.add(e.dev.Launch(name, n, func(t *Thread) {
 			t.Ops(opsIndexBuild)
 			t.Mem(16)

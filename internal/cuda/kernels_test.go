@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/airspace"
+	"repro/internal/broadphase"
 	"repro/internal/radar"
 	"repro/internal/rng"
 	"repro/internal/tasks"
@@ -182,6 +183,34 @@ func TestCheckCollisionPathDeterministic(t *testing.T) {
 		for j := range w.Aircraft {
 			if w.Aircraft[j] != firstW.Aircraft[j] {
 				t.Fatalf("run %d aircraft %d differs", i, j)
+			}
+		}
+	}
+}
+
+// TestCheckCollisionPathWorkerGrowth reuses one engine at 8, 9 and 10
+// workers on the per-query pruned path. Growing the candidate buffers
+// from 8 to 9 doubles their capacity to 16, so 10 workers land between
+// length and capacity; every run must still match the one-worker run.
+func TestCheckCollisionPathWorkerGrowth(t *testing.T) {
+	base := airspace.NewWorld(300, rng.New(34))
+	ref := NewEngine(TitanXPascal)
+	ref.SetWorkers(1)
+	ref.SetPairSource(broadphase.NewSweep())
+	refW := base.Clone()
+	want := ref.CheckCollisionPath(refW)
+	eng := NewEngine(TitanXPascal)
+	eng.SetPairSource(broadphase.NewSweep())
+	for _, workers := range []int{8, 9, 10} {
+		eng.SetWorkers(workers)
+		w := base.Clone()
+		res := eng.CheckCollisionPath(w)
+		if res.Time != want.Time || res.Stats != want.Stats {
+			t.Fatalf("workers=%d: time %v stats %+v, one worker %v %+v", workers, res.Time, res.Stats, want.Time, want.Stats)
+		}
+		for j := range w.Aircraft {
+			if w.Aircraft[j] != refW.Aircraft[j] {
+				t.Fatalf("workers=%d: aircraft %d differs from the one-worker run", workers, j)
 			}
 		}
 	}

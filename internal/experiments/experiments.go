@@ -605,21 +605,22 @@ func sixteenthPeriodFits(name string, n int, cfg Config) bool {
 }
 
 // CoherenceTable — the temporal-coherence ablation behind
-// results/coherence.csv: host wall time of one fused Tasks 2+3 pass
-// with the sweep broad phase rebuilding from scratch every pass
-// ("rebuild") versus repairing the previous period's sorted order
-// ("incremental", the -coherent mode). Both lanes run the same world
-// through the same dead-reckoned motion, so the pair sets — and the
-// modeled device times — are bit-identical; the table measures only
-// what coherence buys the host.
+// results/coherence.csv: host wall time of one fused Tasks 2+3 pass on
+// the rebuild sweep oracle (broadphase.NewSweep: full sort every pass,
+// per-track queries, scalar kernel; "rebuild") versus the production
+// sweep ("sweep": the previous pass's sorted order repaired in place,
+// the candidate table, the batched kernel). Both lanes run the same
+// world through the same dead-reckoned motion, so the pair sets — and
+// the modeled device times — are bit-identical; the table measures
+// only what the production path buys the host.
 //
 // The motion axis matters: the m-series advance the world by m radar
 // periods between detection passes (m=1 is back-to-back detection,
 // m=16 is the real schedule's major cycle, m=64 is a stress case where
-// displacements approach the sort window). The incremental lane also
+// displacements approach the sort window). The production lane also
 // reports how many aircraft actually moved in the sorted order per
 // repair ("moved:mN"), the quantity the insertion-sort budget is
-// keyed to.
+// keyed to, and how many passes fell back to a full sort.
 //
 // Wall times are host measurements and vary run to run; the moved
 // counts are exact and reproducible.
@@ -629,7 +630,7 @@ func sixteenthPeriodFits(name string, n int, cfg Config) bool {
 func CoherenceTable(cfg Config) (*trace.Dataset, error) {
 	d := &trace.Dataset{
 		ID:     "coherence",
-		Title:  "Temporal coherence: rebuild vs incremental sweep, wall ms per detection pass",
+		Title:  "Temporal coherence: rebuild vs production sweep, wall ms per detection pass",
 		XLabel: "aircraft",
 		YLabel: "value",
 	}
@@ -647,14 +648,13 @@ func CoherenceTable(cfg Config) (*trace.Dataset, error) {
 				name string
 				src  broadphase.PairSource
 			}{
-				{"rebuild", broadphase.MustNew(broadphase.SweepName)},
-				{"incremental", broadphase.NewIncrementalSweep()},
+				{"rebuild", broadphase.NewSweep()},
+				{"sweep", broadphase.MustNew(broadphase.SweepName)},
 			} {
 				w := airspace.NewWorld(n, rng.New(cfg.Seed))
 				tasks.DetectResolveExec(w, mode.src, pool) // warm scratch + seed the sorted order
-				if m := broadphase.MaintainerOf(mode.src); m != nil {
-					m.TakeUpdateStats() // exclude the warm-up rebuild from the stats
-				}
+				m := broadphase.MaintainerOf(mode.src)
+				m.TakeUpdateStats() // exclude the warm-up rebuild from the stats
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				mallocs := ms.Mallocs
@@ -676,7 +676,7 @@ func CoherenceTable(cfg Config) (*trace.Dataset, error) {
 				tag := fmt.Sprintf("%s:m%d", mode.name, periods)
 				d.Add("ms:"+tag, float64(n), wall.Seconds()*1000/float64(iters))
 				d.Add("allocs:"+tag, float64(n), float64(ms.Mallocs-mallocs)/float64(iters))
-				if m := broadphase.MaintainerOf(mode.src); m != nil && m.Incremental() {
+				if m.Incremental() {
 					st := m.TakeUpdateStats()
 					if reps := st.Updates + st.Rebuilds; reps > 0 {
 						d.Add(fmt.Sprintf("moved:m%d", periods), float64(n), float64(st.Moved)/float64(reps))
@@ -689,15 +689,15 @@ func CoherenceTable(cfg Config) (*trace.Dataset, error) {
 	return d, nil
 }
 
-// ParShardTable — the worker-parallel broad-phase ablation behind
-// results/parshard.csv: host wall time of one fused Tasks 2+3 pass with
-// the sharded table mode (-parshard: worker-parallel table build plus
-// the branch-free batched pair kernel) across aircraft counts, worker
-// counts and coherence modes. Results are bit-identical to the scalar
-// sweep in every cell (see the conformance matrix); the table measures
-// only what the mode buys the host, alongside the shard telemetry —
-// table-build segments and batched-kernel iterations per pass, both of
-// which are exact, reproducible, and identical at every worker count.
+// ParShardTable — the worker-parallel broad-phase table behind
+// results/parshard.csv: host wall time of one fused Tasks 2+3 pass on
+// the production sweep (worker-parallel table build plus the
+// branch-free batched pair kernel) across aircraft counts and worker
+// counts. Results are bit-identical to the rebuild sweep's scalar
+// kernel in every cell (see the conformance matrix); the table records
+// the host time alongside the shard telemetry — table-build segments
+// and batched-kernel iterations per pass, both of which are exact,
+// reproducible, and identical at every worker count.
 //
 // Wall times are host measurements and vary run to run (and worker
 // counts above the host's core count buy nothing); the segment and
@@ -721,33 +721,27 @@ func ParShardTable(cfg Config) (*trace.Dataset, error) {
 	for _, n := range ns {
 		for _, workers := range []int{1, 8} {
 			pool := parexec.NewPool(workers)
-			for _, coh := range []bool{false, true} {
-				src := broadphase.NewShardedSweep(coh)
-				w := airspace.NewWorld(n, rng.New(cfg.Seed))
-				tasks.DetectResolveExec(w, src, pool) // warm scratch, table and sorted order
-				src.TakeShardStats()                  // exclude the warm-up pass from the counters
-				var wall time.Duration
-				for it := 0; it < iters; it++ {
-					for i := range w.Aircraft {
-						a := &w.Aircraft[i]
-						a.X += a.DX
-						a.Y += a.DY
-						airspace.Wrap(a)
-					}
-					start := time.Now()
-					tasks.DetectResolveExec(w, src, pool)
-					wall += time.Since(start)
+			src := broadphase.TableOf(broadphase.MustNew(broadphase.SweepName))
+			w := airspace.NewWorld(n, rng.New(cfg.Seed))
+			tasks.DetectResolveExec(w, src, pool) // warm scratch, table and sorted order
+			src.TakeShardStats()                  // exclude the warm-up pass from the counters
+			var wall time.Duration
+			for it := 0; it < iters; it++ {
+				for i := range w.Aircraft {
+					a := &w.Aircraft[i]
+					a.X += a.DX
+					a.Y += a.DY
+					airspace.Wrap(a)
 				}
-				segments, batches := src.TakeShardStats()
-				mode := "rebuild"
-				if coh {
-					mode = "coherent"
-				}
-				tag := fmt.Sprintf("%s:w%d", mode, workers)
-				d.Add("ms:"+tag, float64(n), wall.Seconds()*1000/float64(iters))
-				d.Add("segments:"+tag, float64(n), float64(segments)/float64(iters))
-				d.Add("batches:"+tag, float64(n), float64(batches)/float64(iters))
+				start := time.Now()
+				tasks.DetectResolveExec(w, src, pool)
+				wall += time.Since(start)
 			}
+			segments, batches := src.TakeShardStats()
+			tag := fmt.Sprintf("w%d", workers)
+			d.Add("ms:"+tag, float64(n), wall.Seconds()*1000/float64(iters))
+			d.Add("segments:"+tag, float64(n), float64(segments)/float64(iters))
+			d.Add("batches:"+tag, float64(n), float64(batches)/float64(iters))
 		}
 	}
 	return d, nil

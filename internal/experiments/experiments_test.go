@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/platform"
@@ -368,6 +369,13 @@ func TestBroadphaseTable(t *testing.T) {
 }
 
 func TestCoherenceTable(t *testing.T) {
+	// Known gap: the detect scratch and the sweep's query bitmaps come
+	// from per-processor sync.Pools, so a goroutine that moves between
+	// processors mid-table refills them and the allocs series counts
+	// those refills. One processor keeps the allocation check about the
+	// lanes themselves until the scratch is owned by the sweep and the
+	// engine instead.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	d, err := CoherenceTable(quick)
 	if err != nil {
 		t.Fatal(err)
@@ -376,16 +384,16 @@ func TestCoherenceTable(t *testing.T) {
 		t.Fatalf("dataset id %q", d.ID)
 	}
 	// Both lanes report wall times at every sweep point, and the
-	// incremental lane's repair statistics come with them. Wall times
+	// production lane's repair statistics come with them. Wall times
 	// are host noise, so the test asserts shape, not speedups.
 	for _, m := range []string{"m1", "m16", "m64"} {
 		reb := d.Get("ms:rebuild:" + m)
-		inc := d.Get("ms:incremental:" + m)
-		if reb == nil || inc == nil {
+		prod := d.Get("ms:sweep:" + m)
+		if reb == nil || prod == nil {
 			t.Fatalf("missing wall-time series for %s: %+v", m, d.Series)
 		}
-		if len(reb.Points) != len(inc.Points) || len(reb.Points) == 0 {
-			t.Fatalf("%s: rebuild has %d points, incremental %d", m, len(reb.Points), len(inc.Points))
+		if len(reb.Points) != len(prod.Points) || len(reb.Points) == 0 {
+			t.Fatalf("%s: rebuild has %d points, sweep %d", m, len(reb.Points), len(prod.Points))
 		}
 		if fb := d.Get("fallbacks:" + m); fb == nil {
 			t.Fatalf("missing fallbacks series for %s", m)
@@ -424,37 +432,34 @@ func TestParShardTable(t *testing.T) {
 	if d.ID != "parshard" {
 		t.Fatalf("dataset id %q", d.ID)
 	}
-	// Every (mode, workers) cell reports wall times plus the shard
-	// counters. Wall times are host noise, so the test asserts shape —
-	// and the worker-invariance of the counters, which are exact.
-	for _, mode := range []string{"rebuild", "coherent"} {
-		var seg1, bat1 *trace.Series
-		for _, w := range []string{"w1", "w8"} {
-			tag := mode + ":" + w
-			ms := d.Get("ms:" + tag)
-			if ms == nil || len(ms.Points) == 0 {
-				t.Fatalf("missing wall-time series for %s: %+v", tag, d.Series)
+	// Every worker count reports wall times plus the shard counters.
+	// Wall times are host noise, so the test asserts shape — and the
+	// worker-invariance of the counters, which are exact.
+	var seg1, bat1 *trace.Series
+	for _, tag := range []string{"w1", "w8"} {
+		ms := d.Get("ms:" + tag)
+		if ms == nil || len(ms.Points) == 0 {
+			t.Fatalf("missing wall-time series for %s: %+v", tag, d.Series)
+		}
+		seg := d.Get("segments:" + tag)
+		bat := d.Get("batches:" + tag)
+		if seg == nil || bat == nil {
+			t.Fatalf("missing shard-counter series for %s", tag)
+		}
+		for i := range seg.Points {
+			if seg.Points[i].Y <= 0 || bat.Points[i].Y <= 0 {
+				t.Errorf("%s at n=%v: segments %v batches %v, want positive",
+					tag, seg.Points[i].X, seg.Points[i].Y, bat.Points[i].Y)
 			}
-			seg := d.Get("segments:" + tag)
-			bat := d.Get("batches:" + tag)
-			if seg == nil || bat == nil {
-				t.Fatalf("missing shard-counter series for %s", tag)
-			}
-			for i := range seg.Points {
-				if seg.Points[i].Y <= 0 || bat.Points[i].Y <= 0 {
-					t.Errorf("%s at n=%v: segments %v batches %v, want positive",
-						tag, seg.Points[i].X, seg.Points[i].Y, bat.Points[i].Y)
-				}
-			}
-			if w == "w1" {
-				seg1, bat1 = seg, bat
-				continue
-			}
-			for i := range seg.Points {
-				if seg.Points[i].Y != seg1.Points[i].Y || bat.Points[i].Y != bat1.Points[i].Y {
-					t.Errorf("%s at n=%v: counters diverge from w1 (segments %v vs %v, batches %v vs %v)",
-						tag, seg.Points[i].X, seg.Points[i].Y, seg1.Points[i].Y, bat.Points[i].Y, bat1.Points[i].Y)
-				}
+		}
+		if tag == "w1" {
+			seg1, bat1 = seg, bat
+			continue
+		}
+		for i := range seg.Points {
+			if seg.Points[i].Y != seg1.Points[i].Y || bat.Points[i].Y != bat1.Points[i].Y {
+				t.Errorf("%s at n=%v: counters diverge from w1 (segments %v vs %v, batches %v vs %v)",
+					tag, seg.Points[i].X, seg.Points[i].Y, seg1.Points[i].Y, bat.Points[i].Y, bat1.Points[i].Y)
 			}
 		}
 	}

@@ -523,21 +523,29 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	// charged as one extra phase of per-aircraft work. The snapshot is
 	// already committed, and courses only rotate (same speed) during
 	// resolution, so the index stays valid for the whole task.
+	//
+	// A table source (the production sweep) builds straight from the
+	// snapshot columns and additionally materializes the candidate
+	// table on the host pool; scans then serve from it bit-identically
+	// (candidate sets depend only on positions and speeds, which
+	// resolution's rotations preserve), or query per track when the
+	// table is over its size limit. Only the phase mark's name changes
+	// between update and rebuild — the charge is identical, as
+	// bit-identity requires.
+	var tab *broadphase.PairTable
 	if m.src != nil {
-		// An incremental source builds straight from the snapshot
-		// columns; only the phase mark's name changes between update and
-		// rebuild — the charge is identical, as bit-identity requires.
 		name := "index"
-		if im := broadphase.MaintainerOf(m.src); im != nil && im.Incremental() {
+		ts := broadphase.TableOf(m.src)
+		if ts != nil {
+			im := broadphase.MaintainerOf(m.src)
 			if cp, ok := im.(broadphase.ColumnsPreparer); ok {
 				cp.PrepareColumns(&scr.snap)
 			} else {
 				m.src.Prepare(w)
 			}
-			if im.LastPrepareIncremental() {
+			name = "index.rebuild"
+			if im != nil && im.LastPrepareIncremental() {
 				name = "index.update"
-			} else {
-				name = "index.rebuild"
 			}
 		} else {
 			m.src.Prepare(w)
@@ -547,16 +555,10 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 			tally.ops[core] += uint64(hi-lo) * opsIndexBuild
 		})
 		m.markPhase(tally, name, 0)
-	}
-
-	// A sharded source additionally materializes the candidate table on
-	// the host pool; scans then serve from it bit-identically (candidate
-	// sets depend only on positions and speeds, which resolution's
-	// rotations preserve), with the same modeled charge.
-	var tab *broadphase.PairTable
-	if ts := broadphase.TableOf(m.src); ts != nil {
-		ts.SetPool(parexec.Resolve(m.pool))
-		tab = ts.PrepareTable()
+		if ts != nil {
+			ts.SetPool(parexec.Resolve(m.pool))
+			tab = ts.PrepareTable()
+		}
 	}
 
 	var conflicts, rotations, resolvedCount, unresolvedCount, pairChecks uint64

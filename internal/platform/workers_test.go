@@ -48,17 +48,18 @@ func TestWorkersInvariance(t *testing.T) {
 		if name == Xeon16 {
 			trackW, trackF = clean, cleanF
 		}
-		// "incremental-sweep" is the sweep source in temporal-coherence
-		// mode (not a registry name); each run constructs its own source,
-		// so the incremental lane exercises the first-Prepare rebuild.
-		for _, srcName := range []string{"", broadphase.GridName, broadphase.SweepName, "incremental-sweep"} {
+		// "rebuild-sweep" is broadphase.NewSweep's rebuild sweep (not a
+		// registry name), which the executors query per track; "sweep"
+		// serves them from its candidate table. Each run constructs its
+		// own source, so the sweep lane exercises the first-Prepare build.
+		for _, srcName := range []string{"", broadphase.GridName, broadphase.SweepName, "rebuild-sweep"} {
 			run := func(workers int) outcome {
 				p := MustNew(name, 77)
 				p.(Workered).SetWorkers(workers)
 				switch srcName {
 				case "":
-				case "incremental-sweep":
-					p.(PairSourced).SetPairSource(broadphase.NewIncrementalSweep())
+				case "rebuild-sweep":
+					p.(PairSourced).SetPairSource(broadphase.NewSweep())
 				default:
 					p.(PairSourced).SetPairSource(broadphase.MustNew(srcName))
 				}

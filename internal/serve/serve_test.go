@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -432,6 +433,19 @@ func TestCanonicalizeDefaultsAndKey(t *testing.T) {
 	}
 	if c.Key() == a.Key() {
 		t.Error("different seed produced the same key")
+	}
+	// The GET parser ignores parameters it does not know, such as the
+	// coherent and parshard the benchmark's serve-mix clients send.
+	q, err := requestFromQuery(url.Values{"platform": {"titanx"}, "n": {"4000"}, "coherent": {"true"}, "parshard": {"true"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := q.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Key() != a.Key() {
+		t.Errorf("unknown query parameters changed the key: %q vs %q", d.Key(), a.Key())
 	}
 }
 

@@ -1,9 +1,21 @@
-// Sharded (table-mode) execution of Detect/DetectResolve: the
-// worker-parallel broad phase feeding the branch-free batched pair
-// kernel.
+// Table-path execution of Detect/DetectResolve: a pair source that
+// builds a candidate table (the production sweep) feeding the
+// branch-free batched pair kernel.
 //
-// The control flow mirrors soa.go statement for statement; two things
-// change, both bit-identical to the column path:
+// The control flow mirrors the record path in parallel.go statement
+// for statement; three things change, all bit-identical to it:
+//
+//   - Every value the scan reads — positions, velocities, altitudes —
+//     comes from an airspace.Columns snapshot that FillFrom copies out
+//     of the aircraft records at invocation start and that every
+//     heading commit updates in lockstep (SetVel), so each comparison
+//     evaluates on exactly the float64 the record path would read. The
+//     altitude filter rejects ~95% of candidates, and in column form
+//     that rejection touches one dense 8-byte element instead of a
+//     whole Aircraft record. The self-skip compares indices where the
+//     record path compares IDs; these are equivalent by the ID == index
+//     invariant (SetupFlight assigns ID = index and no task reassigns
+//     it), which the sweep's envelope arrays already rely on.
 //
 //   - Candidates come from a broadphase.PairTable the source builds
 //     once per invocation with a worker-parallel walk of its sorted
@@ -190,7 +202,8 @@ func (j *tableScanJob) Chunk(worker, lo, hi int) {
 
 // prepareTableCols refreshes the scratch columns, builds the pair-source
 // index (from the columns when the source supports it), hands the
-// engine pool to the source, and materializes the candidate table.
+// engine pool to the source, and materializes the candidate table —
+// nil when it would pass the source's size limit.
 func prepareTableCols(w *airspace.World, src broadphase.PairSource, ts broadphase.TableSource, p *parexec.Pool, sc *detectScratch) *broadphase.PairTable {
 	sc.cols.FillFrom(w)
 	ts.SetPool(p)
@@ -204,15 +217,12 @@ func prepareTableCols(w *airspace.World, src broadphase.PairSource, ts broadphas
 	return ts.PrepareTable()
 }
 
-// detectTable is DetectExec's sharded path.
+// detectTable is DetectExec's table path.
 //
 //atm:ordered-merge
-func detectTable(w *airspace.World, src broadphase.PairSource, ts broadphase.TableSource, p *parexec.Pool) DetectStats {
+func detectTable(w *airspace.World, ts broadphase.TableSource, tab *broadphase.PairTable, p *parexec.Pool, sc *detectScratch) DetectStats {
 	var st DetectStats
 	n := w.N()
-	sc := getDetectScratch(n, p.Workers())
-	defer putDetectScratch(sc)
-	tab := prepareTableCols(w, src, ts, p, sc)
 	c := &sc.cols
 	var batches int64
 
@@ -240,18 +250,16 @@ func detectTable(w *airspace.World, src broadphase.PairSource, ts broadphase.Tab
 	return st
 }
 
-// detectResolveTable is DetectResolveExec's sharded path. Control flow
-// is detectResolveCols' — snapshot scan phase, serial replay with the
-// dirty-envelope rescan rule, write-through heading commits — with
-// every scan served from the table through the batched kernel.
+// detectResolveTable is DetectResolveExec's table path. Control flow
+// is DetectResolveExec's — snapshot scan phase, serial replay with the
+// dirty-envelope rescan rule — with heading commits written through to
+// the columns and every scan served from the table through the batched
+// kernel.
 //
 //atm:ordered-merge
-func detectResolveTable(w *airspace.World, src broadphase.PairSource, ts broadphase.TableSource, p *parexec.Pool) DetectStats {
+func detectResolveTable(w *airspace.World, ts broadphase.TableSource, tab *broadphase.PairTable, p *parexec.Pool, sc *detectScratch) DetectStats {
 	var st DetectStats
 	n := w.N()
-	sc := getDetectScratch(n, p.Workers())
-	defer putDetectScratch(sc)
-	tab := prepareTableCols(w, src, ts, p, sc)
 	c := &sc.cols
 	var batches int64
 
@@ -311,8 +319,8 @@ func detectResolveTable(w *airspace.World, src broadphase.PairSource, ts broadph
 	return st
 }
 
-// resolveOneSerialTable is resolveOneSerialCols serving candidates from
-// the table.
+// resolveOneSerialTable is resolveOneSerial on the columns, serving
+// candidates from the table.
 //
 //atm:noalloc
 func resolveOneSerialTable(w *airspace.World, c *airspace.Columns, tab *broadphase.PairTable, track *airspace.Aircraft, st *DetectStats, batches *int64, sc *detectScratch) {

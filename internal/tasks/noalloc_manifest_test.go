@@ -40,15 +40,8 @@ var noallocContract = map[string]noallocSpec{
 	"DetectExec":             {closures: 1}, // the parallel scan phase
 	"DetectResolveExec":      {closures: 1}, // the parallel scan phase
 	"correlateParallel":      {closures: 4}, // expected-pos, box-search, commit, wrap phases
-	// Coherent (SoA) path, soa.go: mirrors of the record-path entries.
-	"scanColsInto":         {decl: true},
-	"scanColsWith":         {decl: true},
-	"resolveOneSerialCols": {decl: true},
-	"scanColsPar":          {closures: 1}, // the fanned-out pair scan body
-	"detectCols":           {closures: 1}, // the parallel scan phase
-	"detectResolveCols":    {closures: 1}, // the parallel scan phase
-	// Sharded (table-mode) path, batch.go: the batched kernel and its
-	// consumers. Chunk is tableScanJob's parallel scan body.
+	// Table path, batch.go: the batched kernel and its consumers.
+	// Chunk is tableScanJob's parallel scan body.
 	"scanTableBatch":        {decl: true},
 	"scanTableOne":          {decl: true},
 	"resolveOneSerialTable": {decl: true},

@@ -46,6 +46,7 @@
 package tasks
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/airspace"
@@ -96,10 +97,10 @@ type detectScratch struct {
 	parts []scanResult
 	dirty []int32
 	bufs  []workerBuf
-	// cols is the column snapshot used by the coherent (SoA) scan path
-	// in soa.go; the record path never touches it.
+	// cols is the column snapshot the table path (batch.go) scans; the
+	// record path never touches it.
 	cols airspace.Columns
-	// tjob is the sharded path's persistent scan body (batch.go), held
+	// tjob is the table path's persistent scan body (batch.go), held
 	// here so its RunBody dispatch allocates nothing.
 	tjob tableScanJob
 }
@@ -120,7 +121,7 @@ func getDetectScratch(n, workers int) *detectScratch {
 	}
 	sc.reach = sc.reach[:n]
 	if len(sc.bufs) < workers {
-		sc.bufs = append(sc.bufs[:cap(sc.bufs)], make([]workerBuf, workers-cap(sc.bufs))...)
+		sc.bufs = slices.Grow(sc.bufs, workers-len(sc.bufs))[:workers]
 	}
 	return sc
 }
@@ -237,19 +238,19 @@ func scanPar(w *airspace.World, track *airspace.Aircraft, vx, vy float64, src br
 //atm:ordered-merge
 func DetectExec(w *airspace.World, src broadphase.PairSource, pool *parexec.Pool) DetectStats {
 	p := parexec.Resolve(pool)
-	if ts := broadphase.TableOf(src); ts != nil {
-		return detectTable(w, src, ts, p)
-	}
-	if m := colsMaintainer(src); m != nil {
-		return detectCols(w, src, m, p)
-	}
-	if src != nil {
-		src.Prepare(w)
-	}
-	var st DetectStats
 	n := w.N()
 	sc := getDetectScratch(n, p.Workers())
 	defer putDetectScratch(sc)
+	if ts := broadphase.TableOf(src); ts != nil {
+		if tab := prepareTableCols(w, src, ts, p, sc); tab != nil {
+			return detectTable(w, ts, tab, p, sc)
+		}
+		// Over the table's size limit: per-track queries on the index
+		// just prepared.
+	} else if src != nil {
+		src.Prepare(w)
+	}
+	var st DetectStats
 
 	if p.Workers() == 1 {
 		buf := &sc.bufs[0].cand
@@ -297,19 +298,19 @@ func DetectExec(w *airspace.World, src broadphase.PairSource, pool *parexec.Pool
 //atm:ordered-merge
 func DetectResolveExec(w *airspace.World, src broadphase.PairSource, pool *parexec.Pool) DetectStats {
 	p := parexec.Resolve(pool)
-	if ts := broadphase.TableOf(src); ts != nil {
-		return detectResolveTable(w, src, ts, p)
-	}
-	if m := colsMaintainer(src); m != nil {
-		return detectResolveCols(w, src, m, p)
-	}
-	if src != nil {
-		src.Prepare(w)
-	}
-	var st DetectStats
 	n := w.N()
 	sc := getDetectScratch(n, p.Workers())
 	defer putDetectScratch(sc)
+	if ts := broadphase.TableOf(src); ts != nil {
+		if tab := prepareTableCols(w, src, ts, p, sc); tab != nil {
+			return detectResolveTable(w, ts, tab, p, sc)
+		}
+		// Over the table's size limit: per-track queries on the index
+		// just prepared.
+	} else if src != nil {
+		src.Prepare(w)
+	}
+	var st DetectStats
 
 	if p.Workers() == 1 {
 		buf := &sc.bufs[0].cand
@@ -468,7 +469,7 @@ func getCorrScratch(nr, workers int) *corrScratch {
 	sc.length = sc.length[:nr]
 	sc.owner = sc.owner[:nr]
 	if len(sc.bufs) < workers {
-		sc.bufs = append(sc.bufs[:cap(sc.bufs)], make([]workerBuf, workers-cap(sc.bufs))...)
+		sc.bufs = slices.Grow(sc.bufs, workers-len(sc.bufs))[:workers]
 	}
 	return sc
 }

@@ -10,18 +10,9 @@ import (
 	"repro/internal/rng"
 )
 
-// incrementalSweepName selects the coherent-mode sweep in test tables;
-// it is not a registry name (the registry exposes the mode through
-// NewWith options, not a separate source).
-const incrementalSweepName = "incremental-sweep"
-
-// shardedSweepName and shardedIncrementalSweepName select the
-// worker-parallel table broad phase (rebuild and coherent flavors) in
-// test tables; like incrementalSweepName they are not registry names.
-const (
-	shardedSweepName            = "sharded-sweep"
-	shardedIncrementalSweepName = "sharded-incremental-sweep"
-)
+// rebuildSweepName selects broadphase.NewSweep's rebuild sweep in test
+// tables; it is not a registry name ("sweep" is the production sweep).
+const rebuildSweepName = "rebuild-sweep"
 
 // newTestSource builds a fresh pair source for a registry name, or nil
 // for the all-pairs scan.
@@ -29,12 +20,8 @@ func newTestSource(name string) broadphase.PairSource {
 	switch name {
 	case "":
 		return nil
-	case incrementalSweepName:
-		return broadphase.NewIncrementalSweep()
-	case shardedSweepName:
-		return broadphase.NewShardedSweep(false)
-	case shardedIncrementalSweepName:
-		return broadphase.NewShardedSweep(true)
+	case rebuildSweepName:
+		return broadphase.NewSweep()
 	}
 	return broadphase.MustNew(name)
 }
@@ -69,8 +56,7 @@ func framesEqual(t *testing.T, label string, want, got *radar.Frame) {
 // reference. Worker count 1 is the reference itself; the others
 // exercise the phased parallel paths.
 func TestParallelMatchesSerial(t *testing.T) {
-	sources := []string{"", broadphase.BruteName, broadphase.GridName, broadphase.SweepName,
-		incrementalSweepName, shardedSweepName, shardedIncrementalSweepName}
+	sources := []string{"", broadphase.BruteName, broadphase.GridName, broadphase.SweepName, rebuildSweepName}
 	serial := parexec.NewPool(1)
 	pools := []*parexec.Pool{parexec.NewPool(2), parexec.NewPool(3), parexec.NewPool(8)}
 
@@ -214,8 +200,7 @@ func TestExecZeroAllocSteadyState(t *testing.T) {
 		if workers > 1 {
 			limit = 12
 		}
-		for _, srcName := range []string{"", broadphase.GridName, broadphase.SweepName,
-			incrementalSweepName, shardedSweepName, shardedIncrementalSweepName} {
+		for _, srcName := range []string{"", broadphase.GridName, broadphase.SweepName, rebuildSweepName} {
 			src := newTestSource(srcName)
 			w := base.Clone()
 			f := frame.Clone()
@@ -229,5 +214,32 @@ func TestExecZeroAllocSteadyState(t *testing.T) {
 				t.Errorf("workers=%d src=%q: %.1f allocs per period, want <= %.1f", workers, srcName, avg, limit)
 			}
 		}
+	}
+}
+
+// TestDetectScratchWorkerGrowth reuses one detect scratch at 8, 9 and
+// 10 workers. Growing from 8 to 9 doubles the buffer capacity to 16,
+// so 10 workers land between length and capacity.
+func TestDetectScratchWorkerGrowth(t *testing.T) {
+	putDetectScratch(&detectScratch{})
+	for _, workers := range []int{8, 9, 10} {
+		sc := getDetectScratch(16, workers)
+		if len(sc.bufs) < workers || len(sc.res) != 16 {
+			t.Fatalf("workers=%d: %d worker buffers, %d results", workers, len(sc.bufs), len(sc.res))
+		}
+		putDetectScratch(sc)
+	}
+}
+
+// TestCorrScratchWorkerGrowth is TestDetectScratchWorkerGrowth for the
+// correlate scratch.
+func TestCorrScratchWorkerGrowth(t *testing.T) {
+	putCorrScratch(&corrScratch{})
+	for _, workers := range []int{8, 9, 10} {
+		sc := getCorrScratch(16, workers)
+		if len(sc.bufs) < workers || len(sc.start) != 16 {
+			t.Fatalf("workers=%d: %d worker buffers, %d radars", workers, len(sc.bufs), len(sc.start))
+		}
+		putCorrScratch(sc)
 	}
 }

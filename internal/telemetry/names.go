@@ -28,7 +28,7 @@ const (
 	NameBroadphaseCandidates = "broadphase.candidates"
 
 	// Incremental broad-phase maintenance counters, drained by core
-	// after each Tasks 2-3 run when the coherent mode is on. Updates
+	// after each Tasks 2-3 run on the "sweep" source. Updates
 	// and Rebuilds partition the Prepare calls (an update repaired the
 	// previous order in place; a rebuild fell back to a full sort);
 	// Moved and Resorted describe repair effort. The matching span
@@ -40,12 +40,11 @@ const (
 	NameBroadphaseMoved    = "broadphase.moved"
 	NameBroadphaseResorted = "broadphase.resorted"
 
-	// Sharded broad-phase counters, drained by core after each Tasks 2-3
-	// run when the worker-parallel table mode (-parshard) is on:
-	// NameBroadphaseSegments counts table-build segments walked,
-	// NameKernelBatches the 8-wide batched-kernel iterations consumers
-	// executed against the table. Both are invariant across worker
-	// counts, like every result the mode produces.
+	// Candidate-table counters, drained by core after each Tasks 2-3
+	// run on the "sweep" source: NameBroadphaseSegments counts
+	// table-build segments walked, NameKernelBatches the 8-wide
+	// batched-kernel iterations consumers executed against the table.
+	// Both are invariant across worker counts, like every result.
 	NameBroadphaseSegments = "broadphase.segments"
 	NameKernelBatches      = "kernel.batches"
 

@@ -556,24 +556,31 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 		resolved[i] = false
 	}
 
-	// Broadphase index build, charged as one lane-blocked phase. An
-	// incremental source builds from the machine's SoA mirror (viewed
-	// as airspace.Columns — same backing arrays, no copy) and reports
-	// update vs rebuild in the phase name; the charge is identical in
-	// both modes, as bit-identity requires.
+	// Broadphase index build, charged as one lane-blocked phase. A
+	// table source (the production sweep) builds from the machine's SoA
+	// mirror (viewed as airspace.Columns — same backing arrays, no
+	// copy), reports update vs rebuild in the phase name, and
+	// additionally materializes the candidate table on the host pool;
+	// the gather scans then serve from it bit-identically (candidate
+	// sets depend only on positions and speeds, which resolution's
+	// rotations preserve), or query per track when the table is over
+	// its size limit. The charge is identical either way, as
+	// bit-identity requires.
+	var tab *broadphase.PairTable
 	if m.src != nil {
 		name := "index"
-		if im := broadphase.MaintainerOf(m.src); im != nil && im.Incremental() {
+		ts := broadphase.TableOf(m.src)
+		if ts != nil {
+			im := broadphase.MaintainerOf(m.src)
 			if cp, ok := im.(broadphase.ColumnsPreparer); ok {
 				cols := airspace.Columns{X: s.x, Y: s.y, DX: s.dx, DY: s.dy, Alt: s.alt}
 				cp.PrepareColumns(&cols)
 			} else {
 				m.src.Prepare(w)
 			}
-			if im.LastPrepareIncremental() {
+			name = "index.rebuild"
+			if im != nil && im.LastPrepareIncremental() {
 				name = "index.update"
-			} else {
-				name = "index.rebuild"
 			}
 		} else {
 			m.src.Prepare(w)
@@ -581,16 +588,10 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 		m.parallel(t, name, 0, n, func(core, lo, hi int) {
 			t.vecInstr[core] += uint64((hi-lo+Lanes-1)/Lanes) * viIndex
 		})
-	}
-
-	// A sharded source additionally materializes the candidate table on
-	// the host pool; the gather scans then serve from it bit-identically
-	// (candidate sets depend only on positions and speeds, which
-	// resolution's rotations preserve), with the same modeled charge.
-	var tab *broadphase.PairTable
-	if ts := broadphase.TableOf(m.src); ts != nil {
-		ts.SetPool(parexec.Resolve(m.pool))
-		tab = ts.PrepareTable()
+		if ts != nil {
+			ts.SetPool(parexec.Resolve(m.pool))
+			tab = ts.PrepareTable()
+		}
 	}
 
 	var conflicts, rotations, resolvedCount, unresolvedCount, pairChecks int64

@@ -15,7 +15,7 @@
 #   scripts/benchdiff.sh snapshot [out.json]
 # runs the hot benchmarks on the current tree only and writes a
 # machine-readable JSON snapshot (ns/op and allocs/op per benchmark,
-# plus the coherent-vs-rebuild and parshard-vs-coherent improvements).
+# plus the production sweep's improvement over the rebuild sweep).
 # BENCH_7.json and BENCH_10.json in the repo root are such snapshots.
 #
 # Tunables: BENCH_PATTERN (regexp of benchmarks to run), BENCH_TIME
@@ -67,15 +67,10 @@ summarize() {
             }
             printf "  ]"
             reb = "BenchmarkCoherent_Task23_4000_Rebuild"
-            inc = "BenchmarkCoherent_Task23_4000_Incremental"
-            if ((reb in seen) && (inc in seen)) {
-                r = ns[reb]/seen[reb]; c = ns[inc]/seen[inc]
-                printf ",\n  \"coherent_improvement_pct\": %.1f", (r - c) / r * 100
-            }
-            ps = "BenchmarkParShard_Task23_4000_W8"
-            if ((inc in seen) && (ps in seen)) {
-                c = ns[inc]/seen[inc]; p = ns[ps]/seen[ps]
-                printf ",\n  \"parshard_improvement_pct\": %.1f", (c - p) / c * 100
+            ps = "BenchmarkParShard_Task23_4000_W1"
+            if ((reb in seen) && (ps in seen)) {
+                r = ns[reb]/seen[reb]; p = ns[ps]/seen[ps]
+                printf ",\n  \"sweep_improvement_pct\": %.1f", (r - p) / r * 100
             }
             printf "\n}\n"
         }' "$1" > "$2"
