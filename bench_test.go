@@ -476,9 +476,10 @@ func benchSteadyDetect(b *testing.B, src broadphase.PairSource, n, workers int) 
 }
 
 // BenchmarkCoherent_Task23_4000_Rebuild is the rebuild sweep oracle
-// (full sort every pass, per-track queries, scalar kernel) at one
-// worker: the baseline the production sweep's lanes below are read
-// against.
+// (full sort every pass, per-track queries) at one worker: the baseline
+// the production sweep's lanes below are read against. Both run the
+// same Tasks 2-3 runner and batched kernel, so the gap is order repair
+// plus the candidate table.
 func BenchmarkCoherent_Task23_4000_Rebuild(b *testing.B) {
 	benchSteadyDetect(b, broadphase.NewSweep(), benchN, 1)
 }
@@ -487,8 +488,8 @@ func BenchmarkCoherent_Task23_4000_Rebuild(b *testing.B) {
 // the branch-free 8-wide kernel. The W1 lanes run the table build
 // serially; the W8 lanes spread it across the pool. Results are
 // bit-identical to the rebuild lane at every worker count, so the delta
-// is pure host-time win (scripts/benchdiff.sh reports it as
-// sweep_improvement_pct).
+// is pure host-time win of repair plus table (scripts/benchdiff.sh
+// reports it as sweep_improvement_pct).
 func BenchmarkParShard_Task23_4000_W1(b *testing.B) {
 	benchSteadyDetect(b, broadphase.MustNew(broadphase.SweepName), 4000, 1)
 }

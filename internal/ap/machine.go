@@ -30,7 +30,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/airspace"
+	"repro/internal/broadphase"
 	"repro/internal/parexec"
 )
 
@@ -123,15 +123,13 @@ type Machine struct {
 	// candMask is a per-PE candidate flag used by the opt-in broadphase
 	// variant of the detection program.
 	candMask []bool
-	// candBuf is the reusable candidate buffer for the broadphase
+	// view is the detection program's broadphase candidate view, and
+	// candBuf the reusable buffer of its per-track queries for the
 	// control-unit scatter.
+	view    broadphase.View
 	candBuf []int32
 	// matchedRadar is TrackProgram's per-aircraft paired-radar table.
 	matchedRadar []int32
-	// cols is the machine's SoA mirror of the flight database, refreshed
-	// once per coherent detection program and kept in sync at heading
-	// commits; the wide scans read it instead of striding []Aircraft.
-	cols airspace.Columns
 
 	// Per-chunk reduction partials.
 	partBest []float64

@@ -170,22 +170,18 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 // match tasks.scan exactly (min over strict improvements, lowest index
 // wins ties).
 //
-// When a broadphase source is supplied, the control unit scatters the
-// candidate flags into PE memory before the search and the responder
-// mask is additionally narrowed to candidates. An associative search is
-// constant-time over all PEs regardless of the mask, so pruning does
+// When a broadphase view is supplied, the control unit scatters the
+// track's candidate flags into PE memory before the search and the
+// responder mask is additionally narrowed to candidates, so the wide
+// bodies read the records of candidate PEs only. An associative search
+// is constant-time over all PEs regardless of the mask, so pruning does
 // not shorten the wide operations — it trims PairChecks (and the
 // control-unit work those would imply on other machines), which is the
 // honest statement of what a broad phase buys a true associative
 // processor: nothing on the wide path. Exactness is unaffected: pairs
 // outside a candidate set have tmin >= SafeTime and could never survive
 // the criticality mask anyway.
-// With a candidate table (tab and cols non-nil) the PE-memory reads
-// come from the machine's SoA mirror instead of the []Aircraft records:
-// same values (the mirror is refreshed each program run and updated at
-// heading commits), so the responder masks and reductions are
-// bit-identical.
-func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.DetectStats, src broadphase.PairSource, tab *broadphase.PairTable, cols *airspace.Columns) (earliest float64, with int32, critical bool) {
+func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.DetectStats, view *broadphase.View) (earliest float64, with int32, critical bool) {
 	ac := w.Aircraft
 	track := &ac[idx]
 	m.Broadcast(5) // x, y, vx, vy, alt
@@ -197,16 +193,10 @@ func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.De
 	}
 	tm := m.scratch
 
+	pruned := view != nil
 	var cand []int32
-	if src != nil {
-		if tab != nil {
-			// The scatter reads the pre-built table slice — the
-			// identical candidate set a fresh query would emit.
-			cand = tab.Candidates(idx)
-		} else {
-			cand = src.AppendCandidates(m.candBuf[:0], w, track)
-			m.candBuf = cand
-		}
+	if pruned {
+		cand = view.Candidates(&m.candBuf, w, idx)
 		if len(m.candMask) < len(ac) {
 			m.candMask = make([]bool, len(ac))
 		}
@@ -217,26 +207,14 @@ func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.De
 		m.Scalar(len(cand))
 	}
 
-	if cols != nil {
-		talt := cols.Alt[idx]
-		m.Search(2, func(p int) bool {
-			if src != nil && !m.candMask[p] {
-				return false
-			}
-			return p != idx && tasks.AltOverlapAt(talt, cols.Alt[p])
-		})
-	} else {
-		m.Search(2, func(p int) bool {
-			if src != nil && !m.candMask[p] {
-				return false
-			}
-			return p != idx && tasks.AltOverlap(track, &ac[p])
-		})
-	}
-	if src != nil {
-		for _, p := range cand {
-			m.candMask[p] = false
+	m.Search(2, func(p int) bool {
+		if pruned && !m.candMask[p] {
+			return false
 		}
+		return p != idx && tasks.AltOverlap(track, &ac[p])
+	})
+	for _, p := range cand {
+		m.candMask[p] = false
 	}
 	checks := 0
 	for _, r := range m.Mask() {
@@ -248,32 +226,17 @@ func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.De
 
 	// Wide evaluation of Equations 1-6 (the 4 divisions, the interval
 	// intersection and the horizon clip): ~14 word operations.
-	if cols != nil {
-		tx, ty := cols.X[idx], cols.Y[idx]
-		m.ParallelOp(14, func(p int) {
-			if !m.mask[p] {
-				return
-			}
-			tmin, tmax, ok := tasks.PairConflictAt(tx, ty, vx, vy, cols.X[p], cols.Y[p], cols.DX[p], cols.DY[p])
-			if ok && tmin < tmax {
-				tm[p] = tmin
-			} else {
-				tm[p] = airspace.SafeTime
-			}
-		})
-	} else {
-		m.ParallelOp(14, func(p int) {
-			if !m.mask[p] {
-				return
-			}
-			tmin, tmax, ok := tasks.PairConflict(track.X, track.Y, vx, vy, &ac[p])
-			if ok && tmin < tmax {
-				tm[p] = tmin
-			} else {
-				tm[p] = airspace.SafeTime
-			}
-		})
-	}
+	m.ParallelOp(14, func(p int) {
+		if !m.mask[p] {
+			return
+		}
+		tmin, tmax, ok := tasks.PairConflict(track.X, track.Y, vx, vy, &ac[p])
+		if ok && tmin < tmax {
+			tm[p] = tmin
+		} else {
+			tm[p] = airspace.SafeTime
+		}
+	})
 	m.MaskAnd(func(p int) bool { return tm[p] < airspace.SafeTime })
 
 	earliest, arg := m.MinReduce(airspace.SafeTime, func(p int) float64 { return tm[p] })
@@ -309,40 +272,25 @@ func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.Pair
 	var st tasks.DetectStats
 	m.mark("ap.load", 0)
 	m.LoadDatabase(databaseFields)
-	// A table source (the production sweep) repairs its order from the
-	// machine's SoA mirror and materializes the candidate table once
-	// (serial on the control unit: the AP models no host worker pool).
-	// With a table the per-PE scatter reads table slices and the wide
-	// scans read the mirror; otherwise they query per track and read
-	// the records. Candidates, values and cycle charges are identical
-	// either way; only the span name reports whether the order was
-	// repaired.
-	var tab *broadphase.PairTable
-	if ts := broadphase.TableOf(src); ts != nil {
-		m.cols.FillFrom(w)
-		im := broadphase.MaintainerOf(src)
-		if cp, ok := im.(broadphase.ColumnsPreparer); ok {
-			cp.PrepareColumns(&m.cols)
-		} else {
-			src.Prepare(w)
-		}
-		name := "ap.index.rebuild"
-		if im != nil && im.LastPrepareIncremental() {
-			name = "ap.index.update"
-		}
-		m.mark(name, 0)
-		ts.SetPool(nil)
-		tab = ts.PrepareTable()
-	} else if src != nil {
-		src.Prepare(w)
-	}
+	// The broad phase runs serially on the control unit (the AP models
+	// no host worker pool). A maintained source (the production sweep)
+	// marks whether it repaired its order in place and builds its
+	// candidate table once, so the per-PE scatter reads table rows;
+	// other sources query per track. Candidates and cycle charges are
+	// identical either way.
+	var view *broadphase.View
 	if src != nil {
+		m.view = broadphase.PrepareView(src, w, nil, nil)
+		view = &m.view
+		if view.Maintained() {
+			name := "ap.index.rebuild"
+			if view.Repaired() {
+				name = "ap.index.update"
+			}
+			m.mark(name, 0)
+		}
 		// Control-unit index build over the database.
 		m.Scalar(w.N())
-	}
-	var cols *airspace.Columns
-	if tab != nil {
-		cols = &m.cols
 	}
 	m.mark("ap.scanresolve", 0)
 	ac := w.Aircraft
@@ -350,7 +298,7 @@ func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.Pair
 		track := &ac[i]
 		track.ResetConflict()
 		m.Scalar(4)
-		tmin, with, critical := apScan(m, w, i, track.DX, track.DY, &st, src, tab, cols)
+		tmin, with, critical := apScan(m, w, i, track.DX, track.DY, &st, view)
 		if !critical {
 			continue
 		}
@@ -364,12 +312,9 @@ func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.Pair
 			m.Scalar(8) // rotate on the control unit
 			v := base.Rotate(deg)
 			track.BatX, track.BatY = v.X, v.Y
-			tmin, with, critical = apScan(m, w, i, v.X, v.Y, &st, src, tab, cols)
+			tmin, with, critical = apScan(m, w, i, v.X, v.Y, &st, view)
 			if !critical {
 				track.DX, track.DY = v.X, v.Y
-				if cols != nil {
-					cols.SetVel(i, v.X, v.Y)
-				}
 				track.ResetConflict()
 				st.Resolved++
 				resolved = true

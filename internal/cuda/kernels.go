@@ -63,14 +63,13 @@ type deviceState struct {
 	newDX, newDY []float64
 	resolved     []int32
 
-	// src, when set, prunes the pair scan to its candidate sets; the
-	// all-pairs kernel of the paper is the src == nil path. tab, set
-	// when src has the sharded table mode, holds the candidate table
-	// built once per launch sequence; every probe then serves from it
+	// view, when pruned is set, serves the pair scan its candidate
+	// sets; the all-pairs kernel of the paper is the unpruned path. It
+	// is prepared once per launch sequence and every probe reads it
 	// bit-identically (candidate sets depend only on positions and
 	// speeds, and resolution only rotates courses).
-	src broadphase.PairSource
-	tab *broadphase.PairTable
+	pruned bool
+	view   broadphase.View
 
 	// candBufs are per-host-worker candidate buffers for the pruned
 	// scan, indexed by Thread.Worker.
@@ -133,8 +132,8 @@ func (e *Engine) resetState(w *airspace.World, f *radar.Frame) *deviceState {
 		s.radarHits = growInt32(s.radarHits, f.N())
 		s.radarCand = growInt32(s.radarCand, f.N())
 	}
-	s.src = nil
-	s.tab = nil
+	s.pruned = false
+	s.view = broadphase.View{}
 	s.conflicts, s.rotations, s.resolvedCount, s.unresolvedCount, s.pairChecks = 0, 0, 0, 0, 0
 	return s
 }
@@ -431,31 +430,21 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 	}))
 	if e.src != nil {
 		// Host-side index build over the committed snapshot, modeled as
-		// one launch of per-aircraft insertion work. A table source
-		// (the production sweep) builds straight from the snapshot
-		// columns, reports whether it repaired in place, and
-		// materializes the candidate table on the host workers (nil
-		// over its size limit: the scans then query per track). Only
-		// the span name changes — the modeled charge is the launch
-		// below either way, as the bit-identity contract requires.
+		// one launch of per-aircraft insertion work; a maintained source
+		// (the production sweep) also builds its candidate table on the
+		// host workers. Only the span name changes, reporting whether
+		// the maintained index was repaired in place — the modeled
+		// charge is the launch below either way, as the bit-identity
+		// contract requires.
+		s.view = broadphase.PrepareView(e.src, w, &s.snap, parexec.Resolve(e.dev.pool))
+		s.pruned = true
 		name := "broadphase"
-		if ts := broadphase.TableOf(e.src); ts != nil {
-			m := broadphase.MaintainerOf(e.src)
-			if cp, ok := m.(broadphase.ColumnsPreparer); ok {
-				cp.PrepareColumns(&s.snap)
-			} else {
-				e.src.Prepare(w)
-			}
+		if s.view.Maintained() {
 			name = "broadphase.rebuild"
-			if m != nil && m.LastPrepareIncremental() {
+			if s.view.Repaired() {
 				name = "broadphase.update"
 			}
-			ts.SetPool(parexec.Resolve(e.dev.pool))
-			s.tab = ts.PrepareTable()
-		} else {
-			e.src.Prepare(w)
 		}
-		s.src = e.src
 		res.add(e.dev.Launch(name, n, func(t *Thread) {
 			t.Ops(opsIndexBuild)
 			t.Mem(16)
@@ -500,18 +489,12 @@ func (s *deviceState) scanOne(acc *scanAcc, i, p int, vx, vy float64) {
 //atm:allow atomic -- pairChecks is an order-independent sum read only after the launch barrier
 func (s *deviceState) scanSnapshot(t *Thread, i int, vx, vy float64) (earliest float64, with int32, critical bool) {
 	acc := scanAcc{earliest: airspace.SafeTime, with: airspace.NoConflict}
-	if s.src == nil {
+	if !s.pruned {
 		for p := 0; p < s.snap.N(); p++ {
 			s.scanOne(&acc, i, p, vx, vy)
 		}
-	} else if s.tab != nil {
-		for _, p := range s.tab.Candidates(i) {
-			s.scanOne(&acc, i, int(p), vx, vy)
-		}
 	} else {
-		buf := &s.candBufs[t.Worker]
-		buf.cand = s.src.AppendCandidates(buf.cand[:0], s.w, &s.w.Aircraft[i])
-		for _, p := range buf.cand {
+		for _, p := range s.view.Candidates(&s.candBufs[t.Worker].cand, s.w, i) {
 			s.scanOne(&acc, i, int(p), vx, vy)
 		}
 	}

@@ -607,12 +607,12 @@ func sixteenthPeriodFits(name string, n int, cfg Config) bool {
 // CoherenceTable — the temporal-coherence ablation behind
 // results/coherence.csv: host wall time of one fused Tasks 2+3 pass on
 // the rebuild sweep oracle (broadphase.NewSweep: full sort every pass,
-// per-track queries, scalar kernel; "rebuild") versus the production
-// sweep ("sweep": the previous pass's sorted order repaired in place,
-// the candidate table, the batched kernel). Both lanes run the same
-// world through the same dead-reckoned motion, so the pair sets — and
-// the modeled device times — are bit-identical; the table measures
-// only what the production path buys the host.
+// per-track queries; "rebuild") versus the production sweep ("sweep":
+// the previous pass's sorted order repaired in place, the candidate
+// table). Both lanes run the same Tasks 2-3 runner and batched kernel
+// over the same world through the same dead-reckoned motion, so the
+// pair sets — and the modeled device times — are bit-identical; the
+// table measures only what repair plus table buy the host.
 //
 // The motion axis matters: the m-series advance the world by m radar
 // periods between detection passes (m=1 is back-to-back detection,

@@ -144,6 +144,9 @@ type scratch struct {
 	newDX, newDY []float64
 	resolved     []bool
 
+	// view serves the pruned scan's candidate sets; bufs holds the
+	// per-track queries it may append.
+	view broadphase.View
 	bufs []candBuf
 }
 
@@ -522,43 +525,25 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	// Broadphase index build: single-threaded host-side preparation,
 	// charged as one extra phase of per-aircraft work. The snapshot is
 	// already committed, and courses only rotate (same speed) during
-	// resolution, so the index stays valid for the whole task.
-	//
-	// A table source (the production sweep) builds straight from the
-	// snapshot columns and additionally materializes the candidate
-	// table on the host pool; scans then serve from it bit-identically
-	// (candidate sets depend only on positions and speeds, which
-	// resolution's rotations preserve), or query per track when the
-	// table is over its size limit. Only the phase mark's name changes
-	// between update and rebuild — the charge is identical, as
+	// resolution, so the index stays valid for the whole task. A
+	// maintained source (the production sweep) also builds its
+	// candidate table on the host pool. Only the phase mark's name
+	// changes between update and rebuild — the charge is identical, as
 	// bit-identity requires.
-	var tab *broadphase.PairTable
 	if m.src != nil {
+		scr.view = broadphase.PrepareView(m.src, w, &scr.snap, parexec.Resolve(m.pool))
 		name := "index"
-		ts := broadphase.TableOf(m.src)
-		if ts != nil {
-			im := broadphase.MaintainerOf(m.src)
-			if cp, ok := im.(broadphase.ColumnsPreparer); ok {
-				cp.PrepareColumns(&scr.snap)
-			} else {
-				m.src.Prepare(w)
-			}
+		if scr.view.Maintained() {
 			name = "index.rebuild"
-			if im != nil && im.LastPrepareIncremental() {
+			if scr.view.Repaired() {
 				name = "index.update"
 			}
-		} else {
-			m.src.Prepare(w)
 		}
 		phases++
 		m.parallel(n, func(core, lo, hi int) {
 			tally.ops[core] += uint64(hi-lo) * opsIndexBuild
 		})
 		m.markPhase(tally, name, 0)
-		if ts != nil {
-			ts.SetPool(parexec.Resolve(m.pool))
-			tab = ts.PrepareTable()
-		}
 	}
 
 	var conflicts, rotations, resolvedCount, unresolvedCount, pairChecks uint64
@@ -584,14 +569,8 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 			for p := 0; p < n; p++ {
 				scanOne(i, p, vx, vy, &checks, ops, &earliest, &with)
 			}
-		} else if tab != nil {
-			for _, p := range tab.Candidates(i) {
-				scanOne(i, int(p), vx, vy, &checks, ops, &earliest, &with)
-			}
 		} else {
-			buf := &scr.bufs[core]
-			buf.cand = m.src.AppendCandidates(buf.cand[:0], w, &ac[i])
-			for _, p := range buf.cand {
+			for _, p := range scr.view.Candidates(&scr.bufs[core].cand, w, i) {
 				scanOne(i, int(p), vx, vy, &checks, ops, &earliest, &with)
 			}
 		}

@@ -1,30 +1,31 @@
-// Table-path execution of Detect/DetectResolve: a pair source that
-// builds a candidate table (the production sweep) feeding the
-// branch-free batched pair kernel.
+// The Tasks 2-3 runner: Detect and DetectResolve for every pair
+// source, on the branch-free batched pair kernel.
 //
-// The control flow mirrors the record path in parallel.go statement
-// for statement; three things change, all bit-identical to it:
+// Every source runs the same control flow; only the candidate list of
+// a track differs. The all-pairs scan (nil source) serves the identity
+// list [0, n); every other source serves the broadphase.View that
+// PrepareView returns — the row of the candidate table where the
+// source builds one, a per-track query otherwise. Three things make the
+// runner bit-identical to the reference scan of Algorithm 2 over the
+// aircraft records (kept as the scalar reference in the tests):
 //
 //   - Every value the scan reads — positions, velocities, altitudes —
 //     comes from an airspace.Columns snapshot that FillFrom copies out
 //     of the aircraft records at invocation start and that every
 //     heading commit updates in lockstep (SetVel), so each comparison
-//     evaluates on exactly the float64 the record path would read. The
-//     altitude filter rejects ~95% of candidates, and in column form
-//     that rejection touches one dense 8-byte element instead of a
-//     whole Aircraft record. The self-skip compares indices where the
-//     record path compares IDs; these are equivalent by the ID == index
+//     evaluates on exactly the float64 the record holds. The altitude
+//     filter rejects ~95% of candidates, and in column form that
+//     rejection touches one dense 8-byte element instead of a whole
+//     Aircraft record. The self-skip compares indices where the
+//     reference compares IDs; these are equivalent by the ID == index
 //     invariant (SetupFlight assigns ID = index and no task reassigns
 //     it), which the sweep's envelope arrays already rely on.
 //
-//   - Candidates come from a broadphase.PairTable the source builds
-//     once per invocation with a worker-parallel walk of its sorted
-//     order, instead of a bitmap query per scan. Reuse is exact: a
-//     track's candidate set depends only on positions and speeds,
+//   - A track's candidate set depends only on positions and speeds,
 //     heading commits preserve speed, and the index is never
 //     re-prepared within an invocation, so every rotation probe and
-//     every dirty-replay rescan reads exactly the slice a fresh
-//     AppendCandidates call would emit.
+//     every dirty-replay rescan is served exactly the set a fresh
+//     query would emit — from the table row when there is one.
 //
 //   - The pair loop is scanTableBatch: a compaction pass applies the
 //     self-skip and altitude filters, then the survivors are evaluated
@@ -32,10 +33,14 @@
 //     intersection. The equivalence argument is spelled out at the
 //     kernel.
 //
-// Every scan — scan phase, probes, rescans — is one kernel call over
-// the track's full candidate slice in every discipline and at every
-// worker count, so the drained batch counter is as worker-invariant as
-// the results themselves.
+// DetectResolve has two forms: at one worker the serial in-place
+// Algorithm 2; above that a parallel scan of every track against the
+// pre-resolution snapshot, then a serial replay that rescans only the
+// tracks a committed heading can reach (see parallel.go). Every scan —
+// scan phase, probes, rescans — is one kernel call over the track's
+// full candidate list in both forms and at every worker count, so the
+// drained batch counter is as worker-invariant as the results
+// themselves.
 package tasks
 
 import (
@@ -56,7 +61,7 @@ const kernelBatch = 8
 //
 // Stage 1 compacts the candidates that survive the self-skip and the
 // altitude band (the ~95% reject) into keep; the survivor count is the
-// pair-check tally, exactly as the scalar kernel counts before its
+// pair-check tally, exactly as the scalar reference counts before its
 // window test. Stage 2 consumes survivors in blocks of kernelBatch SoA
 // lanes with hoisted track scalars and no branches in the window math,
 // then a scalar tail finishes the remainder in the same arithmetic.
@@ -74,7 +79,7 @@ const kernelBatch = 8
 // final tmin < tmax predicate is false — the scalar path's empty
 // window. The fold order max(max(xLo, yLo), 0), min(min(xHi, yHi), H)
 // is geom.Interval.Intersect's own composition on the same values, so
-// every stored tmin is bit-identical to the scalar kernel's, and the
+// every stored tmin is bit-identical to the scalar reference's, and the
 // in-order strict-< fold preserves its first-wins tie-break.
 //
 // Bounds checks: the length guard over the hoisted column locals
@@ -160,81 +165,82 @@ func scanTableBatch(c *airspace.Columns, keep []int32, ti int, tx, ty, vx, vy, t
 	return keep
 }
 
-// scanTableOne runs one full scan of the track at index ti with probe
-// velocity (vx, vy), serving candidates from the table. Probe scans are
-// deliberately never fanned out: table candidate sets are short (the
-// broad phase has already pruned), so one kernel call is both the fast
+// beginDetect takes the scratch of one Detect/DetectResolve invocation:
+// it snapshots the world into the scratch columns and prepares the
+// candidate view over them — or the identity list for the all-pairs
+// scan.
+func beginDetect(w *airspace.World, src broadphase.PairSource, p *parexec.Pool) *detectScratch {
+	n := w.N()
+	sc := getDetectScratch(n, p.Workers())
+	sc.cols.FillFrom(w)
+	sc.allPairs = src == nil
+	if sc.allPairs && cap(sc.all) < n {
+		sc.all = make([]int32, n)
+		for i := range sc.all {
+			sc.all[i] = int32(i)
+		}
+	}
+	sc.view = broadphase.PrepareView(src, w, &sc.cols, p)
+	return sc
+}
+
+// scanOne runs one full scan of the track at index i with probe
+// velocity (vx, vy) on b's buffers. A scan is never fanned out: one
+// kernel call over the track's whole candidate list is both the fast
 // path and the reason the batch tally cannot depend on worker count.
 //
 //atm:noalloc
 //atm:noescape
-func scanTableOne(c *airspace.Columns, tab *broadphase.PairTable, ti int, vx, vy float64, sc *detectScratch) scanResult {
+func (sc *detectScratch) scanOne(w *airspace.World, b *workerBuf, i int, vx, vy float64) scanResult {
+	var cand []int32
+	if sc.allPairs {
+		cand = sc.all[:len(sc.res)]
+	} else {
+		cand = sc.view.Candidates(&b.cand, w, i)
+	}
+	c := &sc.cols
 	r := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-	sc.bufs[0].cand = scanTableBatch(c, sc.bufs[0].cand, ti, c.X[ti], c.Y[ti], vx, vy, c.Alt[ti], tab.Candidates(ti), &r)
+	b.keep = scanTableBatch(c, b.keep, i, c.X[i], c.Y[i], vx, vy, c.Alt[i], cand, &r)
 	return r
 }
 
-// tableScanJob is the parallel scan phase's persistent body: one chunk
-// of tracks, each scanned once against the pre-resolution snapshot via
-// the batched kernel. Held in detectScratch so RunBody dispatch
-// allocates nothing.
-type tableScanJob struct {
+// scanJob is the parallel scan phase's persistent body: one chunk of
+// tracks, each scanned once against the pre-resolution snapshot. Held
+// in detectScratch so RunBody dispatch allocates nothing.
+type scanJob struct {
 	sc        *detectScratch
 	w         *airspace.World
-	tab       *broadphase.PairTable
 	wantReach bool
 }
 
 //atm:noalloc
-func (j *tableScanJob) Chunk(worker, lo, hi int) {
+func (j *scanJob) Chunk(worker, lo, hi int) {
 	sc := j.sc
 	c := &sc.cols
+	b := &sc.bufs[worker]
 	for i := lo; i < hi; i++ {
-		track := &j.w.Aircraft[i]
 		if j.wantReach {
 			sc.reach[i] = broadphase.ReachAt(c.DX[i], c.DY[i])
 		}
-		r := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-		sc.bufs[worker].cand = scanTableBatch(c, sc.bufs[worker].cand, i, c.X[i], c.Y[i], track.DX, track.DY, c.Alt[i], j.tab.Candidates(i), &r)
-		sc.res[i] = r
+		sc.res[i] = sc.scanOne(j.w, b, i, c.DX[i], c.DY[i])
 	}
 }
 
-// prepareTableCols refreshes the scratch columns, builds the pair-source
-// index (from the columns when the source supports it), hands the
-// engine pool to the source, and materializes the candidate table —
-// nil when it would pass the source's size limit.
-func prepareTableCols(w *airspace.World, src broadphase.PairSource, ts broadphase.TableSource, p *parexec.Pool, sc *detectScratch) *broadphase.PairTable {
-	sc.cols.FillFrom(w)
-	ts.SetPool(p)
-	if m := broadphase.MaintainerOf(src); m != nil {
-		if cp, ok := m.(broadphase.ColumnsPreparer); ok {
-			cp.PrepareColumns(&sc.cols)
-			return ts.PrepareTable()
-		}
-	}
-	src.Prepare(w)
-	return ts.PrepareTable()
-}
-
-// detectTable is DetectExec's table path.
+// DetectExec is DetectWith on an explicit engine pool; nil means the
+// process default. Every track's scan runs against state Detect never
+// mutates, fanned out over the pool; the marks are then applied in
+// index order. Results are identical at any worker count.
 //
 //atm:ordered-merge
-func detectTable(w *airspace.World, ts broadphase.TableSource, tab *broadphase.PairTable, p *parexec.Pool, sc *detectScratch) DetectStats {
-	var st DetectStats
-	n := w.N()
-	c := &sc.cols
-	var batches int64
+func DetectExec(w *airspace.World, src broadphase.PairSource, pool *parexec.Pool) DetectStats {
+	p := parexec.Resolve(pool)
+	sc := beginDetect(w, src, p)
+	defer putDetectScratch(sc)
+	sc.job = scanJob{sc: sc, w: w}
+	p.RunBody(w.N(), scanGrain, &sc.job)
 
-	if p.Workers() > 1 {
-		sc.tjob = tableScanJob{sc: sc, w: w, tab: tab}
-		p.RunBody(n, scanGrain, &sc.tjob)
-	} else {
-		for i := range w.Aircraft {
-			track := &w.Aircraft[i]
-			sc.res[i] = scanTableOne(c, tab, i, track.DX, track.DY, sc)
-		}
-	}
+	var st DetectStats
+	var batches int64
 	for i := range w.Aircraft {
 		track := &w.Aircraft[i]
 		track.ResetConflict()
@@ -246,40 +252,43 @@ func detectTable(w *airspace.World, ts broadphase.TableSource, tab *broadphase.P
 			MarkConflict(w, track, r.with, r.tmin)
 		}
 	}
-	ts.AddKernelBatches(batches)
+	sc.view.AddKernelBatches(batches)
 	return st
 }
 
-// detectResolveTable is DetectResolveExec's table path. Control flow
-// is DetectResolveExec's — snapshot scan phase, serial replay with the
-// dirty-envelope rescan rule — with heading commits written through to
-// the columns and every scan served from the table through the batched
-// kernel.
+// DetectResolveExec is DetectResolveWith on an explicit engine pool;
+// nil means the process default. Results are identical at any worker
+// count.
 //
 //atm:ordered-merge
-func detectResolveTable(w *airspace.World, ts broadphase.TableSource, tab *broadphase.PairTable, p *parexec.Pool, sc *detectScratch) DetectStats {
-	var st DetectStats
-	n := w.N()
-	c := &sc.cols
-	var batches int64
-
-	if p.Workers() == 1 {
-		for i := range w.Aircraft {
-			resolveOneSerialTable(w, c, tab, &w.Aircraft[i], &st, &batches, sc)
-		}
-		ts.AddKernelBatches(batches)
-		return st
+func DetectResolveExec(w *airspace.World, src broadphase.PairSource, pool *parexec.Pool) DetectStats {
+	p := parexec.Resolve(pool)
+	sc := beginDetect(w, src, p)
+	defer putDetectScratch(sc)
+	replay := p.Workers() > 1
+	if replay {
+		// Parallel phase: scan every track against the pre-resolution
+		// snapshot, and record its reach envelope (a function of
+		// position and speed only, both invariant across heading
+		// commits).
+		sc.job = scanJob{sc: sc, w: w, wantReach: true}
+		p.RunBody(w.N(), scanGrain, &sc.job)
 	}
 
-	sc.tjob = tableScanJob{sc: sc, w: w, tab: tab, wantReach: true}
-	p.RunBody(n, scanGrain, &sc.tjob)
-
+	// Serial pass in index order: Algorithm 2 in place at one worker;
+	// above that, the replay, which keeps a precomputed scan unless a
+	// dirty aircraft (one whose heading has been committed) passes the
+	// envelope-interaction test.
+	var st DetectStats
+	var batches int64
+	c := &sc.cols
+	b := &sc.bufs[0]
 	dirty := sc.dirty[:0]
 	for i := range w.Aircraft {
 		track := &w.Aircraft[i]
 		r := sc.res[i]
-		if dirtyInteracts(w, sc, track, dirty) {
-			r = scanTableOne(c, tab, i, track.DX, track.DY, sc)
+		if !replay || dirtyInteracts(w, sc, track, dirty) {
+			r = sc.scanOne(w, b, i, track.DX, track.DY)
 		}
 		track.ResetConflict()
 		st.PairChecks += int(r.checks)
@@ -296,7 +305,7 @@ func detectResolveTable(w *airspace.World, ts broadphase.TableSource, tab *broad
 			st.Rotations++
 			v := base.Rotate(deg)
 			track.BatX, track.BatY = v.X, v.Y
-			pr := scanTableOne(c, tab, i, v.X, v.Y, sc)
+			pr := sc.scanOne(w, b, i, v.X, v.Y)
 			st.PairChecks += int(pr.checks)
 			batches += int64(pr.batches)
 			if !(pr.tmin < airspace.CriticalTime) {
@@ -315,42 +324,6 @@ func detectResolveTable(w *airspace.World, ts broadphase.TableSource, tab *broad
 		}
 	}
 	sc.dirty = dirty[:0]
-	ts.AddKernelBatches(batches)
+	sc.view.AddKernelBatches(batches)
 	return st
-}
-
-// resolveOneSerialTable is resolveOneSerial on the columns, serving
-// candidates from the table.
-//
-//atm:noalloc
-func resolveOneSerialTable(w *airspace.World, c *airspace.Columns, tab *broadphase.PairTable, track *airspace.Aircraft, st *DetectStats, batches *int64, sc *detectScratch) {
-	ti := int(track.ID)
-	track.ResetConflict()
-	r := scanTableOne(c, tab, ti, track.DX, track.DY, sc)
-	st.PairChecks += int(r.checks)
-	*batches += int64(r.batches)
-	if !(r.tmin < airspace.CriticalTime) {
-		return
-	}
-	st.Conflicts++
-	MarkConflict(w, track, r.with, r.tmin)
-
-	base := geom.Vec2{X: track.DX, Y: track.DY}
-	for _, deg := range rotationSchedule {
-		st.Rotations++
-		v := base.Rotate(deg)
-		track.BatX, track.BatY = v.X, v.Y
-		pr := scanTableOne(c, tab, ti, v.X, v.Y, sc)
-		st.PairChecks += int(pr.checks)
-		*batches += int64(pr.batches)
-		if !(pr.tmin < airspace.CriticalTime) {
-			track.DX, track.DY = v.X, v.Y
-			c.SetVel(ti, v.X, v.Y)
-			track.ResetConflict()
-			st.Resolved++
-			return
-		}
-		MarkConflict(w, track, pr.with, pr.tmin)
-	}
-	st.Unresolved++
 }

@@ -31,21 +31,14 @@ type noallocSpec struct {
 //   - reviewers deciding whether a new hot-path function needs the
 //     directive: if it is called per period, it belongs here.
 var noallocContract = map[string]noallocSpec{
-	"scanWith":               {decl: true},
-	"scanPairInto":           {decl: true},
-	"resolveOneSerial":       {decl: true},
 	"dirtyInteracts":         {decl: true},
 	"correlateRadarFallback": {decl: true},
-	"scanPar":                {closures: 1}, // the fanned-out pair scan body
-	"DetectExec":             {closures: 1}, // the parallel scan phase
-	"DetectResolveExec":      {closures: 1}, // the parallel scan phase
 	"correlateParallel":      {closures: 4}, // expected-pos, box-search, commit, wrap phases
-	// Table path, batch.go: the batched kernel and its consumers.
-	// Chunk is tableScanJob's parallel scan body.
-	"scanTableBatch":        {decl: true},
-	"scanTableOne":          {decl: true},
-	"resolveOneSerialTable": {decl: true},
-	"Chunk":                 {decl: true},
+	// The Tasks 2-3 runner, batch.go: the batched kernel, one scan, and
+	// scanJob's parallel scan body (Chunk).
+	"scanTableBatch": {decl: true},
+	"scanOne":        {decl: true},
+	"Chunk":          {decl: true},
 }
 
 // TestNoallocManifestMatchesDirectives parses this package's sources

@@ -1,10 +1,11 @@
 // Host-parallel execution of the reference tasks on the parexec
-// engine.
+// engine: Task 1 whole, and the scratch and dirty-replay test of the
+// Tasks 2-3 runner in batch.go.
 //
 // Parallelism here is about the simulator's wall clock only: every
 // modeled-time figure is derived from operation tallies elsewhere, and
-// every function in this file is bit-for-bit identical to the serial
-// reference at any worker count. The construction is phased: a
+// every parallel form is bit-for-bit identical to the serial reference
+// at any worker count. The construction is phased: a
 // parallel phase computes per-item results that depend only on state
 // the task never mutates, and a serial phase replays the reference
 // control flow in aircraft-index (or radar-index) order, consuming the
@@ -51,20 +52,18 @@ import (
 
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
-	"repro/internal/geom"
 	"repro/internal/parexec"
 	"repro/internal/radar"
 )
 
-// Work-queue grains: outer loops hand out small index ranges so skewed
-// per-item costs (broad-phase candidate counts vary wildly) keep every
-// worker busy; the inner pair scan uses a larger grain because its
-// per-item cost is uniform.
+// Work-queue grains: the track and radar loops hand out small index
+// ranges so skewed per-item costs (broad-phase candidate counts vary
+// wildly) keep every worker busy; element-wise loops use a larger grain
+// because their per-item cost is uniform.
 const (
 	scanGrain  = 32
 	radarGrain = 16
 	elemGrain  = 1024
-	innerGrain = 1024
 )
 
 // rotationSchedule is RotationSchedule computed once: the schedule is
@@ -73,8 +72,8 @@ var rotationSchedule = RotationSchedule()
 
 // scanResult is one track's scan outcome: the earliest conflict start,
 // the partner that achieved it (first-wins on ties), the number of pair
-// checks performed, and — on the batched-kernel path — the number of
-// 8-wide batch iterations executed (tail included).
+// checks performed, and the number of 8-wide kernel batch iterations
+// executed (tail included).
 type scanResult struct {
 	tmin    float64
 	with    int32
@@ -82,11 +81,14 @@ type scanResult struct {
 	batches int32
 }
 
-// workerBuf is one worker's candidate buffer, padded so neighbouring
-// workers' slice headers don't share a cache line.
+// workerBuf is one worker's candidate buffers, padded so neighbouring
+// workers' slice headers don't share a cache line: cand receives
+// per-track queries, keep is the kernel's compaction buffer (Correlate
+// uses cand alone).
 type workerBuf struct {
 	cand []int32
-	_    [40]byte
+	keep []int32
+	_    [16]byte
 }
 
 // detectScratch holds the reusable state of one Detect/DetectResolve
@@ -94,15 +96,18 @@ type workerBuf struct {
 type detectScratch struct {
 	res   []scanResult
 	reach []float64
-	parts []scanResult
 	dirty []int32
 	bufs  []workerBuf
-	// cols is the column snapshot the table path (batch.go) scans; the
-	// record path never touches it.
+	// cols is the column snapshot every scan reads (batch.go).
 	cols airspace.Columns
-	// tjob is the table path's persistent scan body (batch.go), held
-	// here so its RunBody dispatch allocates nothing.
-	tjob tableScanJob
+	// view serves each track's candidates; with allPairs set (no pair
+	// source) the scan reads all[:n] instead, the identity list.
+	view     broadphase.View
+	allPairs bool
+	all      []int32
+	// job is the parallel scan phase's persistent body, held here so
+	// its RunBody dispatch allocates nothing.
+	job scanJob
 }
 
 var detectScratchPool sync.Pool
@@ -127,288 +132,6 @@ func getDetectScratch(n, workers int) *detectScratch {
 }
 
 func putDetectScratch(sc *detectScratch) { detectScratchPool.Put(sc) }
-
-// scanWith evaluates one candidate heading (vx, vy) for the track
-// aircraft against every other aircraft — or the broadphase candidate
-// set — exactly as the reference scan does, accumulating into a
-// scanResult. buf is the caller's reusable candidate buffer.
-//
-//atm:noalloc
-//atm:noescape
-func scanWith(w *airspace.World, track *airspace.Aircraft, vx, vy float64, src broadphase.PairSource, buf *[]int32) scanResult {
-	r := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-	if src == nil {
-		for p := range w.Aircraft {
-			scanPairInto(track, &w.Aircraft[p], vx, vy, &r)
-		}
-		return r
-	}
-	cand := src.AppendCandidates((*buf)[:0], w, track)
-	*buf = cand
-	for _, p := range cand {
-		scanPairInto(track, &w.Aircraft[p], vx, vy, &r)
-	}
-	return r
-}
-
-// scanPairInto folds one trial aircraft into the running scan minimum
-// (the reference scanPair). This is the innermost fused Task 2+3 pair
-// kernel: the gate holds it escape-free and bounds-check-free.
-//
-//atm:noalloc
-//atm:noescape
-//atm:nobce
-func scanPairInto(track, trial *airspace.Aircraft, vx, vy float64, r *scanResult) {
-	if trial.ID == track.ID || !AltOverlap(track, trial) {
-		return
-	}
-	r.checks++
-	tmin, tmax, ok := PairConflict(track.X, track.Y, vx, vy, trial)
-	if !ok || tmin >= tmax {
-		return
-	}
-	if tmin < r.tmin {
-		r.tmin = tmin
-		r.with = trial.ID
-	}
-}
-
-// scanPar is scanWith with the pair loop itself fanned out when the
-// scan is large enough to pay for dispatch: fixed-size chunks fold
-// partial minima that are merged in ascending chunk order, so the
-// strict-< first-wins tie-break of the serial fold is preserved
-// exactly. Used by the serial replay of DetectResolve, where one
-// conflicted track's rotation probes would otherwise idle the pool.
-//
-//atm:ordered-merge
-func scanPar(w *airspace.World, track *airspace.Aircraft, vx, vy float64, src broadphase.PairSource, p *parexec.Pool, sc *detectScratch) scanResult {
-	var cand []int32
-	m := w.N()
-	if src != nil {
-		cand = src.AppendCandidates(sc.bufs[0].cand[:0], w, track)
-		sc.bufs[0].cand = cand
-		m = len(cand)
-	}
-	if p.Workers() == 1 || m < 2*innerGrain {
-		r := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-		if src == nil {
-			for q := range w.Aircraft {
-				scanPairInto(track, &w.Aircraft[q], vx, vy, &r)
-			}
-		} else {
-			for _, q := range cand {
-				scanPairInto(track, &w.Aircraft[q], vx, vy, &r)
-			}
-		}
-		return r
-	}
-	chunks := (m + innerGrain - 1) / innerGrain
-	if cap(sc.parts) < chunks {
-		sc.parts = make([]scanResult, chunks)
-	}
-	parts := sc.parts[:chunks]
-	//atm:noalloc
-	p.Run(m, innerGrain, func(_, lo, hi int) {
-		pr := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-		if src == nil {
-			for q := lo; q < hi; q++ {
-				scanPairInto(track, &w.Aircraft[q], vx, vy, &pr)
-			}
-		} else {
-			for _, q := range cand[lo:hi] {
-				scanPairInto(track, &w.Aircraft[q], vx, vy, &pr)
-			}
-		}
-		parts[lo/innerGrain] = pr
-	})
-	out := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-	for _, pr := range parts {
-		out.checks += pr.checks
-		if pr.tmin < out.tmin {
-			out.tmin = pr.tmin
-			out.with = pr.with
-		}
-	}
-	return out
-}
-
-// DetectExec is DetectWith on an explicit engine pool; nil means the
-// process default. Results are identical at any worker count.
-//
-//atm:ordered-merge
-func DetectExec(w *airspace.World, src broadphase.PairSource, pool *parexec.Pool) DetectStats {
-	p := parexec.Resolve(pool)
-	n := w.N()
-	sc := getDetectScratch(n, p.Workers())
-	defer putDetectScratch(sc)
-	if ts := broadphase.TableOf(src); ts != nil {
-		if tab := prepareTableCols(w, src, ts, p, sc); tab != nil {
-			return detectTable(w, ts, tab, p, sc)
-		}
-		// Over the table's size limit: per-track queries on the index
-		// just prepared.
-	} else if src != nil {
-		src.Prepare(w)
-	}
-	var st DetectStats
-
-	if p.Workers() == 1 {
-		buf := &sc.bufs[0].cand
-		for i := range w.Aircraft {
-			track := &w.Aircraft[i]
-			track.ResetConflict()
-			r := scanWith(w, track, track.DX, track.DY, src, buf)
-			st.PairChecks += int(r.checks)
-			if r.tmin < airspace.CriticalTime {
-				st.Conflicts++
-				MarkConflict(w, track, r.with, r.tmin)
-			}
-		}
-		return st
-	}
-
-	// Parallel phase: every track's scan, against state Detect never
-	// mutates.
-	//atm:noalloc
-	p.Run(n, scanGrain, func(worker, lo, hi int) {
-		buf := &sc.bufs[worker].cand
-		for i := lo; i < hi; i++ {
-			track := &w.Aircraft[i]
-			sc.res[i] = scanWith(w, track, track.DX, track.DY, src, buf)
-		}
-	})
-	// Serial replay in index order.
-	for i := range w.Aircraft {
-		track := &w.Aircraft[i]
-		track.ResetConflict()
-		r := sc.res[i]
-		st.PairChecks += int(r.checks)
-		if r.tmin < airspace.CriticalTime {
-			st.Conflicts++
-			MarkConflict(w, track, r.with, r.tmin)
-		}
-	}
-	return st
-}
-
-// DetectResolveExec is DetectResolveWith on an explicit engine pool;
-// nil means the process default. Results are identical at any worker
-// count.
-//
-//atm:ordered-merge
-func DetectResolveExec(w *airspace.World, src broadphase.PairSource, pool *parexec.Pool) DetectStats {
-	p := parexec.Resolve(pool)
-	n := w.N()
-	sc := getDetectScratch(n, p.Workers())
-	defer putDetectScratch(sc)
-	if ts := broadphase.TableOf(src); ts != nil {
-		if tab := prepareTableCols(w, src, ts, p, sc); tab != nil {
-			return detectResolveTable(w, ts, tab, p, sc)
-		}
-		// Over the table's size limit: per-track queries on the index
-		// just prepared.
-	} else if src != nil {
-		src.Prepare(w)
-	}
-	var st DetectStats
-
-	if p.Workers() == 1 {
-		buf := &sc.bufs[0].cand
-		for i := range w.Aircraft {
-			resolveOneSerial(w, &w.Aircraft[i], &st, src, buf)
-		}
-		return st
-	}
-
-	// Parallel phase: scan every track against the pre-resolution
-	// velocity snapshot, and record its reach envelope (a function of
-	// position and speed only, both invariant across heading commits).
-	//atm:noalloc
-	p.Run(n, scanGrain, func(worker, lo, hi int) {
-		buf := &sc.bufs[worker].cand
-		for i := lo; i < hi; i++ {
-			track := &w.Aircraft[i]
-			sc.reach[i] = broadphase.Reach(track)
-			sc.res[i] = scanWith(w, track, track.DX, track.DY, src, buf)
-		}
-	})
-
-	// Serial replay in index order. dirty lists the aircraft whose
-	// heading has been committed; a precomputed scan is stale only if
-	// a dirty aircraft passes the envelope-interaction test.
-	dirty := sc.dirty[:0]
-	for i := range w.Aircraft {
-		track := &w.Aircraft[i]
-		r := sc.res[i]
-		if dirtyInteracts(w, sc, track, dirty) {
-			r = scanPar(w, track, track.DX, track.DY, src, p, sc)
-		}
-		track.ResetConflict()
-		st.PairChecks += int(r.checks)
-		if !(r.tmin < airspace.CriticalTime) {
-			continue
-		}
-		st.Conflicts++
-		MarkConflict(w, track, r.with, r.tmin)
-
-		base := geom.Vec2{X: track.DX, Y: track.DY}
-		resolved := false
-		for _, deg := range rotationSchedule {
-			st.Rotations++
-			v := base.Rotate(deg)
-			track.BatX, track.BatY = v.X, v.Y
-			pr := scanPar(w, track, v.X, v.Y, src, p, sc)
-			st.PairChecks += int(pr.checks)
-			if !(pr.tmin < airspace.CriticalTime) {
-				track.DX, track.DY = v.X, v.Y
-				track.ResetConflict()
-				st.Resolved++
-				resolved = true
-				dirty = append(dirty, int32(i))
-				break
-			}
-			MarkConflict(w, track, pr.with, pr.tmin)
-		}
-		if !resolved {
-			st.Unresolved++
-		}
-	}
-	sc.dirty = dirty[:0]
-	return st
-}
-
-// resolveOneSerial is the reference Algorithm 2 for a single track
-// aircraft, with a reusable candidate buffer.
-//
-//atm:noalloc
-//atm:noescape
-func resolveOneSerial(w *airspace.World, track *airspace.Aircraft, st *DetectStats, src broadphase.PairSource, buf *[]int32) {
-	track.ResetConflict()
-	r := scanWith(w, track, track.DX, track.DY, src, buf)
-	st.PairChecks += int(r.checks)
-	if !(r.tmin < airspace.CriticalTime) {
-		return
-	}
-	st.Conflicts++
-	MarkConflict(w, track, r.with, r.tmin)
-
-	base := geom.Vec2{X: track.DX, Y: track.DY}
-	for _, deg := range rotationSchedule {
-		st.Rotations++
-		v := base.Rotate(deg)
-		track.BatX, track.BatY = v.X, v.Y
-		pr := scanWith(w, track, v.X, v.Y, src, buf)
-		st.PairChecks += int(pr.checks)
-		if !(pr.tmin < airspace.CriticalTime) {
-			track.DX, track.DY = v.X, v.Y
-			track.ResetConflict()
-			st.Resolved++
-			return
-		}
-		MarkConflict(w, track, pr.with, pr.tmin)
-	}
-	st.Unresolved++
-}
 
 // dirtyInteracts reports whether any committed heading change could
 // alter track's precomputed scan: a dirty aircraft matters only if it

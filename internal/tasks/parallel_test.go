@@ -111,16 +111,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestParallelMatchesSerialDense drives the paths the randomized sweep
-// cannot reach at small n: worlds big enough that rotation probes take
-// the chunked inner scan (n >= 2*innerGrain), and radar noise heavy
-// enough that aircraft withdrawals release mid-pass radars into the
-// serial fallback.
+// cannot reach at small n: a world big enough that the dirty replay
+// rescans and probes long all-pairs candidate lists on the serial
+// thread, and radar noise heavy enough that aircraft withdrawals
+// release mid-pass radars into the serial fallback.
 func TestParallelMatchesSerialDense(t *testing.T) {
 	serial := parexec.NewPool(1)
 	pools := []*parexec.Pool{parexec.NewPool(2), parexec.NewPool(8)}
 
-	// Big world: conflicted aircraft probe rotations over 4000 aircraft,
-	// well past the chunking threshold.
+	// Big world: conflicted aircraft probe rotations over 4000 aircraft.
 	big := airspace.NewWorld(4000, rng.New(99))
 	refBig := big.Clone()
 	resRef := DetectResolveExec(refBig, nil, serial)
@@ -176,7 +175,11 @@ func itoa(v int) string {
 // the hot paths: after a warm-up call, a full Correlate+DetectResolve
 // period allocates nothing on the serial path and at most a handful of
 // fixed-size dispatch closures on the parallel path — never anything
-// proportional to the aircraft count.
+// proportional to the aircraft count. A second world, past 2·1024
+// aircraft and with conflicts, holds the all-pairs and brute
+// DetectResolve to the same limit at 4 workers: its probe scans are
+// long enough that a scan fanned out per probe would allocate per
+// probe.
 //
 // The functions under this contract are exactly those listed in
 // noallocContract (noalloc_manifest_test.go), which also carry
@@ -213,6 +216,23 @@ func TestExecZeroAllocSteadyState(t *testing.T) {
 			if avg > limit {
 				t.Errorf("workers=%d src=%q: %.1f allocs per period, want <= %.1f", workers, srcName, avg, limit)
 			}
+		}
+	}
+
+	big := airspace.NewWorld(2400, rng.New(5))
+	p := parexec.NewPool(4)
+	for _, srcName := range []string{"", broadphase.BruteName} {
+		src := newTestSource(srcName)
+		w := big.Clone()
+		if st := DetectResolveExec(w, src, p); st.Conflicts == 0 {
+			t.Fatalf("src=%q: N=%d world produced no conflicts; test exercises nothing", srcName, big.N())
+		}
+		avg := testing.AllocsPerRun(5, func() {
+			big.CloneInto(w)
+			DetectResolveExec(w, src, p)
+		})
+		if avg > 12 {
+			t.Errorf("workers=4 src=%q N=%d: %.1f allocs per DetectResolve, want <= 12", srcName, big.N(), avg)
 		}
 	}
 }

@@ -7,9 +7,18 @@
 //
 // Every platform simulator (CUDA, associative processor, multicore)
 // implements the same algorithms with its own execution model; this
-// package is the sequential ground truth they are tested against, and
-// it supplies the shared pairwise conflict math so that all platforms
-// agree bit-for-bit on what a conflict is.
+// package is the ground truth they are tested against, and it supplies
+// the shared pairwise conflict math so that all platforms agree
+// bit-for-bit on what a conflict is.
+//
+// Task 1 has a serial reference (this file) and a host-parallel form
+// (parallel.go). Tasks 2-3 have one runner for every pair source
+// (batch.go): a column snapshot of the world scanned by a batched pair
+// kernel, with candidates from the source's broadphase.View or, with
+// no source, every aircraft. It runs the serial in-place Algorithm 2 at
+// one worker and a parallel snapshot scan plus serial replay above
+// that, identical at any worker count; the tests hold it to a scalar
+// fold of Algorithm 2 over the aircraft records.
 package tasks
 
 import (

@@ -87,7 +87,11 @@ type Machine struct {
 	// Resolution scratch for DetectResolve.
 	newDX, newDY []float64
 	resolved     []bool
-	// Per-core candidate buffers for the pruned gather scan.
+	// Candidate view of the pruned gather scan, the SoA mirror viewed as
+	// airspace.Columns for its index build (same backing arrays, no
+	// copy), and per-core buffers for its per-track queries.
+	view broadphase.View
+	cols airspace.Columns
 	bufs []candBuf
 
 	// Telemetry phase marks: per-core cumulative instruction
@@ -557,41 +561,23 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	}
 
 	// Broadphase index build, charged as one lane-blocked phase. A
-	// table source (the production sweep) builds from the machine's SoA
-	// mirror (viewed as airspace.Columns — same backing arrays, no
-	// copy), reports update vs rebuild in the phase name, and
-	// additionally materializes the candidate table on the host pool;
-	// the gather scans then serve from it bit-identically (candidate
-	// sets depend only on positions and speeds, which resolution's
-	// rotations preserve), or query per track when the table is over
-	// its size limit. The charge is identical either way, as
-	// bit-identity requires.
-	var tab *broadphase.PairTable
+	// maintained source (the production sweep) also builds its
+	// candidate table on the host pool, and the phase name reports
+	// whether its index was repaired in place. The charge is identical
+	// either way, as bit-identity requires.
 	if m.src != nil {
+		m.cols = airspace.Columns{X: s.x, Y: s.y, DX: s.dx, DY: s.dy, Alt: s.alt}
+		m.view = broadphase.PrepareView(m.src, w, &m.cols, parexec.Resolve(m.pool))
 		name := "index"
-		ts := broadphase.TableOf(m.src)
-		if ts != nil {
-			im := broadphase.MaintainerOf(m.src)
-			if cp, ok := im.(broadphase.ColumnsPreparer); ok {
-				cols := airspace.Columns{X: s.x, Y: s.y, DX: s.dx, DY: s.dy, Alt: s.alt}
-				cp.PrepareColumns(&cols)
-			} else {
-				m.src.Prepare(w)
-			}
+		if m.view.Maintained() {
 			name = "index.rebuild"
-			if im != nil && im.LastPrepareIncremental() {
+			if m.view.Repaired() {
 				name = "index.update"
 			}
-		} else {
-			m.src.Prepare(w)
 		}
 		m.parallel(t, name, 0, n, func(core, lo, hi int) {
 			t.vecInstr[core] += uint64((hi-lo+Lanes-1)/Lanes) * viIndex
 		})
-		if ts != nil {
-			ts.SetPool(parexec.Resolve(m.pool))
-			tab = ts.PrepareTable()
-		}
 	}
 
 	var conflicts, rotations, resolvedCount, unresolvedCount, pairChecks int64
@@ -636,14 +622,7 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 				}
 			}
 		} else {
-			var cand []int32
-			if tab != nil {
-				cand = tab.Candidates(i)
-			} else {
-				buf := &m.bufs[core]
-				buf.cand = m.src.AppendCandidates(buf.cand[:0], w, &w.Aircraft[i])
-				cand = buf.cand
-			}
+			cand := m.view.Candidates(&m.bufs[core].cand, w, i)
 			for base := 0; base < len(cand); base += Lanes {
 				end := base + Lanes
 				if end > len(cand) {
