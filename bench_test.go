@@ -445,10 +445,9 @@ func BenchmarkBroadphase_Sweep_100000(b *testing.B) { benchDetectWith(b, broadph
 // T-PS / results/parshard.csv). Unlike benchDetect, the world is not
 // restored between iterations: it advances one period of dead
 // reckoning per op, exactly the motion a persistent broad phase sees in
-// a real run, so the production sweep measures its repair path. The
-// warm-up sizes every buffer, pays the initial full sort, and lets the
-// table's headroom policy settle at the workload's drift rate, so the
-// timed loop is pure steady state.
+// a real run. The warm-up sizes every buffer and lets the table's
+// headroom policy settle at the workload's drift rate, so the timed
+// loop is pure steady state.
 func benchSteadyDetect(b *testing.B, src broadphase.PairSource, n, workers int) {
 	b.Helper()
 	b.ReportAllocs()
@@ -475,21 +474,21 @@ func benchSteadyDetect(b *testing.B, src broadphase.PairSource, n, workers int) 
 	}
 }
 
-// BenchmarkCoherent_Task23_4000_Rebuild is the rebuild sweep oracle
-// (full sort every pass, per-track queries) at one worker: the baseline
-// the production sweep's lanes below are read against. Both run the
-// same Tasks 2-3 runner and batched kernel, so the gap is order repair
-// plus the candidate table.
+// BenchmarkCoherent_Task23_4000_Rebuild is the reference sweep (full x
+// sort every pass, per-track window queries) at one worker: the
+// baseline the production sweep's lanes below are read against. Both
+// run the same Tasks 2-3 runner and batched kernel, so the gap is the
+// binned walk plus the candidate table.
 func BenchmarkCoherent_Task23_4000_Rebuild(b *testing.B) {
 	benchSteadyDetect(b, broadphase.NewSweep(), benchN, 1)
 }
 
-// The production sweep: order repair, worker-parallel table build and
+// The production sweep: binned walk, worker-parallel table build and
 // the branch-free 8-wide kernel. The W1 lanes run the table build
 // serially; the W8 lanes spread it across the pool. Results are
-// bit-identical to the rebuild lane at every worker count, so the delta
-// is pure host-time win of repair plus table (scripts/benchdiff.sh
-// reports it as sweep_improvement_pct).
+// bit-identical to the reference lane at every worker count, so the
+// delta is pure host-time win of the binned walk plus the table
+// (scripts/benchdiff.sh reports it as sweep_improvement_pct).
 func BenchmarkParShard_Task23_4000_W1(b *testing.B) {
 	benchSteadyDetect(b, broadphase.MustNew(broadphase.SweepName), 4000, 1)
 }

@@ -274,20 +274,15 @@ func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.Pair
 	m.LoadDatabase(databaseFields)
 	// The broad phase runs serially on the control unit (the AP models
 	// no host worker pool). A maintained source (the production sweep)
-	// marks whether it repaired its order in place and builds its
-	// candidate table once, so the per-PE scatter reads table rows;
-	// other sources query per track. Candidates and cycle charges are
-	// identical either way.
+	// marks its index build and builds its candidate table once, so the
+	// per-PE scatter reads table rows; other sources query per track.
+	// Candidates and cycle charges are identical either way.
 	var view *broadphase.View
 	if src != nil {
 		m.view = broadphase.PrepareView(src, w, nil, nil)
 		view = &m.view
 		if view.Maintained() {
-			name := "ap.index.rebuild"
-			if view.Repaired() {
-				name = "ap.index.update"
-			}
-			m.mark(name, 0)
+			m.mark("ap.index.rebuild", 0)
 		}
 		// Control-unit index build over the database.
 		m.Scalar(w.N())

@@ -2,25 +2,24 @@ package broadphase
 
 import "repro/internal/airspace"
 
-// UpdateStats counts the index-maintenance work an incremental pair
-// source performed since the last drain. The counters make temporal
-// coherence observable: a healthy steady state shows Updates climbing
-// with Rebuilds stuck at the initial build, and Moved staying well
-// under the repair budget.
+// UpdateStats counts the work of an index maintained incrementally
+// across Prepare calls. No source maintains one; the sweep reports zero
+// counts.
+//
+// Deprecated: kept for callers that drain it.
 type UpdateStats struct {
-	// Updates counts Prepare calls that repaired the previous order in
-	// place; Rebuilds counts Prepare calls that ran a full sort (the
-	// initial build, a world-size change, or a budget-exceeded
-	// fallback).
+	// Updates counts Prepare calls that updated the index in place;
+	// Rebuilds those that built it from scratch.
 	Updates, Rebuilds int64
-	// Moved is the total insertion shifts spent by repairs; Resorted is
-	// the number of elements found out of place.
+	// Moved and Resorted describe the update effort.
 	Moved, Resorted int64
 }
 
-// Maintainer is implemented by pair sources that can maintain their
-// index incrementally across Prepare calls. Sources that always rebuild
-// simply do not implement it.
+// Maintainer is implemented by pair sources that report incremental
+// index maintenance. The sweep implements it with stubs: it builds its
+// index from the current envelopes on every Prepare.
+//
+// Deprecated: kept for callers that drain UpdateStats.
 type Maintainer interface {
 	PairSource
 	// Incremental reports whether incremental maintenance is enabled on
@@ -46,7 +45,7 @@ type ColumnsPreparer interface {
 //
 // Deprecated: the sweep has one behaviour; use New.
 type Options struct {
-	// Deprecated: ignored; the sweep always repairs its order in place.
+	// Deprecated: ignored.
 	Incremental bool
 	// Deprecated: ignored; the sweep always builds its candidate table.
 	Sharded bool
@@ -58,19 +57,27 @@ type Options struct {
 func NewWith(name string, _ Options) (PairSource, error) { return New(name) }
 
 // MaintainerOf returns the Maintainer behind src, unwrapping decorators
-// such as Counted, or nil if the underlying source has none. Callers
-// use it both to branch telemetry (update vs rebuild spans) and to
-// drain UpdateStats.
+// such as Counted, or nil if the underlying source has none.
+//
+// Deprecated: no source maintains its index incrementally.
 func MaintainerOf(src PairSource) Maintainer {
+	m, _ := find[Maintainer](src)
+	return m
+}
+
+// find returns the first source along src's Unwrap chain, src itself
+// first, that implements T.
+func find[T any](src PairSource) (T, bool) {
 	for src != nil {
-		if m, ok := src.(Maintainer); ok {
-			return m
+		if t, ok := src.(T); ok {
+			return t, true
 		}
 		u, ok := src.(interface{ Unwrap() PairSource })
 		if !ok {
-			return nil
+			break
 		}
 		src = u.Unwrap()
 	}
-	return nil
+	var zero T
+	return zero, false
 }

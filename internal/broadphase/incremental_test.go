@@ -49,9 +49,9 @@ func newSweep() *broadphase.Sweep {
 // TestIncrementalSweepCandidatesIdentical is the bit-identity property
 // at the candidate level: through long randomized mutation sequences
 // (motion, rotations, wraparounds, stacked positions) the production
-// sweep, which repairs its order in place, must emit exactly the
-// candidate slice the rebuild sweep emits — same elements, same order —
-// for every track, every period.
+// sweep, which walks its bins, must emit exactly the candidate slice
+// the reference sweep's x window emits — same elements, same order —
+// for every track, every period, on one source reused across them all.
 func TestIncrementalSweepCandidatesIdentical(t *testing.T) {
 	r := rng.New(0x1c0e)
 	for _, n := range []int{0, 1, 2, 17, 120, 300} {
@@ -68,28 +68,22 @@ func TestIncrementalSweepCandidatesIdentical(t *testing.T) {
 				bufP = plain.AppendCandidates(bufP[:0], w, track)
 				bufI = inc.AppendCandidates(bufI[:0], w, track)
 				if len(bufP) != len(bufI) {
-					t.Fatalf("n=%d period=%d track=%d: candidate counts diverge: plain %d, incremental %d",
+					t.Fatalf("n=%d period=%d track=%d: candidate counts diverge: reference %d, binned %d",
 						n, period, i, len(bufP), len(bufI))
 				}
 				for k := range bufP {
 					if bufP[k] != bufI[k] {
-						t.Fatalf("n=%d period=%d track=%d: emission diverges at %d: plain %v, incremental %v",
+						t.Fatalf("n=%d period=%d track=%d: emission diverges at %d: reference %v, binned %v",
 							n, period, i, k, bufP, bufI)
 					}
 				}
-			}
-		}
-		if n > 1 {
-			st := inc.TakeUpdateStats()
-			if st.Updates == 0 {
-				t.Errorf("n=%d: incremental sweep never repaired in place (stats %+v)", n, st)
 			}
 		}
 	}
 }
 
 // TestIncrementalSweepDetectionAgrees drives full detection/resolution
-// through a mutation sequence under brute, grid, the rebuild sweep and
+// through a mutation sequence under brute, grid, the reference sweep and
 // the production sweep at workers {1, 3, 8}: every period, every
 // source, every worker count must produce the bit-identical world the
 // all-pairs serial reference produces.
@@ -110,7 +104,7 @@ func TestIncrementalSweepDetectionAgrees(t *testing.T) {
 		lanes = append(lanes,
 			&lane{"brute", broadphase.NewBrute(), workers, base.Clone()},
 			&lane{"grid", broadphase.NewGrid(), workers, base.Clone()},
-			&lane{"rebuild-sweep", broadphase.NewSweep(), workers, base.Clone()},
+			&lane{"reference-sweep", broadphase.NewSweep(), workers, base.Clone()},
 			&lane{"sweep", newSweep(), workers, base.Clone()},
 		)
 	}
@@ -144,11 +138,11 @@ func rngReplay(seed uint64, period int) *rng.Rand {
 	return r
 }
 
-// TestIncrementalSweepFallbackRebuild forces the repair budget to blow:
-// scrambling every position each period makes the previous order
-// worthless, the insertion pass aborts, and Prepare must fall back to
-// the full sort — still producing candidates identical to the rebuild
-// sweep, and counting the fallback.
+// TestIncrementalSweepFallbackRebuild scrambles every position each
+// period, so nothing of one Prepare's layout survives into the next:
+// aircraft change cell and class wholesale, and the production sweep
+// must still produce candidates identical to the reference sweep's
+// from every Prepare.
 func TestIncrementalSweepFallbackRebuild(t *testing.T) {
 	r := rng.New(0xfa11)
 	w := randomWorld(r.Split(), 250, 0.3)
@@ -156,94 +150,74 @@ func TestIncrementalSweepFallbackRebuild(t *testing.T) {
 	inc := newSweep()
 	var bufP, bufI []int32
 	for period := 0; period < 6; period++ {
-		// Teleport everyone: fresh random positions, no coherence.
+		// Teleport everyone: fresh random positions and speeds, no
+		// coherence.
 		for i := range w.Aircraft {
 			a := &w.Aircraft[i]
 			a.X = r.Range(-airspace.SetupHalf, airspace.SetupHalf) * 0.3
 			a.Y = r.Range(-airspace.SetupHalf, airspace.SetupHalf) * 0.3
+			a.DX, a.DY = a.DY*r.Range(0.2, 1.5), a.DX*r.Sign()
 		}
 		plain.Prepare(w)
 		inc.Prepare(w)
-		if period > 0 && inc.LastPrepareIncremental() {
-			t.Errorf("period %d: scrambled world repaired within budget; expected fallback", period)
-		}
 		for i := range w.Aircraft {
 			track := &w.Aircraft[i]
 			bufP = plain.AppendCandidates(bufP[:0], w, track)
 			bufI = inc.AppendCandidates(bufI[:0], w, track)
 			if len(bufP) != len(bufI) {
-				t.Fatalf("period %d track %d: counts diverge after fallback", period, i)
+				t.Fatalf("period %d track %d: counts diverge after scramble", period, i)
 			}
 			for k := range bufP {
 				if bufP[k] != bufI[k] {
-					t.Fatalf("period %d track %d: emission diverges after fallback", period, i)
+					t.Fatalf("period %d track %d: emission diverges after scramble", period, i)
 				}
 			}
 		}
 	}
-	st := inc.TakeUpdateStats()
-	if st.Rebuilds < 5 {
-		t.Errorf("expected >=5 fallback rebuilds on scrambled worlds, got stats %+v", st)
-	}
-	if got := inc.TakeUpdateStats(); got != (broadphase.UpdateStats{}) {
-		t.Errorf("TakeUpdateStats did not drain: %+v", got)
-	}
 }
 
-// TestIncrementalSweepStats pins the steady-state telemetry shape: under
-// gentle per-period motion the production sweep repairs in place every
-// period after the first, and the shift work stays far below the
-// fallback budget.
+// TestIncrementalSweepStats pins the Maintainer stubs the sweep keeps
+// for callers written against the order repair: under gentle
+// per-period motion no Prepare reports an in-place update and the
+// update counters stay zero, on the production and the reference
+// sweep alike.
 func TestIncrementalSweepStats(t *testing.T) {
 	r := rng.New(0x57a7)
 	w := randomWorld(r.Split(), 400, 0.5)
-	inc := newSweep()
-	inc.Prepare(w)
-	first := inc.TakeUpdateStats()
-	if first.Rebuilds != 1 || first.Updates != 0 {
-		t.Fatalf("initial Prepare: want exactly one rebuild, got %+v", first)
-	}
-	const periods = 32
-	for period := 0; period < periods; period++ {
-		for i := range w.Aircraft {
-			a := &w.Aircraft[i]
-			a.X += a.DX
-			a.Y += a.DY
-			if !airspace.InField(a.X, a.Y) {
+	for _, s := range []*broadphase.Sweep{newSweep(), broadphase.NewSweep()} {
+		for period := 0; period < 4; period++ {
+			for i := range w.Aircraft {
+				a := &w.Aircraft[i]
+				a.X += a.DX
+				a.Y += a.DY
 				airspace.Wrap(a)
 			}
+			s.Prepare(w)
+			if s.Incremental() || s.LastPrepareIncremental() {
+				t.Fatalf("period %d: the sweep reports incremental maintenance", period)
+			}
+			if st := s.TakeUpdateStats(); st != (broadphase.UpdateStats{}) {
+				t.Fatalf("period %d: update counters %+v, want zero", period, st)
+			}
 		}
-		inc.Prepare(w)
-		if !inc.LastPrepareIncremental() {
-			t.Fatalf("period %d: gentle motion fell back to full sort", period)
-		}
-	}
-	st := inc.TakeUpdateStats()
-	if st.Updates != periods || st.Rebuilds != 0 {
-		t.Fatalf("steady state: want %d updates and no rebuilds, got %+v", periods, st)
-	}
-	if st.Resorted > st.Moved {
-		t.Errorf("stats inconsistent: resorted %d > moved %d", st.Resorted, st.Moved)
 	}
 }
 
-// TestMaintainerOf pins the unwrap walk: the Maintainer must be found
-// through the Counted decorator core installs under telemetry, and must
-// be absent for sources without an incremental mode.
+// TestMaintainerOf pins the unwrap walk: a Maintainer must be found
+// through the Counted decorator core installs under telemetry, on both
+// sweeps — callers drain it on every invocation — and must be absent
+// for sources without one.
 func TestMaintainerOf(t *testing.T) {
-	inc := newSweep()
-	if m := broadphase.MaintainerOf(inc); m == nil || !m.Incremental() {
-		t.Fatal("MaintainerOf missed the production sweep itself")
-	}
-	wrapped := broadphase.NewCounted(inc)
-	if m := broadphase.MaintainerOf(wrapped); m == nil || !m.Incremental() {
-		t.Fatal("MaintainerOf failed to unwrap Counted")
-	}
-	if m := broadphase.MaintainerOf(broadphase.NewSweep()); m == nil || m.Incremental() {
-		t.Fatal("rebuild sweep must report Incremental()==false")
+	for _, s := range []*broadphase.Sweep{newSweep(), broadphase.NewSweep()} {
+		if m := broadphase.MaintainerOf(s); m == nil || m.Incremental() {
+			t.Fatal("MaintainerOf missed the sweep itself, or it reports incremental maintenance")
+		}
+		if m := broadphase.MaintainerOf(broadphase.NewCounted(s)); m == nil {
+			t.Fatal("MaintainerOf failed to unwrap Counted")
+		}
 	}
 	if m := broadphase.MaintainerOf(broadphase.NewCounted(broadphase.NewGrid())); m != nil {
-		t.Fatal("grid has no incremental mode; MaintainerOf must return nil")
+		t.Fatal("grid has no Maintainer; MaintainerOf must return nil")
 	}
 	if m := broadphase.MaintainerOf(nil); m != nil {
 		t.Fatal("MaintainerOf(nil) must be nil")

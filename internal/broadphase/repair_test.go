@@ -4,104 +4,87 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/airspace"
 	"repro/internal/rng"
 )
 
-// TestRepairOrderMatchesSort is repairOrder's property against
-// sort.Sort over adversarial near-sorted permutations: long backward
-// and forward jumps across many 256-slot table segments, block swaps,
-// and keys drawn from a handful of values so runs of equal keys are
-// long. Insertion repair shifts once per inversion, so it must succeed
-// exactly when the inversions fit the budget, report them as its moved
-// count, and leave a permutation whose key sequence is sort.Sort's; an
-// aborted repair must still leave a valid permutation for the full
-// sort to consume.
+// TestRepairOrderMatchesSort is the bin build's counting sort against
+// sort.Sort over adversarial envelopes: centres drawn from a handful of
+// values so cells hold long runs, centres exactly on cell edges and far
+// outside the field, and widths spanning every speed class. The
+// envelopes must come out as a permutation of the aircraft in sort
+// order of their cell key, ascending aircraft index within a cell,
+// with start delimiting every cell exactly, each key the cell of the
+// aircraft's centre in its class, and every class's half-width bound
+// holding for its members.
 func TestRepairOrderMatchesSort(t *testing.T) {
 	r := rng.New(0x5eb1)
-	for _, n := range []int{2, 3, 257, 1100, 2600} {
-		for trial := 0; trial < 40; trial++ {
-			s := NewSweep()
-			s.lox = make([]float64, n)
+	for _, n := range []int{1, 2, 3, 257, 1100, 2600} {
+		for trial := 0; trial < 20; trial++ {
+			lox, hix := make([]float64, n), make([]float64, n)
+			loy, hiy := make([]float64, n), make([]float64, n)
 			distinct := 1 + r.IntN(n)
 			if trial%3 == 0 {
 				distinct = 1 + r.IntN(4)
 			}
-			for i := range s.lox {
-				s.lox[i] = float64(r.IntN(distinct))
+			var maxW float64
+			for i := 0; i < n; i++ {
+				var x, y float64
+				switch trial % 4 {
+				case 0: // on cell edges
+					x = float64(r.IntN(binGrid+1))*binCell - airspace.FieldHalf
+					y = float64(r.IntN(binGrid+1))*binCell - airspace.FieldHalf
+				case 1: // far outside the field
+					x = r.Range(-4, 4) * airspace.FieldHalf
+					y = r.Range(-4, 4) * airspace.FieldHalf
+				default: // a few distinct positions
+					v := float64(r.IntN(distinct))
+					x, y = v-airspace.FieldHalf/2, airspace.FieldHalf/3-v
+				}
+				w := r.Range(1.5, 26.5)
+				if trial%5 == 4 {
+					w = 7 // one speed: a single populated class
+				}
+				lox[i], hix[i] = x-w, x+w
+				loy[i], hiy[i] = y-w, y+w
+				maxW = max(maxW, 2*w)
 			}
-			s.order = make([]int32, n)
-			for i := range s.order {
-				s.order[i] = int32(i)
-			}
-			sort.Sort(&sweepOrder{order: s.order, lox: s.lox})
+			var b binIndex
+			b.build(lox, hix, loy, hiy, maxW)
 
-			jumps := 1 + trial%5
-			for k := 0; k < jumps; k++ {
-				a, b := r.IntN(n), r.IntN(n)
-				if a > b {
-					a, b = b, a
-				}
-				switch k % 3 {
-				case 0: // backward jump: order[b] moves to slot a
-					v := s.order[b]
-					copy(s.order[a+1:b+1], s.order[a:b])
-					s.order[a] = v
-				case 1: // forward jump: order[a] moves to slot b
-					v := s.order[a]
-					copy(s.order[a:b], s.order[a+1:b+1])
-					s.order[b] = v
-				default: // swap two short blocks
-					l := min((b-a)/2, 1+r.IntN(32))
-					for i := 0; i < l; i++ {
-						s.order[a+i], s.order[b-l+1+i] = s.order[b-l+1+i], s.order[a+i]
-					}
-				}
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
 			}
-			if trial == 39 {
-				// Full reversal: quadratic displacement, past the budget
-				// for every n large enough to have one worth keeping.
-				for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-					s.order[i], s.order[j] = s.order[j], s.order[i]
-				}
-			}
-
-			var inversions int64
-			for i := range s.order {
-				for j := i + 1; j < n; j++ {
-					if s.lox[s.order[i]] > s.lox[s.order[j]] {
-						inversions++
-					}
-				}
-			}
-			want := append([]int32(nil), s.order...)
-			sort.Sort(&sweepOrder{order: want, lox: s.lox})
-			ok := s.repairOrder()
-			if ok != (inversions <= repairBudget(n)) {
-				t.Fatalf("n=%d trial %d: repair ok=%v with %d inversions against a budget of %d",
-					n, trial, ok, inversions, repairBudget(n))
-			}
-
+			sort.SliceStable(want, func(a, c int) bool { return b.key[want[a]] < b.key[want[c]] })
 			seen := make([]bool, n)
-			for _, id := range s.order {
+			for p, e := range b.env {
+				id := e.id
 				if id < 0 || int(id) >= n || seen[id] {
-					t.Fatalf("n=%d trial %d: order is not a permutation after repair (ok=%v)", n, trial, ok)
+					t.Fatalf("n=%d trial %d: env is not a permutation at %d", n, trial, p)
 				}
 				seen[id] = true
-			}
-			if trial == 39 && n >= 257 && ok {
-				t.Fatalf("n=%d: a full reversal stayed within the repair budget", n)
-			}
-			if !ok {
-				continue
-			}
-			if s.statMoved != inversions {
-				t.Fatalf("n=%d trial %d: repair moved %d, want %d inversions", n, trial, s.statMoved, inversions)
-			}
-			for k := range want {
-				if s.lox[s.order[k]] != s.lox[want[k]] {
-					t.Fatalf("n=%d trial %d: slot %d holds key %v, sort.Sort %v",
-						n, trial, k, s.lox[s.order[k]], s.lox[want[k]])
+				if id != want[p] {
+					t.Fatalf("n=%d trial %d: env[%d] holds aircraft %d, sort order %d", n, trial, p, id, want[p])
 				}
+				if e.lox != lox[id] || e.hix != hix[id] || e.loy != loy[id] || e.hiy != hiy[id] {
+					t.Fatalf("n=%d trial %d: env[%d] does not hold aircraft %d's envelope", n, trial, p, id)
+				}
+				k := int(b.key[id])
+				if int(b.start[k]) > p || p >= int(b.start[k+1]) {
+					t.Fatalf("n=%d trial %d: env[%d] in cell %d outside [%d, %d)", n, trial, p, k, b.start[k], b.start[k+1])
+				}
+				c := k / (binGrid * binGrid)
+				cx, cy := k%binGrid, k/binGrid%binGrid
+				if cx != binOf((lox[id]+hix[id])/2) || cy != binOf((loy[id]+hiy[id])/2) {
+					t.Fatalf("n=%d trial %d: aircraft %d binned in cell (%d, %d)", n, trial, id, cx, cy)
+				}
+				if (hix[id]-lox[id])/2 > b.half[c] {
+					t.Fatalf("n=%d trial %d: aircraft %d wider than its class %d bound %v", n, trial, id, c, b.half[c])
+				}
+			}
+			if b.start[0] != 0 || int(b.start[binCells]) != n {
+				t.Fatalf("n=%d trial %d: start spans [%d, %d]", n, trial, b.start[0], b.start[binCells])
 			}
 		}
 	}

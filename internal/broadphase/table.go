@@ -1,18 +1,18 @@
 // Worker-parallel candidate tables, built by the production sweep.
 //
 // A PairTable materializes every track's broad-phase candidate set for
-// one detection invocation in CSR form. Building it walks the sweep's
-// sorted order once, partitioned into grain-aligned contiguous segments
+// one detection invocation in CSR form. Building it walks the tracks in
+// index order once, partitioned into grain-aligned contiguous segments
 // that self-schedule across the shared parexec pool: each segment emits
-// its candidate runs into the segment's own padded buffer, and a second
-// pass copies the runs into their final CSR slots, whose offsets depend
-// only on the per-track candidate counts — so the finished table is
-// byte-identical at every worker count, whatever order the segments
-// were claimed in. Buffers are per segment rather than per worker so
-// their steady-state sizes are stable too: a segment's candidate count
-// drifts slowly with traffic, while a worker's share of dynamically
-// claimed segments varies run to run and would regrow its buffer
-// toward the full table size.
+// its tracks' candidate runs into the segment's own padded buffer, and
+// a second pass copies each buffer into its final CSR span, whose
+// offsets depend only on the per-track candidate counts — so the
+// finished table is byte-identical at every worker count, whatever
+// order the segments were claimed in. Buffers are per segment rather
+// than per worker so their steady-state sizes are stable too: a
+// segment's candidate count drifts slowly with traffic, while a
+// worker's share of dynamically claimed segments varies run to run and
+// would regrow its buffer toward the full table size.
 //
 // What the table buys is reuse. The candidate set of a track depends
 // only on positions and speeds, and collision resolution probes rotated
@@ -26,7 +26,7 @@
 // buffer and CSR slot) plus headroom, about 9 bytes, and dense traffic
 // has up to N² candidates. The build therefore stops as soon as the
 // running total passes tableLimit(n) and PrepareTable returns nil;
-// consumers then query the same repaired index per track. The segment
+// consumers then query the same index per track. The segment
 // buffers the stopped build filled stay allocated for the next build,
 // so a sweep past the limit holds about the limit's worth of
 // candidates, never more. Whether the limit is passed depends
@@ -43,7 +43,7 @@ import (
 )
 
 // tableGrain is the segment size of the table build: one self-scheduled
-// chunk covers this many consecutive sorted positions. Small enough to
+// chunk covers this many consecutive tracks. Small enough to
 // load-balance skewed candidate counts, large enough that the per-chunk
 // bookkeeping (owner, offset, scratch acquisition) is noise.
 const tableGrain = 256
@@ -120,18 +120,8 @@ type TableSource interface {
 // candidate table, unwrapping decorators such as Counted, and nil
 // otherwise.
 func TableOf(src PairSource) TableSource {
-	for src != nil {
-		if ts, ok := src.(TableSource); ok {
-			if ts.Sharded() {
-				return ts
-			}
-			return nil
-		}
-		u, ok := src.(interface{ Unwrap() PairSource })
-		if !ok {
-			return nil
-		}
-		src = u.Unwrap()
+	if ts, ok := find[TableSource](src); ok && ts.Sharded() {
+		return ts
 	}
 	return nil
 }
@@ -145,7 +135,7 @@ type tableBuf struct {
 
 // Sharded reports whether the sweep builds the candidate table: true
 // for the production sweep, false for NewSweep's.
-func (s *Sweep) Sharded() bool { return s.coherent }
+func (s *Sweep) Sharded() bool { return s.binned }
 
 // SetPool hands the sweep the engine pool PrepareTable's segment walk
 // runs on; nil keeps it serial.
@@ -163,11 +153,11 @@ func (s *Sweep) TakeShardStats() (segments, batches int64) {
 	return segments, batches
 }
 
-// fillJob walks one grain-aligned segment of sorted positions, emitting
-// each position's candidate run into the segment's buffer and recording
-// the run length per track. The buffer belongs to the segment, not the
-// claiming worker, so the copy pass finds each run at a fixed place and
-// steady-state buffer sizes are independent of the claim order.
+// fillJob walks one grain-aligned segment of tracks, emitting each
+// track's candidate run into the segment's buffer and recording the
+// run length in the table's Start[track+1]. The buffer belongs to the
+// segment, not the claiming worker, so steady-state buffer sizes are
+// independent of the claim order.
 //
 // Every segment adds what it emitted to the shared running total at
 // least every tablePublish candidates and stops once the total passes
@@ -187,10 +177,9 @@ func (j *fillJob) Chunk(_, lo, hi int) {
 	sc := s.getScratch(nw) //atm:allow noallocflow -- scratch acquisition allocates only on pool miss or fleet growth; steady state reuses pooled words
 	published := 0
 	for k := lo; k < hi; k++ {
-		id := s.order[k]
 		before := len(buf)
-		buf = s.appendCandidatesID(buf, int(id), sc.words)
-		s.cnt[id] = int32(len(buf) - before)
+		buf = s.appendCandidatesID(buf, k, sc.words)
+		s.table.Start[k+1] = int32(len(buf) - before)
 		if len(buf)-published >= tablePublish || k == hi-1 {
 			if s.tableTotal.Add(int64(len(buf)-published)) > s.tableLimit {
 				break
@@ -218,31 +207,22 @@ func withHeadroom(buf []int32) []int32 {
 }
 
 // copyJob moves one segment's candidate runs from the segment buffer
-// into their final CSR slots. Offsets are fully determined by the
-// per-track counts, so the result is independent of the fill pass's
-// chunk-claim order.
+// into their CSR span. The segment's tracks are consecutive, so their
+// rows are one span whose offset is fully determined by the per-track
+// counts: the result is independent of the fill pass's claim order.
 type copyJob struct{ s *Sweep }
 
 //atm:noalloc
 //atm:noescape
 func (j *copyJob) Chunk(_, lo, hi int) {
-	s := j.s
-	chunk := lo / tableGrain
-	src := s.chunkBufs[chunk].cand
-	off := 0
-	for k := lo; k < hi; k++ {
-		id := s.order[k]
-		c := int(s.cnt[id])
-		st := int(s.table.Start[id])
-		copy(s.table.Cand[st:st+c], src[off:off+c])
-		off += c
-	}
+	t := &j.s.table
+	copy(t.Cand[t.Start[lo]:t.Start[hi]], j.s.chunkBufs[lo/tableGrain].cand)
 }
 
 // PrepareTable builds the candidate table for every track by walking
-// the sorted order in parallel segments, or returns nil once the
-// candidate total passes tableLimit. Must follow Prepare (or
-// PrepareColumns) of the same world state.
+// the tracks in parallel segments, or returns nil once the candidate
+// total passes tableLimit. Must follow Prepare (or PrepareColumns) of
+// the same world state.
 //
 //atm:allow atomic -- resets the running total before the walks and reads it after they finish
 func (s *Sweep) PrepareTable() *PairTable {
@@ -252,10 +232,6 @@ func (s *Sweep) PrepareTable() *PairTable {
 		t.Start = make([]int32, n+1)
 	}
 	t.Start = t.Start[:n+1]
-	if cap(s.cnt) < n {
-		s.cnt = make([]int32, n)
-	}
-	s.cnt = s.cnt[:n]
 	chunks := (n + tableGrain - 1) / tableGrain
 	if len(s.chunkBufs) < chunks {
 		s.chunkBufs = slices.Grow(s.chunkBufs, chunks-len(s.chunkBufs))[:chunks]
@@ -266,11 +242,7 @@ func (s *Sweep) PrepareTable() *PairTable {
 	s.fill.s = s
 	if s.pool == nil {
 		for lo := 0; lo < n; lo += tableGrain {
-			hi := lo + tableGrain
-			if hi > n {
-				hi = n
-			}
-			s.fill.Chunk(0, lo, hi)
+			s.fill.Chunk(0, lo, min(lo+tableGrain, n))
 		}
 	} else {
 		s.pool.RunBody(n, tableGrain, &s.fill)
@@ -281,13 +253,14 @@ func (s *Sweep) PrepareTable() *PairTable {
 		return nil
 	}
 
-	// The total is at most tableLimit, so every offset fits in int32.
-	sum := 0
-	for i := 0; i < n; i++ {
-		t.Start[i] = int32(sum)
-		sum += int(s.cnt[i])
+	// Start[i+1] holds track i's count; the prefix sum turns the counts
+	// into offsets. The total is at most tableLimit, so every offset
+	// fits in int32.
+	t.Start[0] = 0
+	for i := 1; i <= n; i++ {
+		t.Start[i] += t.Start[i-1]
 	}
-	t.Start[n] = int32(sum)
+	sum := int(t.Start[n])
 	if cap(t.Cand) < sum {
 		// An eighth of headroom: the candidate total drifts by a few
 		// hundred entries per period as traffic moves, and exact sizing
@@ -299,11 +272,7 @@ func (s *Sweep) PrepareTable() *PairTable {
 	s.copier.s = s
 	if s.pool == nil {
 		for lo := 0; lo < n; lo += tableGrain {
-			hi := lo + tableGrain
-			if hi > n {
-				hi = n
-			}
-			s.copier.Chunk(0, lo, hi)
+			s.copier.Chunk(0, lo, min(lo+tableGrain, n))
 		}
 	} else {
 		s.pool.RunBody(n, tableGrain, &s.copier)

@@ -11,8 +11,8 @@ import (
 )
 
 // TestPrepareView drives the entry point through a Counted decorator,
-// as core installs sources: a maintained sweep reports a rebuild and
-// then a repair and serves table rows, a grid is not maintained and
+// as core installs sources, over two invocations: the production sweep
+// is maintained and serves table rows, a grid is not maintained and
 // queries per track; both must return exactly what a per-track query
 // on a fresh reference source returns, and the decorator must tally
 // the traffic the view generated.
@@ -34,8 +34,8 @@ func TestPrepareView(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			cols.FillFrom(w)
 			v := broadphase.PrepareView(counted, w, cols, pool)
-			if v.Maintained() != c.maintained || v.Repaired() != (c.maintained && pass > 0) {
-				t.Fatalf("%s pass %d: Maintained=%v Repaired=%v", c.name, pass, v.Maintained(), v.Repaired())
+			if v.Maintained() != c.maintained {
+				t.Fatalf("%s pass %d: Maintained=%v", c.name, pass, v.Maintained())
 			}
 			c.ref.Prepare(w)
 			counted.Take()
@@ -66,7 +66,7 @@ func TestPrepareView(t *testing.T) {
 			}
 		}
 	}
-	if v := broadphase.PrepareView(nil, w, cols, pool); v.Maintained() || v.Repaired() {
-		t.Fatal("nil source: the zero view must be neither maintained nor repaired")
+	if v := broadphase.PrepareView(nil, w, cols, pool); v.Maintained() {
+		t.Fatal("nil source: the zero view must not be maintained")
 	}
 }

@@ -16,9 +16,9 @@ var full = flag.Bool("conformance.full", false,
 const seed = 2018
 
 // scaleN is the aircraft count of the full matrix's extra sweep lanes:
-// enough that the sweep's candidate table spans five segments and one
-// invocation repairs thousands of order slots, the regime the n=400
-// lanes never reach.
+// enough that the sweep's candidate table spans five segments and its
+// bins hold tens of envelopes per cell, the regime the n=400 lanes
+// never reach.
 const scaleN = 1100
 
 // conformanceFamilies are the workloads the oracle runs. The

@@ -7,21 +7,22 @@ import (
 	"repro/internal/broadphase"
 	"repro/internal/platform"
 	"repro/internal/replay"
+	"repro/internal/telemetry"
 )
 
 // TestCoherentBitIdentical pins the sweep's contract on every
-// registered platform: a run on the production sweep (order repaired
-// across periods, candidate table, batched kernel) produces
-// byte-identical replay output — same worlds, same per-period modeled
-// task times, same deadline record — as the same run on the rebuild
-// sweep oracle installed straight on the platform. Three major cycles
-// give the production sweep two Prepare calls that repair a previous
-// order (periods 31 and 47) on top of the initial build (period 15).
+// registered platform: a run on the production sweep (binned walk,
+// candidate table, batched kernel) produces byte-identical replay
+// output — same worlds, same per-period modeled task times, same
+// deadline record — as the same run on the reference sweep installed
+// straight on the platform. Three major cycles give one production
+// sweep three Prepare calls (periods 15, 31 and 47).
 // The inputs are the paper's uniform setup plus the other conformance
 // scenario families, and one dense cluster whose ~2170 candidates per
 // track pass the candidate table's size limit, so every executor's
 // per-track query path on the production sweep is compared too (one
-// cycle; TestBatchedKernelMatchesScalar repairs under the same limit).
+// cycle; TestBatchedKernelMatchesScalar runs longer under the same
+// limit).
 // Its altitudes spread over 28000 ft, so the altitude filter rejects
 // most candidate pairs and the run stays cheap.
 func TestCoherentBitIdentical(t *testing.T) {
@@ -69,26 +70,30 @@ func TestCoherentBitIdentical(t *testing.T) {
 }
 
 // TestCoherentMaintainerWired verifies NewSystem installs the
-// production sweep for "sweep": the maintainer and the table source are
-// discoverable, and a run that crosses two Tasks 2-3 invocations
-// records at least one in-place update.
+// production sweep for "sweep": the table source is discoverable, a
+// run that crosses two Tasks 2-3 invocations under telemetry records
+// one table-build segment per 256 tracks per invocation, and the
+// deprecated Maintainer that callers still drain is found and reports
+// nothing.
 func TestCoherentMaintainerWired(t *testing.T) {
 	p := platform.MustNew(platform.Xeon16, 7)
 	p.(platform.Workered).SetWorkers(1)
 	sys := NewSystem(p, Config{N: 300, Seed: 7, PairSource: "sweep"})
-	if sys.maintainer == nil || sys.tableSrc == nil {
-		t.Fatal("sweep config produced no broadphase.Maintainer or TableSource")
+	if sys.tableSrc == nil {
+		t.Fatal("sweep config produced no broadphase.TableSource")
 	}
+	rec := telemetry.NewRecorder(1 << 12)
+	sys.SetTelemetry(rec)
 	sys.RunMajorCycles(2)
-	u := sys.maintainer.TakeUpdateStats()
-	if u.Rebuilds < 1 {
-		t.Fatalf("first Prepare should rebuild, stats %+v", u)
+	if got := rec.SumOf(telemetry.NameBroadphaseSegments); got != 2*2 {
+		t.Fatalf("two invocations over 300 tracks recorded %d table segments, want 4", got)
 	}
-	if u.Updates < 1 {
-		t.Fatalf("second Tasks 2-3 invocation should repair in place, stats %+v", u)
+	m := broadphase.MaintainerOf(sys.pairSrc)
+	if m == nil {
+		t.Fatal("the sweep has no Maintainer to drain")
 	}
-	if got := sys.maintainer.TakeUpdateStats(); got != (broadphase.UpdateStats{}) {
-		t.Fatalf("TakeUpdateStats did not drain: %+v", got)
+	if got := m.TakeUpdateStats(); got != (broadphase.UpdateStats{}) {
+		t.Fatalf("TakeUpdateStats reported maintenance: %+v", got)
 	}
 }
 
@@ -98,7 +103,7 @@ func TestCoherentMaintainerWired(t *testing.T) {
 func TestCoherentConfigWithoutSource(t *testing.T) {
 	p := platform.MustNew(platform.TitanXPascal, 1)
 	sys := NewSystem(p, Config{N: 50, Seed: 1, Incremental: true, ParShard: true})
-	if sys.maintainer != nil || sys.tableSrc != nil || sys.pairSrc != nil {
+	if sys.tableSrc != nil || sys.pairSrc != nil {
 		t.Fatal("pair source installed without a PairSource")
 	}
 	sys.RunMajorCycles(1)

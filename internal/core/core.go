@@ -51,8 +51,8 @@ type Config struct {
 	// empty string keeps the paper's all-pairs kernels. Unknown names
 	// panic.
 	PairSource string
-	// Incremental is ignored: the "sweep" source always repairs its
-	// order across periods.
+	// Incremental is ignored: the "sweep" source keeps no index across
+	// periods.
 	//
 	// Deprecated: the sweep has one behaviour; leave the field unset.
 	Incremental bool
@@ -83,12 +83,9 @@ type System struct {
 	rec                         *telemetry.Recorder
 	pairSrc                     broadphase.PairSource  // as installed on the platform
 	counted                     *broadphase.Counted    // non-nil while telemetry is attached
-	maintainer                  broadphase.Maintainer  // non-nil when the source maintains its index
 	tableSrc                    broadphase.TableSource // non-nil when the source builds a candidate table
 	schedObs                    telemetry.SchedObserver
 	idBPQueries, idBPCandidates telemetry.NameID
-	idBPUpdates, idBPRebuilds   telemetry.NameID
-	idBPMoved, idBPResorted     telemetry.NameID
 	idBPSegments, idKBatches    telemetry.NameID
 }
 
@@ -129,12 +126,6 @@ func (s *System) SetTelemetry(rec *telemetry.Recorder) {
 			ps.SetPairSource(s.counted)
 			s.idBPQueries = rec.Intern(telemetry.NameBroadphaseQueries)
 			s.idBPCandidates = rec.Intern(telemetry.NameBroadphaseCandidates)
-			if s.maintainer != nil {
-				s.idBPUpdates = rec.Intern(telemetry.NameBroadphaseUpdates)
-				s.idBPRebuilds = rec.Intern(telemetry.NameBroadphaseRebuilds)
-				s.idBPMoved = rec.Intern(telemetry.NameBroadphaseMoved)
-				s.idBPResorted = rec.Intern(telemetry.NameBroadphaseResorted)
-			}
 			if s.tableSrc != nil {
 				s.idBPSegments = rec.Intern(telemetry.NameBroadphaseSegments)
 				s.idKBatches = rec.Intern(telemetry.NameKernelBatches)
@@ -173,14 +164,13 @@ func NewSystem(p platform.Platform, cfg Config) *System {
 	setupRng := root.Split()
 	radarRng := root.Split()
 	return &System{
-		Platform:   p,
-		World:      spec.Generate(cfg.N, setupRng),
-		cfg:        cfg,
-		radarRng:   radarRng,
-		tracker:    sched.NewTracker(cfg.PeriodDur),
-		pairSrc:    src,
-		maintainer: broadphase.MaintainerOf(src),
-		tableSrc:   broadphase.TableOf(src),
+		Platform: p,
+		World:    spec.Generate(cfg.N, setupRng),
+		cfg:      cfg,
+		radarRng: radarRng,
+		tracker:  sched.NewTracker(cfg.PeriodDur),
+		pairSrc:  src,
+		tableSrc: broadphase.TableOf(src),
 	}
 }
 
@@ -192,14 +182,13 @@ func NewSystemWithWorld(p platform.Platform, w *airspace.World, cfg Config) *Sys
 	root.Split() // keep the stream layout of NewSystem
 	radarRng := root.Split()
 	return &System{
-		Platform:   p,
-		World:      w,
-		cfg:        cfg,
-		radarRng:   radarRng,
-		tracker:    sched.NewTracker(cfg.PeriodDur),
-		pairSrc:    src,
-		maintainer: broadphase.MaintainerOf(src),
-		tableSrc:   broadphase.TableOf(src),
+		Platform: p,
+		World:    w,
+		cfg:      cfg,
+		radarRng: radarRng,
+		tracker:  sched.NewTracker(cfg.PeriodDur),
+		pairSrc:  src,
+		tableSrc: broadphase.TableOf(src),
 	}
 }
 
@@ -247,15 +236,6 @@ func (s *System) RunPeriod() {
 			if q != 0 || c != 0 {
 				s.rec.Counter(s.idBPQueries, q)
 				s.rec.Counter(s.idBPCandidates, c)
-			}
-			if s.maintainer != nil {
-				u := s.maintainer.TakeUpdateStats()
-				if u.Updates != 0 || u.Rebuilds != 0 {
-					s.rec.Counter(s.idBPUpdates, u.Updates)
-					s.rec.Counter(s.idBPRebuilds, u.Rebuilds)
-					s.rec.Counter(s.idBPMoved, u.Moved)
-					s.rec.Counter(s.idBPResorted, u.Resorted)
-				}
 			}
 			if s.tableSrc != nil {
 				segments, batches := s.tableSrc.TakeShardStats()

@@ -235,10 +235,14 @@ type Device struct {
 }
 
 // launchAcc collects one host worker's share of a launch's work
-// account, padded so workers don't share a cache line.
+// account, padded so workers don't share a cache line. th is the
+// worker's simulated thread, reset for every lane: kernel(&th) makes
+// the Thread escape, and holding it here instead of on the worker's
+// stack keeps a launch from allocating one per simulated thread.
 type launchAcc struct {
 	ops, mem, maxOps, slots, waste uint64
-	_                              [24]byte
+	th                             Thread
+	_                              [40]byte
 }
 
 // NewDevice returns an execution engine for the given profile.
@@ -337,8 +341,9 @@ func (d *Device) Launch(name string, threads int, kernel func(t *Thread)) Kernel
 					if lane%WarpSize == 0 {
 						flushWarp()
 					}
-					th := Thread{ID: id, Block: b, Lane: lane, Worker: worker}
-					kernel(&th)
+					th := &a.th
+					*th = Thread{ID: id, Block: b, Lane: lane, Worker: worker}
+					kernel(th)
 					a.ops += th.ops
 					blockOps += th.ops
 					a.mem += th.mem

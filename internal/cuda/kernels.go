@@ -432,8 +432,7 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 		// Host-side index build over the committed snapshot, modeled as
 		// one launch of per-aircraft insertion work; a maintained source
 		// (the production sweep) also builds its candidate table on the
-		// host workers. Only the span name changes, reporting whether
-		// the maintained index was repaired in place — the modeled
+		// host workers. Only the span name reports which — the modeled
 		// charge is the launch below either way, as the bit-identity
 		// contract requires.
 		s.view = broadphase.PrepareView(e.src, w, &s.snap, parexec.Resolve(e.dev.pool))
@@ -441,9 +440,6 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 		name := "broadphase"
 		if s.view.Maintained() {
 			name = "broadphase.rebuild"
-			if s.view.Repaired() {
-				name = "broadphase.update"
-			}
 		}
 		res.add(e.dev.Launch(name, n, func(t *Thread) {
 			t.Ops(opsIndexBuild)

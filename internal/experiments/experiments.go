@@ -604,33 +604,31 @@ func sixteenthPeriodFits(name string, n int, cfg Config) bool {
 	return true
 }
 
-// CoherenceTable — the temporal-coherence ablation behind
-// results/coherence.csv: host wall time of one fused Tasks 2+3 pass on
-// the rebuild sweep oracle (broadphase.NewSweep: full sort every pass,
-// per-track queries; "rebuild") versus the production sweep ("sweep":
-// the previous pass's sorted order repaired in place, the candidate
-// table). Both lanes run the same Tasks 2-3 runner and batched kernel
-// over the same world through the same dead-reckoned motion, so the
-// pair sets — and the modeled device times — are bit-identical; the
-// table measures only what repair plus table buy the host.
+// CoherenceTable — the sweep comparison behind results/coherence.csv:
+// host wall time of one fused Tasks 2+3 pass on the reference sweep
+// (broadphase.NewSweep: full x sort every pass, per-track window
+// queries; "rebuild") versus the production sweep ("sweep": binned
+// walk, candidate table). Both lanes run the same Tasks 2-3 runner and
+// batched kernel over the same world through the same dead-reckoned
+// motion, so the pair sets — and the modeled device times — are
+// bit-identical; the table measures only what the binned walk plus the
+// table buy the host.
 //
-// The motion axis matters: the m-series advance the world by m radar
-// periods between detection passes (m=1 is back-to-back detection,
-// m=16 is the real schedule's major cycle, m=64 is a stress case where
-// displacements approach the sort window). The production lane also
-// reports how many aircraft actually moved in the sorted order per
-// repair ("moved:mN"), the quantity the insertion-sort budget is
-// keyed to, and how many passes fell back to a full sort.
+// The m-series advance the world by m radar periods between detection
+// passes (m=1 is back-to-back detection, m=16 is the real schedule's
+// major cycle, m=64 a long gap). Neither lane keeps its index across
+// passes, so motion changes their cost only through the traffic it
+// produces; the axis stays so the file keeps its shape.
 //
-// Wall times are host measurements and vary run to run; the moved
-// counts are exact and reproducible.
+// Wall times are host measurements and vary run to run; the allocation
+// counts are exact.
 //
 // This experiment is not part of atmbench's default run; invoke it
 // with -table coherence.
 func CoherenceTable(cfg Config) (*trace.Dataset, error) {
 	d := &trace.Dataset{
 		ID:     "coherence",
-		Title:  "Temporal coherence: rebuild vs production sweep, wall ms per detection pass",
+		Title:  "Reference vs production sweep, wall ms per detection pass",
 		XLabel: "aircraft",
 		YLabel: "value",
 	}
@@ -652,9 +650,7 @@ func CoherenceTable(cfg Config) (*trace.Dataset, error) {
 				{"sweep", broadphase.MustNew(broadphase.SweepName)},
 			} {
 				w := airspace.NewWorld(n, rng.New(cfg.Seed))
-				tasks.DetectResolveExec(w, mode.src, pool) // warm scratch + seed the sorted order
-				m := broadphase.MaintainerOf(mode.src)
-				m.TakeUpdateStats() // exclude the warm-up rebuild from the stats
+				tasks.DetectResolveExec(w, mode.src, pool) // warm scratch and index
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				mallocs := ms.Mallocs
@@ -676,13 +672,6 @@ func CoherenceTable(cfg Config) (*trace.Dataset, error) {
 				tag := fmt.Sprintf("%s:m%d", mode.name, periods)
 				d.Add("ms:"+tag, float64(n), wall.Seconds()*1000/float64(iters))
 				d.Add("allocs:"+tag, float64(n), float64(ms.Mallocs-mallocs)/float64(iters))
-				if m.Incremental() {
-					st := m.TakeUpdateStats()
-					if reps := st.Updates + st.Rebuilds; reps > 0 {
-						d.Add(fmt.Sprintf("moved:m%d", periods), float64(n), float64(st.Moved)/float64(reps))
-					}
-					d.Add(fmt.Sprintf("fallbacks:m%d", periods), float64(n), float64(st.Rebuilds))
-				}
 			}
 		}
 	}
@@ -723,7 +712,7 @@ func ParShardTable(cfg Config) (*trace.Dataset, error) {
 			pool := parexec.NewPool(workers)
 			src := broadphase.TableOf(broadphase.MustNew(broadphase.SweepName))
 			w := airspace.NewWorld(n, rng.New(cfg.Seed))
-			tasks.DetectResolveExec(w, src, pool) // warm scratch, table and sorted order
+			tasks.DetectResolveExec(w, src, pool) // warm scratch, index and table
 			src.TakeShardStats()                  // exclude the warm-up pass from the counters
 			var wall time.Duration
 			for it := 0; it < iters; it++ {

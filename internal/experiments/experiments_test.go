@@ -383,8 +383,9 @@ func TestCoherenceTable(t *testing.T) {
 	if d.ID != "coherence" {
 		t.Fatalf("dataset id %q", d.ID)
 	}
-	// Both lanes report wall times at every sweep point, and the
-	// production lane's repair statistics come with them. Wall times
+	// Both lanes report wall times and allocations at every sweep
+	// point, and nothing else: the production sweep keeps no index
+	// across passes, so there is no maintenance to report. Wall times
 	// are host noise, so the test asserts shape, not speedups.
 	for _, m := range []string{"m1", "m16", "m64"} {
 		reb := d.Get("ms:rebuild:" + m)
@@ -395,22 +396,9 @@ func TestCoherenceTable(t *testing.T) {
 		if len(reb.Points) != len(prod.Points) || len(reb.Points) == 0 {
 			t.Fatalf("%s: rebuild has %d points, sweep %d", m, len(reb.Points), len(prod.Points))
 		}
-		if fb := d.Get("fallbacks:" + m); fb == nil {
-			t.Fatalf("missing fallbacks series for %s", m)
-		}
-		moved := d.Get("moved:" + m)
-		if moved == nil {
-			t.Fatalf("missing moved series for %s", m)
-		}
-		// More motion between passes moves more aircraft in the order.
-		if prev := d.Get("moved:m1"); m != "m1" && prev != nil {
-			for i := range moved.Points {
-				if moved.Points[i].Y < prev.Points[i].Y {
-					t.Errorf("moved:%s at n=%v is %v, below moved:m1 %v",
-						m, moved.Points[i].X, moved.Points[i].Y, prev.Points[i].Y)
-				}
-			}
-		}
+	}
+	if want := 2 * 2 * 3; len(d.Series) != want {
+		t.Fatalf("%d series, want %d (ms and allocs per lane per motion)", len(d.Series), want)
 	}
 	// Steady-state passes allocate nothing in either lane.
 	for _, s := range d.Series {

@@ -528,16 +528,13 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	// resolution, so the index stays valid for the whole task. A
 	// maintained source (the production sweep) also builds its
 	// candidate table on the host pool. Only the phase mark's name
-	// changes between update and rebuild — the charge is identical, as
-	// bit-identity requires.
+	// reports which — the charge is identical, as bit-identity
+	// requires.
 	if m.src != nil {
 		scr.view = broadphase.PrepareView(m.src, w, &scr.snap, parexec.Resolve(m.pool))
 		name := "index"
 		if scr.view.Maintained() {
 			name = "index.rebuild"
-			if scr.view.Repaired() {
-				name = "index.update"
-			}
 		}
 		phases++
 		m.parallel(n, func(core, lo, hi int) {

@@ -206,12 +206,11 @@ func (s *Server) executor() {
 func (s *Server) execute(j *job) {
 	s.running.Add(1)
 	defer s.running.Add(-1)
-	if j.waiters.Load() == 0 {
+	if s.flights.abandon(j) {
 		// Everyone who asked for this run has timed out or hung up;
 		// skip the work and let the next identical request re-admit.
 		s.stats.Abandoned.Add(1)
 		j.err = errAbandoned
-		s.flights.remove(j.key)
 		close(j.done)
 		return
 	}
@@ -261,22 +260,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Slow path: join the in-flight run or admit a new one.
-	j, created, err := s.flights.join(key, func() (*job, bool, error) {
-		// Re-check under the registry lock: an executor may have cached
-		// this key between our miss above and now (it caches before it
-		// deregisters, so this order cannot lose a result).
-		if res, ok := s.cache.get(key); ok {
-			return completedJob(res), false, nil
-		}
-		if s.draining.Load() {
-			return nil, false, ErrDraining
-		}
-		nj := newJob(cfg, key, cfg.N <= s.opts.InteractiveN)
-		if err := s.q.push(nj); err != nil {
-			return nil, false, err
-		}
-		return nj, true, nil
-	})
+	j, created, err := s.admit(cfg, key)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.stats.Shed.Add(1)
@@ -302,20 +286,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.stats.Coalesced.Add(1)
 	}
 
-	j.waiters.Add(1)
-	defer j.waiters.Add(-1)
+	defer j.waiters.Add(-1) // admit counted this request
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
 	select {
 	case <-j.done:
 		if j.err != nil {
-			if errors.Is(j.err, errAbandoned) {
-				// Raced with the skip of an abandoned job: this waiter
-				// arrived after the executor's check. Ask it to retry.
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable, "run was abandoned, retry")
-				return
-			}
 			writeError(w, http.StatusInternalServerError, j.err.Error())
 			return
 		}
@@ -328,6 +304,34 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.stats.Timeouts.Add(1)
 		writeError(w, http.StatusGatewayTimeout, "deadline exceeded waiting for run")
 	}
+}
+
+// admit returns the job that answers key: the run in flight, a
+// completed job made from a cache entry, or a new job pushed onto the
+// run queue, with created reporting whether the caller leads it. On an
+// in-flight or new job the caller is already counted as a waiter — a
+// new job's leader before the push, a joiner under the registry lock —
+// so an executor can never find a job that a live request waits on
+// with no waiters and abandon it. The caller must drop its count when
+// it stops waiting.
+func (s *Server) admit(cfg RunConfig, key string) (j *job, created bool, err error) {
+	return s.flights.join(key, func() (*job, bool, error) {
+		// Re-check under the registry lock: an executor may have cached
+		// this key between the caller's miss and now (it caches before
+		// it deregisters, so this order cannot lose a result).
+		if res, ok := s.cache.get(key); ok {
+			return completedJob(res), false, nil
+		}
+		if s.draining.Load() {
+			return nil, false, ErrDraining
+		}
+		nj := newJob(cfg, key, cfg.N <= s.opts.InteractiveN)
+		nj.waiters.Add(1)
+		if err := s.q.push(nj); err != nil {
+			return nil, false, err
+		}
+		return nj, true, nil
+	})
 }
 
 // retryAfterSeconds estimates when shedding will stop: roughly the

@@ -291,6 +291,110 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	}
 }
 
+// TestAdmittedJobCountsLeader pins the leader-abandon fix
+// deterministically: a job is already waited on by its leader when it
+// reaches the run queue, a joiner is counted as it joins, and only a job
+// whose every waiter has left is abandoned — and then deregistered in
+// the same step, so the next request admits a fresh run.
+func TestAdmittedJobCountsLeader(t *testing.T) {
+	started := make(chan string, 4)
+	release := make(chan struct{})
+	s := New(Options{Runners: 1, QueueDepth: 4, Runner: blockingRunner(started, release)})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	admit := func(seed uint64) (*job, bool) {
+		t.Helper()
+		cfg, err := RunRequest{Platform: "titanx", N: 10, Periods: 1, Seed: seed}.Canonicalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, created, err := s.admit(cfg, cfg.Key())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, created
+	}
+
+	// Job a occupies the only executor, so job b stays queued.
+	a, created := admit(1)
+	if !created || a.waiters.Load() != 1 {
+		t.Fatalf("leader of a: created=%v waiters=%d, want true 1", created, a.waiters.Load())
+	}
+	<-started
+	b, _ := admit(2)
+	s.q.mu.Lock()
+	queued := len(s.q.high) == 1 && s.q.high[0] == b
+	s.q.mu.Unlock()
+	if !queued || b.waiters.Load() != 1 {
+		t.Fatalf("queued job b: in queue %v, waiters %d; want true 1", queued, b.waiters.Load())
+	}
+	if j, created := admit(1); j != a || created || a.waiters.Load() != 2 {
+		t.Fatalf("joiner of a: same job %v, created %v, waiters %d; want true false 2", j == a, created, a.waiters.Load())
+	}
+
+	// b's leader leaves before b runs: b is abandoned and deregistered.
+	b.waiters.Add(-1)
+	a.waiters.Add(-2)
+	close(release)
+	<-b.done
+	if b.err != errAbandoned || s.Stats().Abandoned.Load() != 1 {
+		t.Fatalf("b: err %v, abandoned %d; want errAbandoned 1", b.err, s.Stats().Abandoned.Load())
+	}
+	if j, created := admit(2); j == b || !created {
+		t.Fatal("a request after the abandon joined the abandoned job")
+	}
+}
+
+// TestFreshSeedStressNo503 is the leader-abandon race's stress
+// reproduction: concurrent clients sending fresh-seed requests, so that
+// every request leads its own run, must never see a run abandoned
+// under them. An idle executor that popped a job before its leader was
+// counted would abandon it, and the leader would get 503.
+func TestFreshSeedStressNo503(t *testing.T) {
+	s := New(Options{Runners: 2, QueueDepth: 256})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	h := s.Handler()
+	const clients, each = 4, 2500
+	var unavailable, other atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				url := fmt.Sprintf("/v1/simulate?platform=titanx&n=10&periods=1&seed=%d", 1+c*each+i)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+				switch rec.Code {
+				case http.StatusOK:
+				case http.StatusServiceUnavailable:
+					unavailable.Add(1)
+				default:
+					other.Add(1)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := unavailable.Load(); n != 0 || s.Stats().Abandoned.Load() != 0 {
+		t.Errorf("%d of %d fresh requests got 503; %d runs abandoned", n, clients*each, s.Stats().Abandoned.Load())
+	}
+	if n := other.Load(); n != 0 {
+		t.Errorf("%d of %d fresh requests failed with another status", n, clients*each)
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxN: 50000})
 	cases := []struct {

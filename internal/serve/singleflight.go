@@ -12,9 +12,11 @@ type job struct {
 	key         string
 	interactive bool
 
-	// waiters counts requests currently blocked on done. When it drops
-	// to zero before execution starts, the executor skips the run —
-	// every caller has already timed out or disconnected.
+	// waiters counts requests waiting on done. It only rises under the
+	// flight registry's lock — the leader is counted before its job is
+	// queued, a joiner inside flights.join — so when flights.abandon
+	// finds it at zero before execution starts, every caller has
+	// already timed out or disconnected and none can still join.
 	waiters atomic.Int32
 
 	// done is closed by the executor after res/err are set.
@@ -49,15 +51,17 @@ func newFlights() *flights {
 	return &flights{m: make(map[string]*job)}
 }
 
-// join returns the in-flight job for key, or registers the one built
-// by create. created reports whether this caller became the flight
-// leader. create returns track=false for jobs that must not be
+// join returns the in-flight job for key, counting the caller as one
+// of its waiters, or registers the one built by create. created reports
+// whether this caller became the flight leader; create counts the
+// leader itself. create returns track=false for jobs that must not be
 // registered (already complete); when it errors (queue full, draining)
 // nothing is registered and the error is returned.
 func (f *flights) join(key string, create func() (j *job, track bool, err error)) (*job, bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if j, ok := f.m[key]; ok {
+		j.waiters.Add(1)
 		return j, false, nil
 	}
 	j, track, err := create()
@@ -77,6 +81,19 @@ func (f *flights) remove(key string) {
 	f.mu.Lock()
 	delete(f.m, key)
 	f.mu.Unlock()
+}
+
+// abandon deregisters j and reports true when no request waits on it.
+// Waiters are counted under the same lock, so no request can join j
+// between the check and the removal.
+func (f *flights) abandon(j *job) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if j.waiters.Load() != 0 {
+		return false
+	}
+	delete(f.m, j.key)
+	return true
 }
 
 // inflight returns the number of registered flights.

@@ -110,7 +110,7 @@ func scalarDetectResolve(w *airspace.World, src broadphase.PairSource) DetectSta
 // worlds and full stats (PairChecks included) identical to the scalar
 // reference on the same source, at every worker count, through several
 // consecutive detection rounds (so commits made by one round feed the
-// next, exercising table reuse against a repaired index). Every source
+// next, exercising table reuse against a fresh index). Every source
 // runs: the all-pairs scan, brute, grid, and the production sweep,
 // whose reference is the rebuild sweep. One uniform trial runs at
 // N=1100, where the table spans five segments, and one dense cluster at
@@ -205,8 +205,8 @@ func TestBatchedKernelMatchesScalar(t *testing.T) {
 						}
 						worldsEqual(t, tag(c, "DetectResolve"), refW, c.w)
 					}
-					// Fly the committed courses so the next round's index —
-					// and the production sweep's repairs — see moved traffic.
+					// Fly the committed courses so the next round's index
+					// sees moved traffic.
 					advance := func(w *airspace.World) {
 						for i := range w.Aircraft {
 							a := &w.Aircraft[i]

@@ -27,24 +27,15 @@ const (
 	NameBroadphaseQueries    = "broadphase.queries"
 	NameBroadphaseCandidates = "broadphase.candidates"
 
-	// Incremental broad-phase maintenance counters, drained by core
-	// after each Tasks 2-3 run on the "sweep" source. Updates
-	// and Rebuilds partition the Prepare calls (an update repaired the
-	// previous order in place; a rebuild fell back to a full sort);
-	// Moved and Resorted describe repair effort. The matching span
-	// names are the engines' per-phase kernel names suffixed with
-	// ".update" / ".rebuild" (e.g. "broadphase.update", "index.rebuild",
-	// "ap.index.update").
-	NameBroadphaseUpdates  = "broadphase.updates"
-	NameBroadphaseRebuilds = "broadphase.rebuilds"
-	NameBroadphaseMoved    = "broadphase.moved"
-	NameBroadphaseResorted = "broadphase.resorted"
-
 	// Candidate-table counters, drained by core after each Tasks 2-3
 	// run on the "sweep" source: NameBroadphaseSegments counts
 	// table-build segments walked, NameKernelBatches the 8-wide
 	// batched-kernel iterations consumers executed against the table.
-	// Both are invariant across worker counts, like every result.
+	// Both are invariant across worker counts, like every result. The
+	// matching span names are the engines' per-phase kernel names
+	// suffixed with ".rebuild" (e.g. "broadphase.rebuild",
+	// "index.rebuild", "ap.index.rebuild"): the sweep bins its
+	// envelopes afresh on every invocation.
 	NameBroadphaseSegments = "broadphase.segments"
 	NameKernelBatches      = "kernel.batches"
 

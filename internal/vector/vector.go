@@ -562,18 +562,14 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 
 	// Broadphase index build, charged as one lane-blocked phase. A
 	// maintained source (the production sweep) also builds its
-	// candidate table on the host pool, and the phase name reports
-	// whether its index was repaired in place. The charge is identical
-	// either way, as bit-identity requires.
+	// candidate table on the host pool, and the phase name reports it.
+	// The charge is identical either way, as bit-identity requires.
 	if m.src != nil {
 		m.cols = airspace.Columns{X: s.x, Y: s.y, DX: s.dx, DY: s.dy, Alt: s.alt}
 		m.view = broadphase.PrepareView(m.src, w, &m.cols, parexec.Resolve(m.pool))
 		name := "index"
 		if m.view.Maintained() {
 			name = "index.rebuild"
-			if m.view.Repaired() {
-				name = "index.update"
-			}
 		}
 		m.parallel(t, name, 0, n, func(core, lo, hi int) {
 			t.vecInstr[core] += uint64((hi-lo+Lanes-1)/Lanes) * viIndex

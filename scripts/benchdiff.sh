@@ -16,9 +16,9 @@
 # runs the hot benchmarks on the current tree only and writes a
 # machine-readable JSON snapshot (ns/op and allocs/op per benchmark,
 # plus sweep_improvement_pct: the production sweep's improvement over
-# the rebuild sweep at one worker; both run the same Tasks 2-3 runner
-# and batched kernel, so it measures order repair plus the candidate
-# table against a full sort plus per-track queries).
+# the reference sweep at one worker; both run the same Tasks 2-3 runner
+# and batched kernel, so it measures the binned walk plus the candidate
+# table against a full x sort plus per-track window queries).
 # BENCH_7.json and BENCH_10.json in the repo root are such snapshots.
 #
 # Tunables: BENCH_PATTERN (regexp of benchmarks to run), BENCH_TIME
@@ -69,8 +69,8 @@ summarize() {
                     b, ns[b]/seen[b], al[b]/seen[b], (i < n-1 ? "," : "")
             }
             printf "  ]"
-            # Repair plus table against full sort plus per-track queries
-            # (same runner and kernel in both lanes).
+            # Binned walk plus table against full x sort plus per-track
+            # window queries (same runner and kernel in both lanes).
             reb = "BenchmarkCoherent_Task23_4000_Rebuild"
             ps = "BenchmarkParShard_Task23_4000_W1"
             if ((reb in seen) && (ps in seen)) {
