@@ -434,9 +434,6 @@ func benchDetectWith(b *testing.B, source string, n int) {
 
 func BenchmarkBroadphase_Brute_1000(b *testing.B)   { benchDetectWith(b, broadphase.BruteName, 1000) }
 func BenchmarkBroadphase_Brute_10000(b *testing.B)  { benchDetectWith(b, broadphase.BruteName, 10000) }
-func BenchmarkBroadphase_Grid_1000(b *testing.B)    { benchDetectWith(b, broadphase.GridName, 1000) }
-func BenchmarkBroadphase_Grid_10000(b *testing.B)   { benchDetectWith(b, broadphase.GridName, 10000) }
-func BenchmarkBroadphase_Grid_100000(b *testing.B)  { benchDetectWith(b, broadphase.GridName, 100000) }
 func BenchmarkBroadphase_Sweep_1000(b *testing.B)   { benchDetectWith(b, broadphase.SweepName, 1000) }
 func BenchmarkBroadphase_Sweep_10000(b *testing.B)  { benchDetectWith(b, broadphase.SweepName, 10000) }
 func BenchmarkBroadphase_Sweep_100000(b *testing.B) { benchDetectWith(b, broadphase.SweepName, 100000) }

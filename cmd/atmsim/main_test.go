@@ -48,6 +48,7 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		{"scenario over capacity", []string{"-scenario", "streams", "-n", "30000"}, "lanes"},
 		{"zero aircraft", []string{"-n", "0"}, "positive aircraft count"},
 		{"unknown platform", []string{"-platform", "cray1"}, "unknown platform"},
+		{"removed grid source", []string{"-pairsource", "grid"}, "known: brute, sweep"},
 	}
 	for _, tc := range cases {
 		out, code := runSelf(t, tc.args...)

@@ -49,7 +49,7 @@ func TestAddBroadcastMasked(t *testing.T) {
 		bp.Set(i, vals[i])
 	}
 	// Mask the even records only.
-	m.Search(1, func(i int) bool { return i%2 == 0 })
+	m.Search(1, func(_ *Machine, i int) bool { return i%2 == 0 })
 	before := m.Cycles()
 	m.AddBroadcast(bp, 777)
 	charged := m.Cycles() - before
@@ -71,7 +71,7 @@ func TestAddBroadcastOverflowWraps(t *testing.T) {
 	m := NewMachine(STARAN, 1)
 	bp := NewBitPlanes(1)
 	bp.Set(0, 1<<WordBits-1)
-	m.Search(1, func(i int) bool { return true })
+	m.Search(1, func(_ *Machine, i int) bool { return true })
 	m.AddBroadcast(bp, 1)
 	if got := bp.Get(0); got != 0 {
 		t.Fatalf("wrap = %d, want 0", got)
@@ -89,7 +89,7 @@ func TestLessBroadcastMatchesScalarCompare(t *testing.T) {
 	}
 	for _, threshold := range []uint32{0, 1, 500, 32768, 1<<WordBits - 1} {
 		m := NewMachine(STARAN, n)
-		m.Search(1, func(i int) bool { return true })
+		m.Search(1, func(_ *Machine, i int) bool { return true })
 		m.LessBroadcast(bp, threshold)
 		for i, on := range m.Mask() {
 			want := vals[i] < threshold
@@ -108,7 +108,7 @@ func TestLessBroadcastRespectsMask(t *testing.T) {
 		bp.Set(i, 0) // everything is < 5
 	}
 	m := NewMachine(STARAN, n)
-	m.Search(1, func(i int) bool { return i < 10 })
+	m.Search(1, func(_ *Machine, i int) bool { return i < 10 })
 	m.LessBroadcast(bp, 5)
 	if got := m.CountResponders(); got != 10 {
 		t.Fatalf("responders = %d, want only the 10 pre-masked", got)
@@ -121,7 +121,7 @@ func TestBitSerialCostScalesWithWordWidth(t *testing.T) {
 	// summary comes from.
 	m := NewMachine(STARAN, 50)
 	bp := NewBitPlanes(50)
-	m.Search(1, func(i int) bool { return true })
+	m.Search(1, func(_ *Machine, i int) bool { return true })
 	before := m.Cycles()
 	m.LessBroadcast(bp, 1234)
 	compareCost := m.Cycles() - before

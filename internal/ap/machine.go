@@ -136,6 +136,14 @@ type Machine struct {
 	partArg  []int32
 	partCnt  []int32
 
+	// args holds the operands of the programs' wide ops, which the
+	// control unit sets before issuing them as the hardware broadcasts
+	// them to every PE. Element bodies are plain functions of the
+	// machine and a PE index, and every wide op dispatches the one
+	// persistent job, so issuing a wide op allocates nothing.
+	args operands
+	job  wideJob
+
 	// Telemetry phase marks: cycle-counter checkpoints noted by the
 	// programs when a recorder is attached (marksOn), converted to
 	// spans by the platform adapter after the task. Machine-owned
@@ -168,6 +176,78 @@ func (m *Machine) mark(name string, arg int32) {
 	if m.marksOn {
 		m.marks = append(m.marks, phaseMark{name: name, arg: arg, cycles: m.cycles})
 	}
+}
+
+// wideKind selects the element loop a wideJob runs.
+type wideKind uint8
+
+const (
+	wideParallel wideKind = iota
+	wideSearch
+	wideMaskAnd
+	wideCount
+	wideMin
+	wideMax
+)
+
+// wideJob is the host body of every wide op. The reductions store one
+// partial per chunk for the control unit's ordered merge.
+type wideJob struct {
+	m     *Machine
+	kind  wideKind
+	op    func(m *Machine, i int)
+	pred  func(m *Machine, i int) bool
+	value func(m *Machine, i int) float64
+	def   float64
+}
+
+// Chunk runs the job's element loop over PEs [lo, hi).
+//
+//atm:noalloc
+func (j *wideJob) Chunk(_, lo, hi int) {
+	m, mask := j.m, j.m.mask
+	switch j.kind {
+	case wideParallel:
+		for i := lo; i < hi; i++ {
+			j.op(m, i)
+		}
+	case wideSearch:
+		for i := lo; i < hi; i++ {
+			mask[i] = j.pred(m, i)
+		}
+	case wideMaskAnd:
+		for i := lo; i < hi; i++ {
+			if mask[i] {
+				mask[i] = j.pred(m, i)
+			}
+		}
+	case wideCount:
+		c := int32(0)
+		for i := lo; i < hi; i++ {
+			if mask[i] {
+				c++
+			}
+		}
+		m.partCnt[lo/peGrain] = c
+	case wideMin, wideMax:
+		best, arg := j.def, int32(-1)
+		for i := lo; i < hi; i++ {
+			if !mask[i] {
+				continue
+			}
+			if v := j.value(m, i); j.kind == wideMin && v < best || j.kind == wideMax && v > best {
+				best, arg = v, int32(i)
+			}
+		}
+		m.partBest[lo/peGrain], m.partArg[lo/peGrain] = best, arg
+	}
+}
+
+// dispatch runs the job, set up by the caller, over every PE.
+func (m *Machine) dispatch(kind wideKind) {
+	m.job.m = m
+	m.job.kind = kind
+	parexec.Resolve(m.pool).RunBody(m.n, peGrain, &m.job)
 }
 
 // timeAt converts a cycle checkpoint to modeled time, with the same
@@ -259,40 +339,27 @@ func (m *Machine) Scalar(n int) {
 // the hardware executes all PEs, masked ones simply don't store. Like
 // the PE array it models, f must be element-wise independent: it may
 // only read shared state and write state owned by record i.
-func (m *Machine) ParallelOp(units int, f func(i int)) {
+func (m *Machine) ParallelOp(units int, f func(m *Machine, i int)) {
 	m.chargeWide(units)
-	parexec.Resolve(m.pool).Run(m.n, peGrain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
-	})
+	m.job.op = f
+	m.dispatch(wideParallel)
 }
 
 // Search performs an associative search: it sets the responder mask to
 // pred over all records and charges units comparison steps. pred must
 // be element-wise independent (see ParallelOp).
-func (m *Machine) Search(units int, pred func(i int) bool) {
+func (m *Machine) Search(units int, pred func(m *Machine, i int) bool) {
 	m.chargeWide(units)
-	mask := m.mask
-	parexec.Resolve(m.pool).Run(m.n, peGrain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mask[i] = pred(i)
-		}
-	})
+	m.job.pred = pred
+	m.dispatch(wideSearch)
 }
 
 // MaskAnd narrows the responder mask with pred (one wide step). pred
 // must be element-wise independent (see ParallelOp).
-func (m *Machine) MaskAnd(pred func(i int) bool) {
+func (m *Machine) MaskAnd(pred func(m *Machine, i int) bool) {
 	m.chargeWide(1)
-	mask := m.mask
-	parexec.Resolve(m.pool).Run(m.n, peGrain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if mask[i] {
-				mask[i] = pred(i)
-			}
-		}
-	})
+	m.job.pred = pred
+	m.dispatch(wideMaskAnd)
 }
 
 // Mask exposes the current responder mask (read-only use by programs).
@@ -317,19 +384,10 @@ func (m *Machine) AnyResponder() bool {
 func (m *Machine) CountResponders() int {
 	m.cycles += uint64(m.prof.ReduceCycles) * uint64(m.Tiles())
 	nc := m.chunks()
-	mask, cnt := m.mask, m.partCnt
-	parexec.Resolve(m.pool).Run(m.n, peGrain, func(_, lo, hi int) {
-		c := int32(0)
-		for i := lo; i < hi; i++ {
-			if mask[i] {
-				c++
-			}
-		}
-		cnt[lo/peGrain] = c
-	})
+	m.dispatch(wideCount)
 	c := 0
 	for k := 0; k < nc; k++ {
-		c += int(cnt[k])
+		c += int(m.partCnt[k])
 	}
 	return c
 }
@@ -360,21 +418,12 @@ func (m *Machine) ClearResponder(i int) {
 // the lowest-index tie-break of the serial loop is reproduced exactly.
 //
 //atm:ordered-merge
-func (m *Machine) MinReduce(def float64, value func(i int) float64) (float64, int) {
+func (m *Machine) MinReduce(def float64, value func(m *Machine, i int) float64) (float64, int) {
 	m.cycles += uint64(m.prof.ReduceCycles+m.prof.SelectCycles) * uint64(m.Tiles())
 	nc := m.chunks()
-	mask, pb, pa := m.mask, m.partBest, m.partArg
-	parexec.Resolve(m.pool).Run(m.n, peGrain, func(_, lo, hi int) {
-		best, arg := def, int32(-1)
-		for i := lo; i < hi; i++ {
-			if mask[i] {
-				if v := value(i); v < best {
-					best, arg = v, int32(i)
-				}
-			}
-		}
-		pb[lo/peGrain], pa[lo/peGrain] = best, arg
-	})
+	m.job.value, m.job.def = value, def
+	m.dispatch(wideMin)
+	pb, pa := m.partBest, m.partArg
 	best, arg := def, -1
 	for k := 0; k < nc; k++ {
 		if pa[k] >= 0 && pb[k] < best {
@@ -388,21 +437,12 @@ func (m *Machine) MinReduce(def float64, value func(i int) float64) (float64, in
 // lowest index attaining it. It returns (def, -1) with no responders.
 //
 //atm:ordered-merge
-func (m *Machine) MaxReduce(def float64, value func(i int) float64) (float64, int) {
+func (m *Machine) MaxReduce(def float64, value func(m *Machine, i int) float64) (float64, int) {
 	m.cycles += uint64(m.prof.ReduceCycles+m.prof.SelectCycles) * uint64(m.Tiles())
 	nc := m.chunks()
-	mask, pb, pa := m.mask, m.partBest, m.partArg
-	parexec.Resolve(m.pool).Run(m.n, peGrain, func(_, lo, hi int) {
-		best, arg := def, int32(-1)
-		for i := lo; i < hi; i++ {
-			if mask[i] {
-				if v := value(i); v > best {
-					best, arg = v, int32(i)
-				}
-			}
-		}
-		pb[lo/peGrain], pa[lo/peGrain] = best, arg
-	})
+	m.job.value, m.job.def = value, def
+	m.dispatch(wideMax)
+	pb, pa := m.partBest, m.partArg
 	best, arg := def, -1
 	for k := 0; k < nc; k++ {
 		if pa[k] >= 0 && pb[k] > best {

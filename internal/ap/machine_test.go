@@ -35,7 +35,7 @@ func TestNegativeNPanics(t *testing.T) {
 
 func TestCycleChargingWide(t *testing.T) {
 	m := NewMachine(Profile{PEs: 10, ClockHz: 1e6, ArithCycles: 3}, 25) // 3 tiles
-	m.ParallelOp(4, func(i int) {})
+	m.ParallelOp(4, func(*Machine, int) {})
 	if m.Cycles() != 4*3*3 {
 		t.Fatalf("cycles = %d, want %d", m.Cycles(), 4*3*3)
 	}
@@ -46,8 +46,8 @@ func TestIdealAPConstantTimePass(t *testing.T) {
 	// many records there are — the property behind the linear curves.
 	small := NewMachine(STARAN, 100)
 	big := NewMachine(STARAN, 100000)
-	small.ParallelOp(5, func(i int) {})
-	big.ParallelOp(5, func(i int) {})
+	small.ParallelOp(5, func(*Machine, int) {})
+	big.ParallelOp(5, func(*Machine, int) {})
 	if small.Cycles() != big.Cycles() {
 		t.Fatalf("ideal AP pass cost depends on N: %d vs %d", small.Cycles(), big.Cycles())
 	}
@@ -56,8 +56,8 @@ func TestIdealAPConstantTimePass(t *testing.T) {
 func TestClearSpeedTiledPassScales(t *testing.T) {
 	small := NewMachine(ClearSpeedCSX600, 192)
 	big := NewMachine(ClearSpeedCSX600, 1920)
-	small.ParallelOp(5, func(i int) {})
-	big.ParallelOp(5, func(i int) {})
+	small.ParallelOp(5, func(*Machine, int) {})
+	big.ParallelOp(5, func(*Machine, int) {})
 	if big.Cycles() != 10*small.Cycles() {
 		t.Fatalf("tiled pass: %d vs %d (want 10x)", big.Cycles(), small.Cycles())
 	}
@@ -65,7 +65,7 @@ func TestClearSpeedTiledPassScales(t *testing.T) {
 
 func TestSearchAndReductions(t *testing.T) {
 	m := NewMachine(STARAN, 10)
-	m.Search(1, func(i int) bool { return i%2 == 0 })
+	m.Search(1, func(_ *Machine, i int) bool { return i%2 == 0 })
 	if got := m.CountResponders(); got != 5 {
 		t.Fatalf("CountResponders = %d, want 5", got)
 	}
@@ -79,7 +79,7 @@ func TestSearchAndReductions(t *testing.T) {
 	if got := m.FirstResponder(); got != 2 {
 		t.Fatalf("FirstResponder after clear = %d, want 2", got)
 	}
-	m.MaskAnd(func(i int) bool { return i > 5 })
+	m.MaskAnd(func(_ *Machine, i int) bool { return i > 5 })
 	if got := m.CountResponders(); got != 2 { // 6, 8
 		t.Fatalf("after MaskAnd: %d responders, want 2", got)
 	}
@@ -88,12 +88,12 @@ func TestSearchAndReductions(t *testing.T) {
 func TestMinMaxReduce(t *testing.T) {
 	m := NewMachine(STARAN, 6)
 	vals := []float64{5, 3, 9, 3, 7, 1}
-	m.Search(1, func(i int) bool { return i != 5 }) // exclude the 1
-	min, argMin := m.MinReduce(100, func(i int) float64 { return vals[i] })
+	m.Search(1, func(_ *Machine, i int) bool { return i != 5 }) // exclude the 1
+	min, argMin := m.MinReduce(100, func(_ *Machine, i int) float64 { return vals[i] })
 	if min != 3 || argMin != 1 {
 		t.Fatalf("MinReduce = (%v,%d), want (3,1) — lowest index wins ties", min, argMin)
 	}
-	max, argMax := m.MaxReduce(-100, func(i int) float64 { return vals[i] })
+	max, argMax := m.MaxReduce(-100, func(_ *Machine, i int) float64 { return vals[i] })
 	if max != 9 || argMax != 2 {
 		t.Fatalf("MaxReduce = (%v,%d), want (9,2)", max, argMax)
 	}
@@ -101,8 +101,8 @@ func TestMinMaxReduce(t *testing.T) {
 
 func TestReduceNoResponders(t *testing.T) {
 	m := NewMachine(STARAN, 4)
-	m.Search(1, func(i int) bool { return false })
-	min, arg := m.MinReduce(42, func(i int) float64 { return 0 })
+	m.Search(1, func(_ *Machine, i int) bool { return false })
+	min, arg := m.MinReduce(42, func(_ *Machine, i int) float64 { return 0 })
 	if min != 42 || arg != -1 {
 		t.Fatalf("MinReduce with no responders = (%v,%d)", min, arg)
 	}
@@ -116,7 +116,7 @@ func TestReduceNoResponders(t *testing.T) {
 
 func TestTimeConversion(t *testing.T) {
 	m := NewMachine(Profile{PEs: 0, ClockHz: 1e6, ArithCycles: 1}, 1)
-	m.ParallelOp(1000, func(i int) {}) // 1000 cycles at 1 MHz = 1 ms
+	m.ParallelOp(1000, func(*Machine, int) {}) // 1000 cycles at 1 MHz = 1 ms
 	if got := m.Time(); got != time.Millisecond {
 		t.Fatalf("Time = %v, want 1ms", got)
 	}
@@ -128,7 +128,7 @@ func TestTimeConversion(t *testing.T) {
 
 func TestZeroRecordMachine(t *testing.T) {
 	m := NewMachine(STARAN, 0)
-	m.Search(1, func(i int) bool { return true })
+	m.Search(1, func(_ *Machine, i int) bool { return true })
 	if m.CountResponders() != 0 || m.AnyResponder() {
 		t.Fatal("empty machine has responders")
 	}

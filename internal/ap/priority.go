@@ -19,10 +19,11 @@ func PriorityProgram(m *Machine, w *airspace.World) []int32 {
 	ac := w.Aircraft
 	m.LoadDatabase(2) // col flag and TimeTill planes
 
-	m.Search(1, func(i int) bool { return ac[i].Col })
+	m.args = operands{ac: ac}
+	m.Search(1, peCol)
 	var out []int32
 	for {
-		_, arg := m.MinReduce(airspace.SafeTime+1, func(i int) float64 { return ac[i].TimeTill })
+		_, arg := m.MinReduce(airspace.SafeTime+1, peTimeTill)
 		if arg < 0 {
 			break
 		}

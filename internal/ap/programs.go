@@ -12,6 +12,89 @@ import (
 // when the flight database enters PE memory.
 const databaseFields = 10
 
+// rotationSchedule is Task 3's heading schedule, computed once: it is
+// probed for every conflicted aircraft.
+var rotationSchedule = tasks.RotationSchedule()
+
+// operands are the broadcast values the programs' element bodies read.
+type operands struct {
+	ac []airspace.Aircraft
+	// rep and boxHalf are the radar report TrackProgram is correlating
+	// and the current pass's box half-width.
+	rep     *radar.Report
+	boxHalf float64
+	// idx and (vx, vy) are apScan's track and probed velocity; pruned
+	// narrows its search to candMask.
+	idx    int
+	vx, vy float64
+	pruned bool
+}
+
+// The programs' element bodies: one PE's step of a wide op, reading
+// the broadcast operands from m.args.
+
+func peExpected(m *Machine, i int) {
+	a := &m.args.ac[i]
+	a.ExpX = a.X + a.DX
+	a.ExpY = a.Y + a.DY
+	a.RMatch = airspace.MatchNone
+}
+
+// peInBox reports whether the radar being correlated lies inside the
+// current box around PE i's expected position.
+func peInBox(m *Machine, i int) bool {
+	a, rep, h := &m.args.ac[i], m.args.rep, m.args.boxHalf
+	return rep.RX > a.ExpX-h && rep.RX < a.ExpX+h &&
+		rep.RY > a.ExpY-h && rep.RY < a.ExpY+h
+}
+
+func peBoxEligible(m *Machine, i int) bool {
+	return m.args.ac[i].RMatch != airspace.MatchDiscarded && peInBox(m, i)
+}
+
+func pePaired(m *Machine, i int) bool { return m.args.ac[i].RMatch == airspace.MatchOne }
+
+func peBoxFree(m *Machine, i int) bool {
+	return m.args.ac[i].RMatch == airspace.MatchNone && peInBox(m, i)
+}
+
+func peDeadReckon(m *Machine, i int) {
+	a := &m.args.ac[i]
+	a.X, a.Y = a.ExpX, a.ExpY
+}
+
+func peWrap(m *Machine, i int) { airspace.Wrap(&m.args.ac[i]) }
+
+func peScanEligible(m *Machine, p int) bool {
+	if m.args.pruned && !m.candMask[p] {
+		return false
+	}
+	return p != m.args.idx && tasks.AltOverlap(&m.args.ac[m.args.idx], &m.args.ac[p])
+}
+
+// peConflictWindow stores in scratch the start of PE p's conflict
+// window with the track on its probed velocity, SafeTime for none.
+func peConflictWindow(m *Machine, p int) {
+	if !m.mask[p] {
+		return
+	}
+	track := &m.args.ac[m.args.idx]
+	tmin, tmax, ok := tasks.PairConflict(track.X, track.Y, m.args.vx, m.args.vy, &m.args.ac[p])
+	if ok && tmin < tmax {
+		m.scratch[p] = tmin
+	} else {
+		m.scratch[p] = airspace.SafeTime
+	}
+}
+
+func peCritical(m *Machine, p int) bool { return m.scratch[p] < airspace.SafeTime }
+
+func peTmin(m *Machine, p int) float64 { return m.scratch[p] }
+
+func peCol(m *Machine, i int) bool { return m.args.ac[i].Col }
+
+func peTimeTill(m *Machine, i int) float64 { return m.args.ac[i].TimeTill }
+
 // TrackProgram is the AP implementation of Task 1. The control unit
 // walks the radar list; for each still-unmatched radar it broadcasts
 // the measured position and performs one associative search over the
@@ -34,12 +117,8 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 	m.LoadDatabase(databaseFields)
 
 	// Expected positions and match-state reset: one wide operation.
-	m.ParallelOp(4, func(i int) {
-		a := &ac[i]
-		a.ExpX = a.X + a.DX
-		a.ExpY = a.Y + a.DY
-		a.RMatch = airspace.MatchNone
-	})
+	m.args = operands{ac: ac}
+	m.ParallelOp(4, peExpected)
 	f.Reset()
 	m.Scalar(f.N())
 
@@ -54,7 +133,7 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 		matchedRadar[i] = -1
 	}
 
-	boxHalf := tasks.InitialBoxHalf
+	m.args.boxHalf = tasks.InitialBoxHalf
 	for pass := 0; pass < tasks.BoxPasses; pass++ {
 		m.mark("ap.boxpass", int32(pass))
 		pending := 0
@@ -77,22 +156,16 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 				continue
 			}
 			m.Broadcast(3) // rx, ry, boxHalf
+			m.args.rep = rep
 
 			// Associative search: eligible aircraft whose expected
 			// position box contains the radar.
-			m.Search(6, func(i int) bool {
-				a := &ac[i]
-				if a.RMatch == airspace.MatchDiscarded {
-					return false
-				}
-				return rep.RX > a.ExpX-boxHalf && rep.RX < a.ExpX+boxHalf &&
-					rep.RY > a.ExpY-boxHalf && rep.RY < a.ExpY+boxHalf
-			})
+			m.Search(6, peBoxEligible)
 			st.Comparisons += len(ac)
 
 			// Withdraw responders that are already paired with another
 			// radar (Algorithm 1 line 8) and release those radars.
-			m.MaskAnd(func(i int) bool { return ac[i].RMatch == airspace.MatchOne })
+			m.MaskAnd(pePaired)
 			for {
 				k := m.FirstResponder()
 				if k < 0 {
@@ -109,14 +182,7 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 			}
 
 			// Re-search for the free responders and resolve the radar.
-			m.Search(6, func(i int) bool {
-				a := &ac[i]
-				if a.RMatch != airspace.MatchNone {
-					return false
-				}
-				return rep.RX > a.ExpX-boxHalf && rep.RX < a.ExpX+boxHalf &&
-					rep.RY > a.ExpY-boxHalf && rep.RY < a.ExpY+boxHalf
-			})
+			m.Search(6, peBoxFree)
 			switch c := m.CountResponders(); {
 			case c == 1:
 				k := m.FirstResponder()
@@ -132,17 +198,14 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 				m.Scalar(1)
 			}
 		}
-		boxHalf *= 2
+		m.args.boxHalf *= 2
 	}
 
 	// Commit: everyone dead-reckons, matched aircraft take the measured
 	// position, then field re-entry. The radar scatter is a sequential
 	// control-unit loop (radar data lives with the control unit).
 	m.mark("ap.commit", 0)
-	m.ParallelOp(2, func(i int) {
-		a := &ac[i]
-		a.X, a.Y = a.ExpX, a.ExpY
-	})
+	m.ParallelOp(2, peDeadReckon)
 	for j := range f.Reports {
 		rep := &f.Reports[j]
 		m.Scalar(2)
@@ -159,7 +222,7 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 			}
 		}
 	}
-	m.ParallelOp(4, func(i int) { airspace.Wrap(&ac[i]) })
+	m.ParallelOp(4, peWrap)
 	return st
 }
 
@@ -183,7 +246,6 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 // the criticality mask anyway.
 func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.DetectStats, view *broadphase.View) (earliest float64, with int32, critical bool) {
 	ac := w.Aircraft
-	track := &ac[idx]
 	m.Broadcast(5) // x, y, vx, vy, alt
 
 	// tmin per PE, computed by the wide Batcher evaluation.
@@ -191,7 +253,6 @@ func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.De
 	if len(m.scratch) < len(ac) {
 		m.scratch = make([]float64, len(ac))
 	}
-	tm := m.scratch
 
 	pruned := view != nil
 	var cand []int32
@@ -207,12 +268,8 @@ func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.De
 		m.Scalar(len(cand))
 	}
 
-	m.Search(2, func(p int) bool {
-		if pruned && !m.candMask[p] {
-			return false
-		}
-		return p != idx && tasks.AltOverlap(track, &ac[p])
-	})
+	m.args = operands{ac: ac, idx: idx, vx: vx, vy: vy, pruned: pruned}
+	m.Search(2, peScanEligible)
 	for _, p := range cand {
 		m.candMask[p] = false
 	}
@@ -226,20 +283,10 @@ func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.De
 
 	// Wide evaluation of Equations 1-6 (the 4 divisions, the interval
 	// intersection and the horizon clip): ~14 word operations.
-	m.ParallelOp(14, func(p int) {
-		if !m.mask[p] {
-			return
-		}
-		tmin, tmax, ok := tasks.PairConflict(track.X, track.Y, vx, vy, &ac[p])
-		if ok && tmin < tmax {
-			tm[p] = tmin
-		} else {
-			tm[p] = airspace.SafeTime
-		}
-	})
-	m.MaskAnd(func(p int) bool { return tm[p] < airspace.SafeTime })
+	m.ParallelOp(14, peConflictWindow)
+	m.MaskAnd(peCritical)
 
-	earliest, arg := m.MinReduce(airspace.SafeTime, func(p int) float64 { return tm[p] })
+	earliest, arg := m.MinReduce(airspace.SafeTime, peTmin)
 	with = airspace.NoConflict
 	if arg >= 0 {
 		with = int32(arg)
@@ -302,7 +349,7 @@ func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.Pair
 
 		base := geom.Vec2{X: track.DX, Y: track.DY}
 		resolved := false
-		for _, deg := range tasks.RotationSchedule() {
+		for _, deg := range rotationSchedule {
 			st.Rotations++
 			m.Scalar(8) // rotate on the control unit
 			v := base.Rotate(deg)

@@ -111,24 +111,21 @@ func ReachAt(dx, dy float64) float64 {
 	return math.Hypot(dx, dy)*PruneHorizon + airspace.SepTotal/2 + slack
 }
 
-// Registry names of the three sources.
+// Registry names of the two sources.
 const (
 	BruteName = "brute"
-	GridName  = "grid"
 	SweepName = "sweep"
 )
 
 // Names returns the registry names in presentation order (the oracle
 // first).
-func Names() []string { return []string{BruteName, GridName, SweepName} }
+func Names() []string { return []string{BruteName, SweepName} }
 
 // New constructs the named pair source with default parameters.
 func New(name string) (PairSource, error) {
 	switch name {
 	case BruteName:
 		return NewBrute(), nil
-	case GridName:
-		return NewGrid(), nil
 	case SweepName:
 		return newBinnedSweep(), nil
 	}

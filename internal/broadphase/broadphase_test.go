@@ -2,6 +2,7 @@ package broadphase_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/airspace"
@@ -74,8 +75,8 @@ func checkWorldsEqual(t *testing.T, label string, want, got *airspace.World) {
 }
 
 // TestSourcesAgree is the core exactness property: on randomized worlds
-// of varying size and density, Detect and DetectResolve under Brute,
-// Grid, and Sweep must produce bit-identical results to the all-pairs
+// of varying size and density, Detect and DetectResolve under Brute and
+// the production Sweep must produce bit-identical results to the all-pairs
 // reference — same conflict count, same earliest-critical pairs, same
 // committed resolution courses.
 func TestSourcesAgree(t *testing.T) {
@@ -112,14 +113,18 @@ func TestSourcesAgree(t *testing.T) {
 	}
 }
 
-// TestGridSeamWraparound pins the torus-folding behaviour of the grid:
-// traffic clustered right at the (x, y) -> (-x, -y) field exit seam —
-// aircraft sitting just inside opposite edges and corners, with
-// envelopes spilling past them — must detect and resolve exactly like
-// Brute, and the grid's candidate sets must remain supersets of every
-// critically conflicting pair.
+// TestGridSeamWraparound pins both sweeps at the (x, y) -> (-x, -y)
+// field exit seam: traffic parked just inside opposite edges and
+// corners, with envelopes spilling past them, must detect and resolve
+// exactly like Brute under the production sweep and the NewSweep
+// reference, and every critically conflicting pair must be in the
+// production sweep's table row and in both sweeps' per-track queries.
 func TestGridSeamWraparound(t *testing.T) {
 	r := rng.New(0x5ea3)
+	sweeps := []struct {
+		name string
+		new  func() *broadphase.Sweep
+	}{{"sweep", newSweep}, {"reference-sweep", broadphase.NewSweep}}
 	for trial := 0; trial < 40; trial++ {
 		n := 60 + r.IntN(120)
 		w := airspace.NewWorld(n, r.Split())
@@ -143,28 +148,39 @@ func TestGridSeamWraparound(t *testing.T) {
 			a.Alt = 25000 + r.Range(0, 400)
 		}
 
-		grid := broadphase.NewGrid()
 		refDet := w.Clone()
 		refSt := tasks.DetectWith(refDet, broadphase.NewBrute())
-		gw := w.Clone()
-		gst := tasks.DetectWith(gw, grid)
-		checkStatsEqual(t, "seam/detect", refSt, gst)
-		checkWorldsEqual(t, "seam/detect", refDet, gw)
-
 		refRes := w.Clone()
 		refResSt := tasks.DetectResolveWith(refRes, nil)
-		gr := w.Clone()
-		grSt := tasks.DetectResolveWith(gr, broadphase.NewGrid())
-		checkStatsEqual(t, "seam/resolve", refResSt, grSt)
-		checkWorldsEqual(t, "seam/resolve", refRes, gr)
+		for _, s := range sweeps {
+			gw := w.Clone()
+			checkStatsEqual(t, s.name+" seam/detect", refSt, tasks.DetectWith(gw, s.new()))
+			checkWorldsEqual(t, s.name+" seam/detect", refDet, gw)
+			gr := w.Clone()
+			checkStatsEqual(t, s.name+" seam/resolve", refResSt, tasks.DetectResolveWith(gr, s.new()))
+			checkWorldsEqual(t, s.name+" seam/resolve", refRes, gr)
+		}
 
 		// Explicit superset check on the original snapshot: every pair
 		// whose conflict window opens before the prune horizon must be
-		// in the grid's candidate set.
-		grid.Prepare(w)
+		// in every candidate set served for the track.
+		prod, ref := newSweep(), broadphase.NewSweep()
+		prod.Prepare(w)
+		ref.Prepare(w)
+		tab := prod.PrepareTable()
+		if tab == nil {
+			t.Fatalf("trial %d: the production sweep built no table for %d aircraft", trial, n)
+		}
 		for i := range w.Aircraft {
 			a := &w.Aircraft[i]
-			cand := grid.Candidates(w, a)
+			sets := []struct {
+				name string
+				cand []int32
+			}{
+				{"sweep table row", tab.Candidates(i)},
+				{"sweep query", prod.AppendCandidates(nil, w, a)},
+				{"reference-sweep query", ref.AppendCandidates(nil, w, a)},
+			}
 			for j := range w.Aircraft {
 				if i == j {
 					continue
@@ -177,9 +193,11 @@ func TestGridSeamWraparound(t *testing.T) {
 				if !ok || tmin >= tmax || tmin >= broadphase.PruneHorizon {
 					continue
 				}
-				if !containsID(cand, int32(j)) {
-					t.Fatalf("trial %d: grid dropped critical pair (%d, %d) with tmin %v: candidates %v",
-						trial, i, j, tmin, cand)
+				for _, set := range sets {
+					if !containsID(set.cand, int32(j)) {
+						t.Fatalf("trial %d: %s dropped critical pair (%d, %d) with tmin %v: candidates %v",
+							trial, set.name, i, j, tmin, set.cand)
+					}
 				}
 			}
 		}
@@ -258,26 +276,51 @@ func TestEmptyAndTinyWorlds(t *testing.T) {
 	}
 }
 
+// TestFixedCellGridAgrees holds the production sweep to the all-pairs
+// run on one random world squeezed onto its 8 nm bins at three scales:
+// every aircraft inside one cell, the aircraft filling one cell row,
+// and the aircraft spread over the field.
 func TestFixedCellGridAgrees(t *testing.T) {
 	r := rng.New(0xce11)
-	base := randomWorld(r, 120, 0.2)
-	ref := base.Clone()
-	refSt := tasks.DetectResolveWith(ref, nil)
-	for _, cell := range []float64{4, 16, 100, 500} {
+	base := randomWorld(r, 120, 1)
+	// intoCell maps a setup coordinate into the cell [0, 8) nm, clear of
+	// its edges.
+	intoCell := func(v float64) float64 { return 0.5 + 7*(v+airspace.SetupHalf)/(2*airspace.SetupHalf) }
+	for _, c := range []struct {
+		name         string
+		cellX, cellY bool
+	}{{"one cell", true, true}, {"one cell row", false, true}, {"field", false, false}} {
 		w := base.Clone()
-		st := tasks.DetectResolveWith(w, broadphase.NewGridCell(cell))
-		checkStatsEqual(t, "fixed-cell", refSt, st)
-		checkWorldsEqual(t, "fixed-cell", ref, w)
+		for i := range w.Aircraft {
+			a := &w.Aircraft[i]
+			if c.cellX {
+				a.X = intoCell(a.X)
+			}
+			if c.cellY {
+				a.Y = intoCell(a.Y)
+			}
+		}
+		ref := w.Clone()
+		refSt := tasks.DetectResolveWith(ref, nil)
+		st := tasks.DetectResolveWith(w, newSweep())
+		checkStatsEqual(t, c.name, refSt, st)
+		checkWorldsEqual(t, c.name, ref, w)
 	}
 }
 
+// TestNewGridCellPanicsOnNonPositive pins the removal of the grid
+// source: the registry rejects "grid" like any unknown name and lists
+// the known ones.
 func TestNewGridCellPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewGridCell(0) did not panic")
+	_, err := broadphase.New("grid")
+	if err == nil {
+		t.Fatal(`New("grid") did not error`)
+	}
+	for _, name := range broadphase.Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
 		}
-	}()
-	broadphase.NewGridCell(0)
+	}
 }
 
 func TestRegistry(t *testing.T) {
@@ -293,15 +336,13 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestPruningPrunes guards against the trivial "return everything"
-// implementation: on a sparse full-field world the pruned sources must
-// evaluate strictly fewer pairs than brute force.
+// implementation: on a sparse full-field world the sweep must evaluate
+// strictly fewer pairs than brute force.
 func TestPruningPrunes(t *testing.T) {
 	w := airspace.NewWorld(2000, rng.New(42))
 	brute := tasks.DetectWith(w.Clone(), broadphase.NewBrute())
-	for _, name := range []string{broadphase.GridName, broadphase.SweepName} {
-		st := tasks.DetectWith(w.Clone(), broadphase.MustNew(name))
-		if st.PairChecks >= brute.PairChecks {
-			t.Errorf("%s: %d pair checks, brute %d — no pruning", name, st.PairChecks, brute.PairChecks)
-		}
+	st := tasks.DetectWith(w.Clone(), broadphase.MustNew(broadphase.SweepName))
+	if st.PairChecks >= brute.PairChecks {
+		t.Errorf("sweep: %d pair checks, brute %d — no pruning", st.PairChecks, brute.PairChecks)
 	}
 }

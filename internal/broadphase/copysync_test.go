@@ -7,7 +7,7 @@ import (
 )
 
 // TestNoByValueSyncFields is the regression test for the sync.Pool copy
-// hazard: Sweep and Grid used to embed their scratch pool by value, so
+// hazard: the sweep used to embed its scratch pool by value, so
 // any copy of the struct silently duplicated pool state (and vet's
 // copylocks only fires on an actual copy expression, which reuse
 // patterns like CloneInto-style helpers can introduce later without
@@ -42,7 +42,7 @@ func TestNoByValueSyncFields(t *testing.T) {
 		}
 	}
 	for _, src := range []PairSource{
-		NewBrute(), NewGrid(), NewGridCell(16), NewSweep(), newBinnedSweep(), NewCounted(NewSweep()),
+		NewBrute(), NewSweep(), newBinnedSweep(), NewCounted(NewSweep()),
 	} {
 		typ := reflect.TypeOf(src).Elem()
 		check(t, typ, typ.Name())
@@ -50,17 +50,12 @@ func TestNoByValueSyncFields(t *testing.T) {
 }
 
 // TestScratchPoolSharedAcrossCopies pins the fix's behaviour: because
-// the pool is now held by pointer, a shallow copy of the index struct
+// the pool is held by pointer, a shallow copy of the index struct
 // shares scratch state with the original instead of forking it.
 func TestScratchPoolSharedAcrossCopies(t *testing.T) {
 	s := NewSweep()
 	dup := *s
 	if s.scratch != dup.scratch {
 		t.Fatal("copied Sweep does not share the scratch pool")
-	}
-	g := NewGrid()
-	gdup := *g
-	if g.scratch != gdup.scratch {
-		t.Fatal("copied Grid does not share the scratch pool")
 	}
 }

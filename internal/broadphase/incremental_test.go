@@ -83,7 +83,7 @@ func TestIncrementalSweepCandidatesIdentical(t *testing.T) {
 }
 
 // TestIncrementalSweepDetectionAgrees drives full detection/resolution
-// through a mutation sequence under brute, grid, the reference sweep and
+// through a mutation sequence under brute, the reference sweep and
 // the production sweep at workers {1, 3, 8}: every period, every
 // source, every worker count must produce the bit-identical world the
 // all-pairs serial reference produces.
@@ -103,7 +103,6 @@ func TestIncrementalSweepDetectionAgrees(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		lanes = append(lanes,
 			&lane{"brute", broadphase.NewBrute(), workers, base.Clone()},
-			&lane{"grid", broadphase.NewGrid(), workers, base.Clone()},
 			&lane{"reference-sweep", broadphase.NewSweep(), workers, base.Clone()},
 			&lane{"sweep", newSweep(), workers, base.Clone()},
 		)
@@ -216,8 +215,8 @@ func TestMaintainerOf(t *testing.T) {
 			t.Fatal("MaintainerOf failed to unwrap Counted")
 		}
 	}
-	if m := broadphase.MaintainerOf(broadphase.NewCounted(broadphase.NewGrid())); m != nil {
-		t.Fatal("grid has no Maintainer; MaintainerOf must return nil")
+	if m := broadphase.MaintainerOf(broadphase.NewCounted(broadphase.NewBrute())); m != nil {
+		t.Fatal("brute has no Maintainer; MaintainerOf must return nil")
 	}
 	if m := broadphase.MaintainerOf(nil); m != nil {
 		t.Fatal("MaintainerOf(nil) must be nil")

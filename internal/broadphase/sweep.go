@@ -104,8 +104,8 @@ func (o *sweepOrder) Len() int           { return len(o.order) }
 func (o *sweepOrder) Less(a, b int) bool { return o.lox[o.order[a]] < o.lox[o.order[b]] }
 func (o *sweepOrder) Swap(a, b int)      { o.order[a], o.order[b] = o.order[b], o.order[a] }
 
-// sweepScratch accumulates one query's candidates as a bitmap, exactly
-// as gridScratch does: the window walk finds hits in x order and the
+// sweepScratch accumulates one query's candidates as a bitmap, one bit
+// per aircraft index: the window walk finds hits in x order and the
 // binned walk in cell order, and the trailing-zeros walk re-emits them
 // in the ascending index order the scan's tie-break requires without a
 // per-query comparison sort.

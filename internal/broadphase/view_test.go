@@ -12,10 +12,10 @@ import (
 
 // TestPrepareView drives the entry point through a Counted decorator,
 // as core installs sources, over two invocations: the production sweep
-// is maintained and serves table rows, a grid is not maintained and
-// queries per track; both must return exactly what a per-track query
-// on a fresh reference source returns, and the decorator must tally
-// the traffic the view generated.
+// is maintained and serves table rows, the reference sweep is not
+// maintained and queries per track; both must return exactly what a
+// per-track query on a fresh reference source returns, and the
+// decorator must tally the traffic the view generated.
 func TestPrepareView(t *testing.T) {
 	w := airspace.NewWorld(700, rng.New(41))
 	cols := &airspace.Columns{}
@@ -27,7 +27,7 @@ func TestPrepareView(t *testing.T) {
 		maintained bool
 	}{
 		{"sweep", broadphase.MustNew(broadphase.SweepName), broadphase.NewSweep(), true},
-		{"grid", broadphase.NewGrid(), broadphase.NewGrid(), false},
+		{"reference-sweep", broadphase.NewSweep(), broadphase.NewSweep(), false},
 	}
 	for _, c := range cases {
 		counted := broadphase.NewCounted(c.src)

@@ -46,8 +46,8 @@ type Config struct {
 	// paper's uniform random setup, bit-exactly. Invalid specs panic;
 	// front ends reject them first through RunParams.Validate.
 	Scenario string
-	// PairSource selects a broadphase pair source ("brute", "grid",
-	// "sweep") for platforms that support pruned Tasks 2-3 scans; the
+	// PairSource selects a broadphase pair source ("brute", "sweep")
+	// for platforms that support pruned Tasks 2-3 scans; the
 	// empty string keeps the paper's all-pairs kernels. Unknown names
 	// panic.
 	PairSource string

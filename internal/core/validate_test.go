@@ -7,7 +7,7 @@ import (
 )
 
 func validParams() RunParams {
-	return RunParams{Platform: "titanx", N: 1000, Periods: 16, Workers: 0, PairSource: "grid"}
+	return RunParams{Platform: "titanx", N: 1000, Periods: 16, Workers: 0, PairSource: "sweep"}
 }
 
 func TestValidateAccepts(t *testing.T) {

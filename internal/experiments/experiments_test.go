@@ -346,25 +346,23 @@ func TestBroadphaseTable(t *testing.T) {
 	if len(brute.Points) != len(ns) {
 		t.Fatalf("brute has %d points, want %d", len(brute.Points), len(ns))
 	}
-	// The pruned sources must evaluate strictly fewer pairs than brute
-	// at every sweep point, and every source must report a wall time.
-	for _, name := range []string{"grid", "sweep"} {
-		pruned := d.Get("pairs:" + name)
-		if pruned == nil {
-			t.Fatalf("missing series pairs:%s", name)
+	// The sweep must evaluate strictly fewer pairs than brute at every
+	// sweep point and report a wall time for each.
+	pruned := d.Get("pairs:sweep")
+	if pruned == nil {
+		t.Fatalf("missing series pairs:sweep: %+v", d.Series)
+	}
+	for i := range brute.Points {
+		if pruned.Points[i].X != brute.Points[i].X {
+			t.Fatalf("sweep: x mismatch at %d: %+v vs %+v", i, pruned.Points[i], brute.Points[i])
 		}
-		for i := range brute.Points {
-			if pruned.Points[i].X != brute.Points[i].X {
-				t.Fatalf("%s: sweep mismatch at %d: %+v vs %+v", name, i, pruned.Points[i], brute.Points[i])
-			}
-			if pruned.Points[i].Y >= brute.Points[i].Y {
-				t.Errorf("%s evaluates %v pairs at n=%v, brute %v — no pruning",
-					name, pruned.Points[i].Y, pruned.Points[i].X, brute.Points[i].Y)
-			}
+		if pruned.Points[i].Y >= brute.Points[i].Y {
+			t.Errorf("sweep evaluates %v pairs at n=%v, brute %v — no pruning",
+				pruned.Points[i].Y, pruned.Points[i].X, brute.Points[i].Y)
 		}
-		if ms := d.Get("ms:" + name); ms == nil || len(ms.Points) != len(pruned.Points) {
-			t.Fatalf("ms:%s series malformed", name)
-		}
+	}
+	if ms := d.Get("ms:sweep"); ms == nil || len(ms.Points) != len(pruned.Points) {
+		t.Fatal("ms:sweep series malformed")
 	}
 }
 

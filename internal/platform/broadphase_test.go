@@ -66,7 +66,7 @@ func TestPairSourcePrunesModeledTime(t *testing.T) {
 		dRef := MustNew(name, 5).DetectResolve(ref)
 
 		p := MustNew(name, 5)
-		p.(PairSourced).SetPairSource(broadphase.NewGrid())
+		p.(PairSourced).SetPairSource(broadphase.MustNew(broadphase.SweepName))
 		w := base.Clone()
 		dPruned := p.DetectResolve(w)
 		if dPruned >= dRef {

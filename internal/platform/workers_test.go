@@ -52,7 +52,7 @@ func TestWorkersInvariance(t *testing.T) {
 		// registry name), which the executors query per track; "sweep"
 		// serves them from its candidate table. Each run constructs its
 		// own source, so the sweep lane exercises the first-Prepare build.
-		for _, srcName := range []string{"", broadphase.GridName, broadphase.SweepName, "rebuild-sweep"} {
+		for _, srcName := range []string{"", broadphase.SweepName, "rebuild-sweep"} {
 			run := func(workers int) outcome {
 				p := MustNew(name, 77)
 				p.(Workered).SetWorkers(workers)

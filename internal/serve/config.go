@@ -39,7 +39,7 @@ type RunRequest struct {
 	// 0 selects one 16-period major cycle.
 	Periods int `json:"periods,omitempty"`
 	// PairSource optionally routes Tasks 2-3 through a broad-phase
-	// source ("brute", "grid", "sweep"); empty keeps the paper's
+	// source ("brute", "sweep"); empty keeps the paper's
 	// all-pairs kernels.
 	PairSource string `json:"pair_source,omitempty"`
 	// Scenario selects the traffic workload as a scenario spec string

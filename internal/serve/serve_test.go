@@ -91,7 +91,7 @@ func TestCachedAndFreshResponsesByteIdentical(t *testing.T) {
 // acceptance criterion: responses are byte-identical at any host
 // worker count, including with a telemetry export embedded.
 func TestByteIdenticalAcrossWorkers(t *testing.T) {
-	query := testQuery + "&pairsource=grid&telemetry=jsonl"
+	query := testQuery + "&pairsource=sweep&telemetry=jsonl"
 	var bodies [][]byte
 	for _, workers := range []int{1, 3} {
 		_, ts := newTestServer(t, Options{Workers: workers})
@@ -407,6 +407,7 @@ func TestValidationErrors(t *testing.T) {
 		{"negative periods", "/v1/simulate?platform=titanx&n=100&periods=-1"},
 		{"bad n syntax", "/v1/simulate?platform=titanx&n=lots"},
 		{"unknown pair source", "/v1/simulate?platform=titanx&n=100&pairsource=octree"},
+		{"removed grid source", "/v1/simulate?platform=titanx&n=100&pairsource=grid"},
 		{"unknown detail", "/v1/simulate?platform=titanx&n=100&detail=verbose"},
 		{"unknown telemetry", "/v1/simulate?platform=titanx&n=100&telemetry=xml"},
 		{"over max n", "/v1/simulate?platform=titanx&n=60000"},

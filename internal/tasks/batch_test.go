@@ -111,7 +111,7 @@ func scalarDetectResolve(w *airspace.World, src broadphase.PairSource) DetectSta
 // reference on the same source, at every worker count, through several
 // consecutive detection rounds (so commits made by one round feed the
 // next, exercising table reuse against a fresh index). Every source
-// runs: the all-pairs scan, brute, grid, and the production sweep,
+// runs: the all-pairs scan, brute, and the production sweep,
 // whose reference is the rebuild sweep. One uniform trial runs at
 // N=1100, where the table spans five segments, and one dense cluster at
 // N=2200, whose ~2170 candidates per track pass the table's size limit,
@@ -140,7 +140,6 @@ func TestBatchedKernelMatchesScalar(t *testing.T) {
 	}{
 		{"all-pairs", func() broadphase.PairSource { return nil }, func() broadphase.PairSource { return nil }},
 		{"brute", func() broadphase.PairSource { return broadphase.NewBrute() }, func() broadphase.PairSource { return broadphase.NewBrute() }},
-		{"grid", func() broadphase.PairSource { return broadphase.NewGrid() }, func() broadphase.PairSource { return broadphase.NewGrid() }},
 		{"sweep", func() broadphase.PairSource { return broadphase.NewSweep() }, func() broadphase.PairSource { return broadphase.MustNew(broadphase.SweepName) }},
 	}
 	pools := []*parexec.Pool{parexec.NewPool(1), parexec.NewPool(3), parexec.NewPool(8)}

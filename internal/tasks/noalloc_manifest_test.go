@@ -33,12 +33,14 @@ type noallocSpec struct {
 var noallocContract = map[string]noallocSpec{
 	"dirtyInteracts":         {decl: true},
 	"correlateRadarFallback": {decl: true},
-	"correlateParallel":      {closures: 4}, // expected-pos, box-search, commit, wrap phases
+	// Task 1's persistent phase body: expected positions, box hits,
+	// commit and wrap.
+	"corrJob.Chunk": {decl: true},
 	// The Tasks 2-3 runner, batch.go: the batched kernel, one scan, and
-	// scanJob's parallel scan body (Chunk).
-	"scanTableBatch": {decl: true},
-	"scanOne":        {decl: true},
-	"Chunk":          {decl: true},
+	// the parallel scan body.
+	"scanTableBatch":        {decl: true},
+	"detectScratch.scanOne": {decl: true},
+	"scanJob.Chunk":         {decl: true},
 }
 
 // TestNoallocManifestMatchesDirectives parses this package's sources
@@ -74,6 +76,17 @@ func TestNoallocManifestMatchesDirectives(t *testing.T) {
 			if !ok {
 				continue
 			}
+			name := fd.Name.Name
+			if fd.Recv != nil {
+				// Methods are keyed Type.Method.
+				typ := fd.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
 			spec := noallocSpec{}
 			for _, pos := range marks {
 				switch {
@@ -84,7 +97,7 @@ func TestNoallocManifestMatchesDirectives(t *testing.T) {
 				}
 			}
 			if spec.decl || spec.closures > 0 {
-				got[fd.Name.Name] = spec
+				got[name] = spec
 			}
 		}
 	}

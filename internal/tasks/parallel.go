@@ -4,12 +4,14 @@
 //
 // Parallelism here is about the simulator's wall clock only: every
 // modeled-time figure is derived from operation tallies elsewhere, and
-// every parallel form is bit-for-bit identical to the serial reference
-// at any worker count. The construction is phased: a
-// parallel phase computes per-item results that depend only on state
-// the task never mutates, and a serial phase replays the reference
-// control flow in aircraft-index (or radar-index) order, consuming the
-// precomputed results instead of recomputing them.
+// every phased body is bit-for-bit identical to the sequential
+// algorithm at any worker count, including one, where parexec runs
+// each phase inline; the tests keep the sequential algorithms as
+// oracles. The construction is phased: a parallel phase computes
+// per-item results that depend only on state the task never mutates,
+// and a serial phase replays the reference control flow in
+// aircraft-index (or radar-index) order, consuming the precomputed
+// results instead of recomputing them.
 //
 // Why that is exact, per task:
 //
@@ -174,6 +176,8 @@ type corrScratch struct {
 	owner     []int32
 	withdrawn []int32
 	bufs      []workerBuf
+	// job is the persistent body of every fanned-out phase.
+	job corrJob
 }
 
 var corrScratchPool sync.Pool
@@ -206,41 +210,27 @@ func CorrelateExec(w *airspace.World, f *radar.Frame, pool *parexec.Pool) Correl
 }
 
 // CorrelateNExec is CorrelateN on an explicit engine pool; nil means
-// the process default. Results are identical at any worker count.
+// the process default. It runs Algorithm 1 with the per-pass
+// bounding-box search fanned out per radar and a serial replay of the
+// matching state machine (see the file comment for the exactness
+// argument); at one worker every phase runs inline. Results are
+// identical at any worker count.
+//
+//atm:ordered-merge
 func CorrelateNExec(w *airspace.World, f *radar.Frame, passes int, pool *parexec.Pool) CorrelateStats {
 	if passes < 1 {
 		panic("tasks: CorrelateN needs at least one pass")
 	}
 	p := parexec.Resolve(pool)
 	var st CorrelateStats
-	if p.Workers() == 1 {
-		correlateSerial(w, f, passes, &st)
-		return st
-	}
-	correlateParallel(w, f, passes, p, &st)
-	return st
-}
-
-// correlateParallel is Task 1 with the per-pass bounding-box search
-// fanned out per radar and a serial replay of the matching state
-// machine (see the file comment for the exactness argument).
-//
-//atm:ordered-merge
-func correlateParallel(w *airspace.World, f *radar.Frame, passes int, p *parexec.Pool, st *CorrelateStats) {
 	n := w.N()
 	nr := len(f.Reports)
 	sc := getCorrScratch(nr, p.Workers())
 	defer putCorrScratch(sc)
+	job := &sc.job
+	*job = corrJob{sc: sc, w: w, f: f}
 
-	//atm:noalloc
-	p.Run(n, elemGrain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := &w.Aircraft[i]
-			a.ExpX = a.X + a.DX
-			a.ExpY = a.Y + a.DY
-			a.RMatch = airspace.MatchNone
-		}
-	})
+	job.run(p, corrExpected, n, elemGrain)
 	f.Reset()
 
 	withdrawn := sc.withdrawn[:0]
@@ -259,35 +249,11 @@ func correlateParallel(w *airspace.World, f *radar.Frame, passes int, p *parexec
 			break
 		}
 
-		// Parallel phase: geometric box-hit candidates for every radar
-		// still unmatched at pass start. Expected positions and the box
-		// size are fixed for the whole pass, so the lists cannot go
-		// stale; eligibility (withdrawals, earlier matches) is dynamic
-		// and left to the replay.
 		for wk := range sc.bufs {
 			sc.bufs[wk].cand = sc.bufs[wk].cand[:0]
 		}
-		//atm:noalloc
-		p.Run(nr, radarGrain, func(worker, lo, hi int) {
-			buf := sc.bufs[worker].cand
-			for j := lo; j < hi; j++ {
-				rep := &f.Reports[j]
-				if rep.MatchWith != radar.Unmatched {
-					sc.start[j] = -1
-					continue
-				}
-				s := int32(len(buf))
-				for q := range w.Aircraft {
-					if inBox(rep, &w.Aircraft[q], boxHalf) {
-						buf = append(buf, int32(q))
-					}
-				}
-				sc.start[j] = s
-				sc.length[j] = int32(len(buf)) - s
-				sc.owner[j] = int32(worker)
-			}
-			sc.bufs[worker].cand = buf
-		})
+		job.boxHalf = boxHalf
+		job.run(p, corrBoxHits, nr, radarGrain)
 
 		// Serial replay in radar-index order.
 		for j := range f.Reports {
@@ -298,7 +264,7 @@ func correlateParallel(w *airspace.World, f *radar.Frame, passes int, p *parexec
 			if sc.start[j] < 0 {
 				// Released mid-pass by a withdrawal: no precomputed
 				// list, run the reference inner loop.
-				correlateRadarFallback(w, f, rep, boxHalf, st, &withdrawn)
+				correlateRadarFallback(w, f, rep, boxHalf, &st, &withdrawn)
 				continue
 			}
 			priorWithdrawn := len(withdrawn)
@@ -354,13 +320,7 @@ func correlateParallel(w *airspace.World, f *radar.Frame, passes int, p *parexec
 
 	// Commit (line 12) and field re-entry, with the element-wise
 	// aircraft loops fanned out and the radar loop serial.
-	//atm:noalloc
-	p.Run(n, elemGrain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := &w.Aircraft[i]
-			a.X, a.Y = a.ExpX, a.ExpY
-		}
-	})
+	job.run(p, corrCommit, n, elemGrain)
 	for i := range f.Reports {
 		rep := &f.Reports[i]
 		switch rep.MatchWith {
@@ -376,12 +336,85 @@ func correlateParallel(w *airspace.World, f *radar.Frame, passes int, p *parexec
 			}
 		}
 	}
-	//atm:noalloc
-	p.Run(n, elemGrain, func(_, lo, hi int) {
+	job.run(p, corrWrap, n, elemGrain)
+	return st
+}
+
+// corrPhase selects the phase a corrJob runs.
+type corrPhase uint8
+
+const (
+	corrExpected corrPhase = iota // expected positions, match reset
+	corrBoxHits                   // one pass's box hits, per radar
+	corrCommit                    // every aircraft takes its expected position
+	corrWrap                      // field re-entry
+)
+
+// corrJob is the persistent body of Correlate's fanned-out phases,
+// held in corrScratch so that dispatching a phase allocates nothing.
+type corrJob struct {
+	sc      *corrScratch
+	w       *airspace.World
+	f       *radar.Frame
+	boxHalf float64
+	phase   corrPhase
+}
+
+// run dispatches one phase over [0, n).
+func (j *corrJob) run(p *parexec.Pool, phase corrPhase, n, grain int) {
+	j.phase = phase
+	p.RunBody(n, grain, j)
+}
+
+// Chunk runs the job's phase over aircraft [lo, hi), or over radars
+// [lo, hi) in the box-hit phase.
+//
+//atm:noalloc
+func (j *corrJob) Chunk(worker, lo, hi int) {
+	ac := j.w.Aircraft
+	switch j.phase {
+	case corrExpected:
 		for i := lo; i < hi; i++ {
-			airspace.Wrap(&w.Aircraft[i])
+			a := &ac[i]
+			a.ExpX = a.X + a.DX
+			a.ExpY = a.Y + a.DY
+			a.RMatch = airspace.MatchNone
 		}
-	})
+	case corrBoxHits:
+		// Geometric box hits for every radar still unmatched at pass
+		// start. Expected positions and the box size are fixed for the
+		// whole pass, so the lists cannot go stale; eligibility
+		// (withdrawals, earlier matches) is dynamic and left to the
+		// replay.
+		sc := j.sc
+		buf := sc.bufs[worker].cand
+		for r := lo; r < hi; r++ {
+			rep := &j.f.Reports[r]
+			if rep.MatchWith != radar.Unmatched {
+				sc.start[r] = -1
+				continue
+			}
+			s := int32(len(buf))
+			for q := range ac {
+				if inBox(rep, &ac[q], j.boxHalf) {
+					buf = append(buf, int32(q))
+				}
+			}
+			sc.start[r] = s
+			sc.length[r] = int32(len(buf)) - s
+			sc.owner[r] = int32(worker)
+		}
+		sc.bufs[worker].cand = buf
+	case corrCommit:
+		for i := lo; i < hi; i++ {
+			a := &ac[i]
+			a.X, a.Y = a.ExpX, a.ExpY
+		}
+	case corrWrap:
+		for i := lo; i < hi; i++ {
+			airspace.Wrap(&ac[i])
+		}
+	}
 }
 
 // correlateRadarFallback scans one radar against every aircraft with

@@ -26,6 +26,97 @@ func newTestSource(name string) broadphase.PairSource {
 	return broadphase.MustNew(name)
 }
 
+// scalarCorrelate is the scalar reference of Task 1, Algorithm 1 as
+// written: expected positions, then per pass every still-unmatched
+// radar tested against every still-eligible aircraft in index order,
+// then the commit of line 12 and field re-entry.
+func scalarCorrelate(w *airspace.World, f *radar.Frame, passes int) CorrelateStats {
+	var st CorrelateStats
+	w.ComputeExpected()
+	for i := range w.Aircraft {
+		w.Aircraft[i].RMatch = airspace.MatchNone
+	}
+	f.Reset()
+
+	boxHalf := InitialBoxHalf
+	for pass := 0; pass < passes; pass++ {
+		pending := 0
+		for i := range f.Reports {
+			if f.Reports[i].MatchWith == radar.Unmatched {
+				pending++
+			}
+		}
+		if pass < BoxPasses {
+			st.PassRadars[pass] = pending
+		}
+		if pending == 0 {
+			break
+		}
+		for i := range f.Reports {
+			rep := &f.Reports[i]
+			if rep.MatchWith != radar.Unmatched {
+				continue
+			}
+			for p := range w.Aircraft {
+				a := &w.Aircraft[p]
+				if a.RMatch != airspace.MatchNone && a.RMatch != airspace.MatchOne {
+					continue // withdrawn aircraft are out of the search
+				}
+				st.Comparisons++
+				if !inBox(rep, a, boxHalf) {
+					continue
+				}
+				switch a.RMatch {
+				case airspace.MatchNone:
+					if rep.MatchWith == radar.Unmatched {
+						// First correlation for both: pair them up.
+						a.RMatch = airspace.MatchOne
+						rep.MatchWith = a.ID
+					} else {
+						// A second aircraft matched this radar: unmatch the
+						// earlier aircraft and discard the radar (line 9).
+						w.Aircraft[rep.MatchWith].RMatch = airspace.MatchNone
+						rep.MatchWith = radar.Discarded
+						st.DiscardedRadars++
+					}
+				case airspace.MatchOne:
+					// A second radar correlated with this aircraft: withdraw
+					// the aircraft and release its earlier radar (line 8).
+					a.RMatch = airspace.MatchDiscarded
+					st.WithdrawnAircraft++
+					releaseRadarOf(f, a.ID)
+				}
+				if rep.MatchWith == radar.Discarded {
+					break // this radar is done
+				}
+			}
+		}
+		boxHalf *= 2
+	}
+
+	// Line 12: correctly correlated aircraft take their radar's
+	// position, all others keep their expected position.
+	for p := range w.Aircraft {
+		a := &w.Aircraft[p]
+		a.X, a.Y = a.ExpX, a.ExpY
+	}
+	for i := range f.Reports {
+		rep := &f.Reports[i]
+		switch rep.MatchWith {
+		case radar.Unmatched:
+			st.UnmatchedRadars++
+		case radar.Discarded:
+		default:
+			if a := &w.Aircraft[rep.MatchWith]; a.RMatch == airspace.MatchOne {
+				a.X, a.Y = rep.RX, rep.RY
+				st.Matched++
+			}
+		}
+	}
+	w.WrapAll()
+	return st
+}
+
 func worldsEqual(t *testing.T, label string, want, got *airspace.World) {
 	t.Helper()
 	if len(want.Aircraft) != len(got.Aircraft) {
@@ -51,34 +142,37 @@ func framesEqual(t *testing.T, label string, want, got *radar.Frame) {
 
 // TestParallelMatchesSerial is the determinism property test: across
 // 100 randomized worlds, every pair source, and worker counts
-// {1, 2, 3, 8}, the host-parallel Correlate/Detect/DetectResolve
-// produce world state, frame state, and stats identical to the serial
-// reference. Worker count 1 is the reference itself; the others
-// exercise the phased parallel paths.
+// {1, 2, 3, 8}, Correlate and the Tasks 2-3 runner produce world
+// state, frame state, and stats identical to the scalar references of
+// Algorithms 1 and 2. Every fifth trial uses withdrawal-heavy radar
+// noise.
 func TestParallelMatchesSerial(t *testing.T) {
-	sources := []string{"", broadphase.BruteName, broadphase.GridName, broadphase.SweepName, rebuildSweepName}
-	serial := parexec.NewPool(1)
-	pools := []*parexec.Pool{parexec.NewPool(2), parexec.NewPool(3), parexec.NewPool(8)}
+	sources := []string{"", broadphase.BruteName, broadphase.SweepName, rebuildSweepName}
+	pools := []*parexec.Pool{parexec.NewPool(1), parexec.NewPool(2), parexec.NewPool(3), parexec.NewPool(8)}
 
 	for trial := 0; trial < 100; trial++ {
 		seed := uint64(1000 + 7*trial)
 		n := 40 + (trial*37)%360
 		passes := 1 + trial%BoxPasses
 		srcName := sources[trial%len(sources)]
+		noise := radar.DefaultNoise
+		if trial%5 == 4 {
+			noise = 2.5
+		}
 
 		base := airspace.NewWorld(n, rng.New(seed))
-		frame := radar.Generate(base, radar.DefaultNoise, rng.New(seed+1))
+		frame := radar.Generate(base, noise, rng.New(seed+1))
 
-		// Serial reference chain: Task 1, then Task 2 on a fork, then
-		// Tasks 2+3 on the correlated world. corrW snapshots the
-		// post-Task-1 state before DetectResolve mutates refW further.
+		// Reference chain: Task 1, then Task 2 on a fork, then Tasks
+		// 2+3 on the correlated world. corrW snapshots the post-Task-1
+		// state before DetectResolve mutates refW further.
 		refW := base.Clone()
 		refF := frame.Clone()
-		corrRef := CorrelateNExec(refW, refF, passes, serial)
+		corrRef := scalarCorrelate(refW, refF, passes)
 		corrW := refW.Clone()
 		refDetW := refW.Clone()
-		detRef := DetectExec(refDetW, newTestSource(srcName), serial)
-		resRef := DetectResolveExec(refW, newTestSource(srcName), serial)
+		detRef := scalarDetect(refDetW, newTestSource(srcName))
+		resRef := scalarDetectResolve(refW, newTestSource(srcName))
 
 		for _, p := range pools {
 			gotW := base.Clone()
@@ -89,7 +183,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 					", passes " + itoa(passes) + ", workers " + itoa(p.Workers()) + ")"
 			}
 			if corr != corrRef {
-				t.Fatalf("%s: stats diverged:\nserial:   %+v\nparallel: %+v", tag("Correlate"), corrRef, corr)
+				t.Fatalf("%s: stats diverged:\nscalar: %+v\nexec:   %+v", tag("Correlate"), corrRef, corr)
 			}
 			worldsEqual(t, tag("Correlate"), corrW, gotW)
 			framesEqual(t, tag("Correlate"), refF, gotF)
@@ -97,13 +191,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 			gotDetW := gotW.Clone()
 			det := DetectExec(gotDetW, newTestSource(srcName), p)
 			if det != detRef {
-				t.Fatalf("%s: stats diverged:\nserial:   %+v\nparallel: %+v", tag("Detect"), detRef, det)
+				t.Fatalf("%s: stats diverged:\nscalar: %+v\nexec:   %+v", tag("Detect"), detRef, det)
 			}
 			worldsEqual(t, tag("Detect"), refDetW, gotDetW)
 
 			res := DetectResolveExec(gotW, newTestSource(srcName), p)
 			if res != resRef {
-				t.Fatalf("%s: stats diverged:\nserial:   %+v\nparallel: %+v", tag("DetectResolve"), resRef, res)
+				t.Fatalf("%s: stats diverged:\nscalar: %+v\nexec:   %+v", tag("DetectResolve"), resRef, res)
 			}
 			worldsEqual(t, tag("DetectResolve"), refW, gotW)
 		}
@@ -114,7 +208,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 // cannot reach at small n: a world big enough that the dirty replay
 // rescans and probes long all-pairs candidate lists on the serial
 // thread, and radar noise heavy enough that aircraft withdrawals
-// release mid-pass radars into the serial fallback.
+// release mid-pass radars into the serial fallback, held to the scalar
+// Algorithm 1 at every worker count.
 func TestParallelMatchesSerialDense(t *testing.T) {
 	serial := parexec.NewPool(1)
 	pools := []*parexec.Pool{parexec.NewPool(2), parexec.NewPool(8)}
@@ -141,16 +236,16 @@ func TestParallelMatchesSerialDense(t *testing.T) {
 	frame := radar.Generate(noisy, 2.5, rng.New(18))
 	refW := noisy.Clone()
 	refF := frame.Clone()
-	corrRef := CorrelateExec(refW, refF, serial)
+	corrRef := scalarCorrelate(refW, refF, BoxPasses)
 	if corrRef.WithdrawnAircraft == 0 || corrRef.DiscardedRadars == 0 {
 		t.Fatalf("noisy frame produced no contention (stats %+v); test exercises nothing", corrRef)
 	}
-	for _, p := range pools {
+	for _, p := range append([]*parexec.Pool{serial, parexec.NewPool(3)}, pools...) {
 		gotW := noisy.Clone()
 		gotF := frame.Clone()
 		corr := CorrelateExec(gotW, gotF, p)
 		if corr != corrRef {
-			t.Fatalf("workers=%d: stats diverged:\nserial:   %+v\nparallel: %+v", p.Workers(), corrRef, corr)
+			t.Fatalf("workers=%d: stats diverged:\nscalar: %+v\nexec:   %+v", p.Workers(), corrRef, corr)
 		}
 		worldsEqual(t, "Correlate noisy (workers "+itoa(p.Workers())+")", refW, gotW)
 		framesEqual(t, "Correlate noisy (workers "+itoa(p.Workers())+")", refF, gotF)
@@ -172,10 +267,11 @@ func itoa(v int) string {
 }
 
 // TestExecZeroAllocSteadyState pins the zero-allocation property of
-// the hot paths: after a warm-up call, a full Correlate+DetectResolve
-// period allocates nothing on the serial path and at most a handful of
-// fixed-size dispatch closures on the parallel path — never anything
-// proportional to the aircraft count. A second world, past 2·1024
+// the hot paths: after a warm-up call, Correlate allocates nothing at
+// one worker or four, and a full Correlate+DetectResolve period
+// allocates nothing at one worker and at most a handful of fixed-size
+// objects above that — never anything proportional to the aircraft
+// count. A second world, past 2·1024
 // aircraft and with conflicts, holds the all-pairs and brute
 // DetectResolve to the same limit at 4 workers: its probe scans are
 // long enough that a scan fanned out per probe would allocate per
@@ -196,14 +292,19 @@ func TestExecZeroAllocSteadyState(t *testing.T) {
 	frame := radar.Generate(base, radar.DefaultNoise, rng.New(4))
 	for _, workers := range []int{1, 4} {
 		p := parexec.NewPool(workers)
-		// The parallel path allocates one closure per Run dispatch
-		// (phase bodies capture per-invocation state); that is a small
-		// constant per period, independent of n.
+		w, f := base.Clone(), frame.Clone()
+		CorrelateExec(w, f, p) // warm the scratch pool and the worker pool
+		if avg := testing.AllocsPerRun(10, func() { CorrelateExec(w, f, p) }); avg > 0.5 {
+			t.Errorf("workers=%d: %.1f allocs per Correlate, want <= 0.5", workers, avg)
+		}
+
+		// Above one worker the limit leaves room for a small constant
+		// per period, independent of n.
 		limit := 0.5
 		if workers > 1 {
 			limit = 12
 		}
-		for _, srcName := range []string{"", broadphase.GridName, broadphase.SweepName, rebuildSweepName} {
+		for _, srcName := range []string{"", broadphase.SweepName, rebuildSweepName} {
 			src := newTestSource(srcName)
 			w := base.Clone()
 			f := frame.Clone()

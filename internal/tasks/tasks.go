@@ -11,11 +11,13 @@
 // the shared pairwise conflict math so that all platforms agree
 // bit-for-bit on what a conflict is.
 //
-// Task 1 has a serial reference (this file) and a host-parallel form
-// (parallel.go). Tasks 2-3 have one runner for every pair source
-// (batch.go): a column snapshot of the world scanned by a batched pair
-// kernel, with candidates from the source's broadphase.View or, with
-// no source, every aircraft. It runs the serial in-place Algorithm 2 at
+// Task 1 has one host body (parallel.go): the bounding-box search of
+// each pass fanned out per radar, then a serial replay of Algorithm 1's
+// matching in radar order, identical at any worker count; the tests
+// hold it to a scalar fold of Algorithm 1. Tasks 2-3 have one runner
+// for every pair source (batch.go): a column snapshot of the world
+// scanned by a batched pair kernel, with candidates from the source's
+// broadphase.View or, with no source, every aircraft. It runs the serial in-place Algorithm 2 at
 // one worker and a parallel snapshot scan plus serial replay above
 // that, identical at any worker count; the tests hold it to a scalar
 // fold of Algorithm 2 over the aircraft records.
@@ -87,82 +89,6 @@ func CorrelateN(w *airspace.World, f *radar.Frame, passes int) CorrelateStats {
 	return CorrelateNExec(w, f, passes, nil)
 }
 
-// correlateSerial is the sequential reference body of CorrelateN; the
-// host-parallel path (parallel.go) reproduces it bit for bit.
-func correlateSerial(w *airspace.World, f *radar.Frame, passes int, st *CorrelateStats) {
-	w.ComputeExpected()
-	for i := range w.Aircraft {
-		w.Aircraft[i].RMatch = airspace.MatchNone
-	}
-	f.Reset()
-
-	boxHalf := InitialBoxHalf
-	for pass := 0; pass < passes; pass++ {
-		pending := 0
-		for i := range f.Reports {
-			if f.Reports[i].MatchWith == radar.Unmatched {
-				pending++
-			}
-		}
-		if pass < BoxPasses {
-			st.PassRadars[pass] = pending
-		}
-		if pending == 0 {
-			break
-		}
-		correlatePass(w, f, boxHalf, st)
-		boxHalf *= 2
-	}
-
-	commit(w, f, st)
-	w.WrapAll()
-}
-
-// correlatePass runs one bounding-box pass of Algorithm 1: every
-// still-unmatched radar is tested against every still-eligible aircraft.
-func correlatePass(w *airspace.World, f *radar.Frame, boxHalf float64, st *CorrelateStats) {
-	for i := range f.Reports {
-		rep := &f.Reports[i]
-		if rep.MatchWith != radar.Unmatched {
-			continue
-		}
-		for p := range w.Aircraft {
-			a := &w.Aircraft[p]
-			if a.RMatch != airspace.MatchNone && a.RMatch != airspace.MatchOne {
-				continue // withdrawn aircraft are out of the search
-			}
-			st.Comparisons++
-			if !inBox(rep, a, boxHalf) {
-				continue
-			}
-			switch a.RMatch {
-			case airspace.MatchNone:
-				if rep.MatchWith == radar.Unmatched {
-					// First correlation for both: pair them up.
-					a.RMatch = airspace.MatchOne
-					rep.MatchWith = a.ID
-				} else {
-					// A second aircraft matched this radar: unmatch the
-					// earlier aircraft and discard the radar (line 9).
-					prev := &w.Aircraft[rep.MatchWith]
-					prev.RMatch = airspace.MatchNone
-					rep.MatchWith = radar.Discarded
-					st.DiscardedRadars++
-				}
-			case airspace.MatchOne:
-				// A second radar correlated with this aircraft: withdraw
-				// the aircraft and release its earlier radar (line 8).
-				a.RMatch = airspace.MatchDiscarded
-				st.WithdrawnAircraft++
-				releaseRadarOf(f, a.ID)
-			}
-			if rep.MatchWith == radar.Discarded {
-				break // this radar is done
-			}
-		}
-	}
-}
-
 // releaseRadarOf returns the radar currently matched to aircraft id to
 // the Unmatched state so a later pass may re-correlate it.
 func releaseRadarOf(f *radar.Frame, id int32) {
@@ -181,31 +107,6 @@ func releaseRadarOf(f *radar.Frame, id int32) {
 func inBox(rep *radar.Report, a *airspace.Aircraft, boxHalf float64) bool {
 	return rep.RX > a.ExpX-boxHalf && rep.RX < a.ExpX+boxHalf &&
 		rep.RY > a.ExpY-boxHalf && rep.RY < a.ExpY+boxHalf
-}
-
-// commit applies line 12 of Algorithm 1: correctly correlated aircraft
-// take their radar's measured position as their actual location; all
-// other aircraft keep their expected position.
-func commit(w *airspace.World, f *radar.Frame, st *CorrelateStats) {
-	for p := range w.Aircraft {
-		a := &w.Aircraft[p]
-		a.X, a.Y = a.ExpX, a.ExpY
-	}
-	for i := range f.Reports {
-		rep := &f.Reports[i]
-		switch rep.MatchWith {
-		case radar.Unmatched:
-			st.UnmatchedRadars++
-		case radar.Discarded:
-			// already counted
-		default:
-			a := &w.Aircraft[rep.MatchWith]
-			if a.RMatch == airspace.MatchOne {
-				a.X, a.Y = rep.RX, rep.RY
-				st.Matched++
-			}
-		}
-	}
 }
 
 // PairConflict evaluates Equations 1-6 for one (track, trial) pair. The

@@ -178,7 +178,7 @@ func TestJSONLWorkerInvariance(t *testing.T) {
 		if name == platform.Xeon16 {
 			trackW, trackF = clean, cleanF
 		}
-		for _, srcName := range []string{"", broadphase.GridName} {
+		for _, srcName := range []string{"", broadphase.SweepName} {
 			ref := jsonl(t, name, srcName, 1, trackW, trackF, randomW)
 			for _, workers := range []int{3, 8} {
 				got := jsonl(t, name, srcName, workers, trackW, trackF, randomW)
@@ -214,7 +214,7 @@ func TestSystemJSONLWorkerInvariance(t *testing.T) {
 	run := func(name string, workers int) []byte {
 		p := platform.MustNew(name, 2018)
 		p.(platform.Workered).SetWorkers(workers)
-		sys := core.NewSystem(p, core.Config{N: 400, Seed: 2018, PairSource: broadphase.GridName})
+		sys := core.NewSystem(p, core.Config{N: 400, Seed: 2018, PairSource: broadphase.SweepName})
 		rec := telemetry.NewRecorder(telemetry.DefaultCapacity)
 		rec.SetDetail(telemetry.DetailBlock)
 		sys.SetTelemetry(rec)
