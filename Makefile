@@ -1,7 +1,7 @@
 GO ?= go
 ATMLINT := bin/atmlint
 
-.PHONY: all build test vet lint lint-flow lint-graph lint-fixtures gcdiag bench-smoke bench-diff fuzz conformance serve serve-smoke clean
+.PHONY: all build test vet lint lint-flow lint-graph lint-fixtures gcdiag bench-smoke bench-diff record-diff fuzz conformance serve serve-smoke clean
 
 all: build test
 
@@ -65,6 +65,14 @@ bench-smoke:
 BASE_REF ?=
 bench-diff:
 	./scripts/benchdiff.sh $(BASE_REF)
+
+# record-diff builds atmsim at BASE_REF (default: merge base with
+# origin/main) and from the working tree, runs a fixed platform x pair
+# source x scenario matrix on both, and fails if any -record or
+# block-detail -events file differs byte for byte. A manual check, not
+# a CI gate; see scripts/recorddiff.sh.
+record-diff:
+	./scripts/recorddiff.sh $(BASE_REF)
 
 # fuzz runs the fuzzers for a bounded interval each on top of their
 # checked-in seed corpora (internal/trace and internal/scenario

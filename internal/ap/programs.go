@@ -12,10 +12,6 @@ import (
 // when the flight database enters PE memory.
 const databaseFields = 10
 
-// rotationSchedule is Task 3's heading schedule, computed once: it is
-// probed for every conflicted aircraft.
-var rotationSchedule = tasks.RotationSchedule()
-
 // operands are the broadcast values the programs' element bodies read.
 type operands struct {
 	ac []airspace.Aircraft
@@ -326,7 +322,7 @@ func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.Pair
 	// Candidates and cycle charges are identical either way.
 	var view *broadphase.View
 	if src != nil {
-		m.view = broadphase.PrepareView(src, w, nil, nil)
+		m.view.Prepare(src, w, nil, nil)
 		view = &m.view
 		if view.Maintained() {
 			m.mark("ap.index.rebuild", 0)
@@ -349,7 +345,7 @@ func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.Pair
 
 		base := geom.Vec2{X: track.DX, Y: track.DY}
 		resolved := false
-		for _, deg := range rotationSchedule {
+		for _, deg := range tasks.RotationSchedule() {
 			st.Rotations++
 			m.Scalar(8) // rotate on the control unit
 			v := base.Rotate(deg)

@@ -15,7 +15,9 @@ import (
 // is maintained and serves table rows, the reference sweep is not
 // maintained and queries per track; both must return exactly what a
 // per-track query on a fresh reference source returns, and the
-// decorator must tally the traffic the view generated.
+// decorator must tally the traffic the view generated. With no source
+// the view serves the identity list [0, n) to every track, without
+// allocating, as n grows and shrinks on one View.
 func TestPrepareView(t *testing.T) {
 	w := airspace.NewWorld(700, rng.New(41))
 	cols := &airspace.Columns{}
@@ -33,7 +35,8 @@ func TestPrepareView(t *testing.T) {
 		counted := broadphase.NewCounted(c.src)
 		for pass := 0; pass < 2; pass++ {
 			cols.FillFrom(w)
-			v := broadphase.PrepareView(counted, w, cols, pool)
+			var v broadphase.View
+			v.Prepare(counted, w, cols, pool)
 			if v.Maintained() != c.maintained {
 				t.Fatalf("%s pass %d: Maintained=%v", c.name, pass, v.Maintained())
 			}
@@ -66,7 +69,28 @@ func TestPrepareView(t *testing.T) {
 			}
 		}
 	}
-	if v := broadphase.PrepareView(nil, w, cols, pool); v.Maintained() {
-		t.Fatal("nil source: the zero view must not be maintained")
+	var v broadphase.View
+	for _, n := range []int{1100, 1400, 850} {
+		w := airspace.NewWorld(n, rng.New(uint64(n)))
+		cols.FillFrom(w)
+		v.Prepare(nil, w, cols, pool)
+		if v.Maintained() {
+			t.Fatalf("nil source n=%d: view is maintained", n)
+		}
+		var buf []int32
+		for i := range w.Aircraft {
+			got := v.Candidates(&buf, w, i)
+			if len(got) != n {
+				t.Fatalf("nil source n=%d track %d: %d candidates, want %d", n, i, len(got), n)
+			}
+			for k, p := range got {
+				if int(p) != k {
+					t.Fatalf("nil source n=%d track %d: candidate %d is %d", n, i, k, p)
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(100, func() { v.Candidates(&buf, w, n-1) }); a != 0 {
+			t.Fatalf("nil source n=%d: %.1f allocs per Candidates call, want 0", n, a)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package cuda
 
 import (
-	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -63,27 +62,18 @@ type deviceState struct {
 	newDX, newDY []float64
 	resolved     []int32
 
-	// view, when pruned is set, serves the pair scan its candidate
-	// sets; the all-pairs kernel of the paper is the unpruned path. It
-	// is prepared once per launch sequence and every probe reads it
+	// view serves the pair scan its candidate sets: every aircraft for
+	// the paper's all-pairs kernel, the pair source's otherwise. It is
+	// prepared once per launch sequence and every probe reads it
 	// bit-identically (candidate sets depend only on positions and
 	// speeds, and resolution only rotates courses).
-	pruned bool
-	view   broadphase.View
+	view broadphase.View
 
-	// candBufs are per-host-worker candidate buffers for the pruned
-	// scan, indexed by Thread.Worker.
-	candBufs []candBuf
+	// bufs are per-host-worker scan buffers, indexed by Thread.Worker.
+	bufs []tasks.ScanBuf
 
 	// Aggregate task counters (atomic).
 	conflicts, rotations, resolvedCount, unresolvedCount, pairChecks int64
-}
-
-// candBuf is one worker's candidate buffer, padded so neighbouring
-// workers' slice headers don't share a cache line.
-type candBuf struct {
-	cand []int32
-	_    [40]byte
 }
 
 // grow returns s resized for len(int32 slices) n, reusing capacity.
@@ -132,8 +122,6 @@ func (e *Engine) resetState(w *airspace.World, f *radar.Frame) *deviceState {
 		s.radarHits = growInt32(s.radarHits, f.N())
 		s.radarCand = growInt32(s.radarCand, f.N())
 	}
-	s.pruned = false
-	s.view = broadphase.View{}
 	s.conflicts, s.rotations, s.resolvedCount, s.unresolvedCount, s.pairChecks = 0, 0, 0, 0, 0
 	return s
 }
@@ -411,8 +399,8 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 	s.newDX = growFloat64(s.newDX, n)
 	s.newDY = growFloat64(s.newDY, n)
 	s.resolved = growInt32(s.resolved, n)
-	if nw := e.dev.Workers(); len(s.candBufs) < nw {
-		s.candBufs = slices.Grow(s.candBufs, nw-len(s.candBufs))[:nw]
+	if nw := e.dev.Workers(); len(s.bufs) < nw {
+		s.bufs = slices.Grow(s.bufs, nw-len(s.bufs))[:nw]
 	}
 	ac := w.Aircraft
 	res.add(e.dev.Launch("snapshot", n, func(t *Thread) {
@@ -428,6 +416,7 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 		t.Ops(opsSnapshot)
 		t.Mem(aircraftRecordBytes)
 	}))
+	s.view.Prepare(e.src, w, &s.snap, parexec.Resolve(e.dev.pool))
 	if e.src != nil {
 		// Host-side index build over the committed snapshot, modeled as
 		// one launch of per-aircraft insertion work; a maintained source
@@ -435,8 +424,6 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 		// host workers. Only the span name reports which — the modeled
 		// charge is the launch below either way, as the bit-identity
 		// contract requires.
-		s.view = broadphase.PrepareView(e.src, w, &s.snap, parexec.Resolve(e.dev.pool))
-		s.pruned = true
 		name := "broadphase"
 		if s.view.Maintained() {
 			name = "broadphase.rebuild"
@@ -449,54 +436,19 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 	return s
 }
 
-// scanAcc accumulates one thread's candidate scan: the earliest
-// critical conflict seen so far plus the op-charging tallies. It lives
-// on the scanning thread's stack so the inner fold stays allocation-
-// free at any candidate count.
-type scanAcc struct {
-	earliest float64
-	with     int32
-	checks   int
-	visited  int
-}
-
-// scanOne folds candidate aircraft p into acc for track aircraft i
-// flying course (vx, vy).
-//
-//atm:noalloc
-func (s *deviceState) scanOne(acc *scanAcc, i, p int, vx, vy float64) {
-	acc.visited++
-	if p == i || math.Abs(s.snap.Alt[p]-s.snap.Alt[i]) >= airspace.AltBandFeet {
-		return
-	}
-	acc.checks++
-	tmin, tmax, ok := tasks.PairConflictAt(s.snap.X[i], s.snap.Y[i], vx, vy,
-		s.snap.X[p], s.snap.Y[p], s.snap.DX[p], s.snap.DY[p])
-	if ok && tmin < tmax && tmin < acc.earliest {
-		acc.earliest = tmin
-		acc.with = int32(p)
-	}
-}
-
 // scanSnapshot evaluates one candidate course for track aircraft i
-// against the snapshot and returns the earliest critical conflict.
+// against the snapshot with the shared pair scan and returns the
+// earliest critical conflict. A thread is charged opsPairCheck per pair
+// check and one filter compare per other candidate it visits, itself
+// included.
 //
 //atm:noalloc
 //atm:allow atomic -- pairChecks is an order-independent sum read only after the launch barrier
 func (s *deviceState) scanSnapshot(t *Thread, i int, vx, vy float64) (earliest float64, with int32, critical bool) {
-	acc := scanAcc{earliest: airspace.SafeTime, with: airspace.NoConflict}
-	if !s.pruned {
-		for p := 0; p < s.snap.N(); p++ {
-			s.scanOne(&acc, i, p, vx, vy)
-		}
-	} else {
-		for _, p := range s.view.Candidates(&s.candBufs[t.Worker].cand, s.w, i) {
-			s.scanOne(&acc, i, int(p), vx, vy)
-		}
-	}
-	t.Ops(acc.checks*opsPairCheck + (acc.visited - acc.checks)) // skipped pairs still cost the filter compare
-	atomic.AddInt64(&s.pairChecks, int64(acc.checks))
-	return acc.earliest, acc.with, acc.earliest < airspace.CriticalTime
+	r := tasks.Scan(&s.snap, &s.view, s.w, &s.bufs[t.Worker], i, vx, vy)
+	t.Ops(int(r.Checks)*opsPairCheck + int(r.Cands-r.Checks))
+	atomic.AddInt64(&s.pairChecks, int64(r.Checks))
+	return r.Tmin, r.With, r.Tmin < airspace.CriticalTime
 }
 
 // detectResolveKernel runs the fused (or detection-only) kernel body.
@@ -546,7 +498,7 @@ func (e *Engine) resolveKernel(w *airspace.World, s *deviceState, res *DetectRes
 //atm:allow atomic -- rotation/resolution counters are order-independent sums read only after the launch barrier
 func (s *deviceState) resolveTrack(t *Thread, e *Engine, i int, a *airspace.Aircraft) {
 	base := geom.Vec2{X: s.snap.DX[i], Y: s.snap.DY[i]}
-	for _, deg := range rotationSchedule {
+	for _, deg := range tasks.RotationSchedule() {
 		atomic.AddInt64(&s.rotations, 1)
 		t.Ops(opsRotate)
 		v := base.Rotate(deg)
@@ -565,8 +517,6 @@ func (s *deviceState) resolveTrack(t *Thread, e *Engine, i int, a *airspace.Airc
 	}
 	atomic.AddInt64(&s.unresolvedCount, 1)
 }
-
-var rotationSchedule = tasks.RotationSchedule()
 
 // commitCourses applies the proposed courses and clears conflict flags
 // for resolved aircraft.

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/broadphase"
 	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/trace"
@@ -17,7 +18,10 @@ var update = flag.Bool("update", false, "rewrite golden files with current measu
 // goldenMeasurements runs every registered platform — paper set and
 // extensions — at N=1000 for one major cycle, seed 2018, single
 // worker, and tabulates the Figure 4 / Figure 6 measurements plus the
-// deadline record.
+// deadline record: first with the paper's all-pairs kernels, then with
+// each broadphase pair source installed (series "<platform> / <source>"),
+// which pins what every executor charges for a pruned scan and its
+// index build.
 func goldenMeasurements(t *testing.T) *trace.Dataset {
 	t.Helper()
 	d := &trace.Dataset{
@@ -26,21 +30,26 @@ func goldenMeasurements(t *testing.T) *trace.Dataset {
 		XLabel: "metric",
 		YLabel: "value",
 	}
-	for _, name := range append(platform.Names(), platform.ExtensionNames()...) {
-		p := platform.MustNew(name, 2018)
-		p.(platform.Workered).SetWorkers(1)
-		sys := core.NewSystem(p, core.Config{N: 1000, Seed: 2018})
-		sys.RunMajorCycles(1)
-		st := sys.Stats()
-		t1 := st.Task(core.Task1)
-		t23 := st.Task(core.Task23)
-		label := platform.Label(name)
-		d.Add(label, 0, t1.Mean().Seconds())  // fig4: Task 1 mean seconds
-		d.Add(label, 1, t23.Mean().Seconds()) // fig6: Tasks 2+3 mean seconds
-		d.Add(label, 2, t1.Max.Seconds())
-		d.Add(label, 3, t23.Max.Seconds())
-		d.Add(label, 4, float64(st.PeriodMisses))
-		d.Add(label, 5, float64(st.TotalSkips))
+	for _, src := range append([]string{""}, broadphase.Names()...) {
+		for _, name := range append(platform.Names(), platform.ExtensionNames()...) {
+			p := platform.MustNew(name, 2018)
+			p.(platform.Workered).SetWorkers(1)
+			sys := core.NewSystem(p, core.Config{N: 1000, Seed: 2018, PairSource: src})
+			sys.RunMajorCycles(1)
+			st := sys.Stats()
+			t1 := st.Task(core.Task1)
+			t23 := st.Task(core.Task23)
+			label := platform.Label(name)
+			if src != "" {
+				label += " / " + src
+			}
+			d.Add(label, 0, t1.Mean().Seconds())  // fig4: Task 1 mean seconds
+			d.Add(label, 1, t23.Mean().Seconds()) // fig6: Tasks 2+3 mean seconds
+			d.Add(label, 2, t1.Max.Seconds())
+			d.Add(label, 3, t23.Max.Seconds())
+			d.Add(label, 4, float64(st.PeriodMisses))
+			d.Add(label, 5, float64(st.TotalSkips))
+		}
 	}
 	return d
 }

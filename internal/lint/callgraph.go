@@ -98,7 +98,7 @@ type Node struct {
 func (n *Node) External() bool { return n.Pkg == nil }
 
 // Name returns the stable, package-qualified display name:
-// "repro/internal/tasks.scanTableBatch", "(*repro/internal/broadphase.Sweep).PrepareTable",
+// "repro/internal/tasks.Scan", "(*repro/internal/broadphase.Sweep).PrepareTable",
 // "repro/internal/tasks.correlateParallel.func1" for literals.
 func (n *Node) Name() string { return n.name }
 

@@ -144,17 +144,10 @@ type scratch struct {
 	newDX, newDY []float64
 	resolved     []bool
 
-	// view serves the pruned scan's candidate sets; bufs holds the
-	// per-track queries it may append.
+	// view serves the scan's candidate sets; bufs holds each modeled
+	// core's scan buffers.
 	view broadphase.View
-	bufs []candBuf
-}
-
-// candBuf is one modeled core's candidate buffer for the pruned scan,
-// padded against false sharing of the slice headers.
-type candBuf struct {
-	cand []int32
-	_    [40]byte
+	bufs []tasks.ScanBuf
 }
 
 func growF(s []float64, n int) []float64 {
@@ -498,7 +491,7 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 		scr.resolved = make([]bool, n)
 	}
 	if len(scr.bufs) < m.prof.Cores {
-		scr.bufs = make([]candBuf, m.prof.Cores)
+		scr.bufs = make([]tasks.ScanBuf, m.prof.Cores)
 	}
 	snapX, snapY := scr.snap.X, scr.snap.Y
 	snapDX, snapDY := scr.snap.DX, scr.snap.DY
@@ -529,9 +522,10 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	// maintained source (the production sweep) also builds its
 	// candidate table on the host pool. Only the phase mark's name
 	// reports which — the charge is identical, as bit-identity
-	// requires.
+	// requires. With no source the view serves every aircraft and no
+	// phase is charged.
+	scr.view.Prepare(m.src, w, &scr.snap, parexec.Resolve(m.pool))
 	if m.src != nil {
-		scr.view = broadphase.PrepareView(m.src, w, &scr.snap, parexec.Resolve(m.pool))
 		name := "index"
 		if scr.view.Maintained() {
 			name = "index.rebuild"
@@ -543,37 +537,15 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 		m.markPhase(tally, name, 0)
 	}
 
+	// scan runs the shared pair scan for track i on course (vx, vy),
+	// charging the core opsPairCheck per pair check and one filter
+	// compare per other candidate, itself included.
 	var conflicts, rotations, resolvedCount, unresolvedCount, pairChecks uint64
-	scanOne := func(i, p int, vx, vy float64, checks *uint64, ops *uint64,
-		earliest *float64, with *int32) {
-		if p == i || math.Abs(snapAlt[p]-snapAlt[i]) >= airspace.AltBandFeet {
-			*ops++
-			return
-		}
-		*checks++
-		tmin, tmax, ok := tasks.PairConflictAt(snapX[i], snapY[i], vx, vy,
-			snapX[p], snapY[p], snapDX[p], snapDY[p])
-		if ok && tmin < tmax && tmin < *earliest {
-			*earliest = tmin
-			*with = int32(p)
-		}
-	}
 	scan := func(core, i int, vx, vy float64, ops *uint64) (earliest float64, with int32, critical bool) {
-		earliest = airspace.SafeTime
-		with = airspace.NoConflict
-		checks := uint64(0)
-		if m.src == nil {
-			for p := 0; p < n; p++ {
-				scanOne(i, p, vx, vy, &checks, ops, &earliest, &with)
-			}
-		} else {
-			for _, p := range scr.view.Candidates(&scr.bufs[core].cand, w, i) {
-				scanOne(i, int(p), vx, vy, &checks, ops, &earliest, &with)
-			}
-		}
-		*ops += checks * opsPairCheck
-		atomic.AddUint64(&pairChecks, checks)
-		return earliest, with, earliest < airspace.CriticalTime
+		r := tasks.Scan(&scr.snap, &scr.view, w, &scr.bufs[core], i, vx, vy)
+		*ops += uint64(r.Checks)*opsPairCheck + uint64(r.Cands-r.Checks)
+		atomic.AddUint64(&pairChecks, uint64(r.Checks))
+		return r.Tmin, r.With, r.Tmin < airspace.CriticalTime
 	}
 
 	phases++

@@ -1,13 +1,17 @@
-// The Tasks 2-3 runner: Detect and DetectResolve for every pair
-// source, on the branch-free batched pair kernel.
+// The one Tasks 2-3 pair scan, Scan, and the Tasks 2-3 runner built on
+// it: Detect and DetectResolve for every pair source.
 //
-// Every source runs the same control flow; only the candidate list of
-// a track differs. The all-pairs scan (nil source) serves the identity
-// list [0, n); every other source serves the broadphase.View that
-// PrepareView returns — the row of the candidate table where the
-// source builds one, a per-track query otherwise. Three things make the
-// runner bit-identical to the reference scan of Algorithm 2 over the
-// aircraft records (kept as the scalar reference in the tests):
+// Scan is the pair fold of every executor but the AP: the runner here,
+// cuda's CheckCollisionPath, and the mimd and vector machines each call
+// it per track and probe, and keep only their own control flow,
+// snapshot discipline and modeled charges, which they compute from the
+// scan's candidate and check counts. Every source runs the same scan;
+// only the candidate list of a track differs. The broadphase.View
+// serves it: the identity list [0, n) with no source, the row of the
+// candidate table where the source builds one, a per-track query
+// otherwise. Three things make the runner bit-identical to the
+// reference scan of Algorithm 2 over the aircraft records (kept as the
+// scalar reference in the tests):
 //
 //   - Every value the scan reads — positions, velocities, altitudes —
 //     comes from an airspace.Columns snapshot that FillFrom copies out
@@ -27,17 +31,16 @@
 //     every dirty-replay rescan is served exactly the set a fresh
 //     query would emit — from the table row when there is one.
 //
-//   - The pair loop is scanTableBatch: a compaction pass applies the
+//   - The pair loop is branch-free: a compaction pass applies the
 //     self-skip and altitude filters, then the survivors are evaluated
 //     in unrolled blocks of 8 with branch-free min/max time-band
-//     intersection. The equivalence argument is spelled out at the
-//     kernel.
+//     intersection. The equivalence argument is spelled out at Scan.
 //
 // DetectResolve has two forms: at one worker the serial in-place
 // Algorithm 2; above that a parallel scan of every track against the
 // pre-resolution snapshot, then a serial replay that rescans only the
 // tracks a committed heading can reach (see parallel.go). Every scan —
-// scan phase, probes, rescans — is one kernel call over the track's
+// scan phase, probes, rescans — is one Scan call over the track's
 // full candidate list in both forms and at every worker count, so the
 // drained batch counter is as worker-invariant as the results
 // themselves.
@@ -50,23 +53,48 @@ import (
 	"repro/internal/parexec"
 )
 
-// kernelBatch is the batched kernel's block width: 8 candidate pairs
-// per unrolled iteration, the natural SIMD shape for float64 lanes.
+// kernelBatch is the scan's block width: 8 candidate pairs per
+// unrolled iteration, the natural SIMD shape for float64 lanes.
 const kernelBatch = 8
 
-// scanTableBatch is the branch-free batched form of the fused Task 2+3
-// pair kernel. It folds the candidates cand of the track at index ti —
-// at (tx, ty, talt), probing velocity (vx, vy) — into r, using keep as
-// the compaction buffer (returned so the caller can retain its growth).
+// ScanBuf is one worker's scan buffers, padded so neighbouring
+// workers' slice headers don't share a cache line: cand receives
+// per-track queries, keep is the scan's compaction buffer (Task 1 uses
+// cand alone). The zero value is ready to use.
+type ScanBuf struct {
+	cand []int32
+	keep []int32
+	_    [16]byte
+}
+
+// ScanResult is one scan's outcome: the earliest conflict start
+// (airspace.SafeTime if none), the partner that achieved it (first
+// wins on ties; airspace.NoConflict if none), the pair checks — the
+// candidates that passed the self-skip and the altitude band — and the
+// length of the candidate list the scan was handed, the track itself
+// included. Executors charge a scan from Checks and Cands alone.
+type ScanResult struct {
+	Tmin   float64
+	With   int32
+	Checks int32
+	Cands  int32
+}
+
+// Scan is the fused Task 2+3 pair kernel, the one pair scan of every
+// executor but the AP. It folds the candidates v serves for the track
+// at index i of the column snapshot c — at its snapshot position and
+// altitude, probing velocity (vx, vy) — using b's buffers; w is the
+// world v was prepared on, which a per-track query reads.
 //
 // Stage 1 compacts the candidates that survive the self-skip and the
-// altitude band (the ~95% reject) into keep; the survivor count is the
-// pair-check tally, exactly as the scalar reference counts before its
-// window test. Stage 2 consumes survivors in blocks of kernelBatch SoA
-// lanes with hoisted track scalars and no branches in the window math,
-// then a scalar tail finishes the remainder in the same arithmetic.
+// altitude band (the ~95% reject) into b.keep; the survivor count is
+// the pair-check tally, exactly as the scalar reference counts before
+// its window test. Stage 2 consumes survivors in blocks of kernelBatch
+// SoA lanes with hoisted track scalars and no branches in the window
+// math, then a scalar tail finishes the remainder in the same
+// arithmetic.
 //
-// Equivalence to PairConflictAt + the scalar fold, case by case: with
+// Equivalence to PairConflict + the scalar fold, case by case: with
 // d = trial - track and dv relative velocity per axis, the unconditional
 // quotients t1 = (-sep-d)/dv, t2 = (sep-d)/dv reproduce
 // geom.AxisConflictWindow exactly. For dv != 0 they are its finite
@@ -84,34 +112,35 @@ const kernelBatch = 8
 //
 // Bounds checks: the length guard over the hoisted column locals
 // teaches the prove pass that every column covers [0, n) (fillColumns'
-// idiom), candidate IDs are range-checked with a single never-taken
-// uint compare per lane (an out-of-range ID gets the empty window, the
-// same verdict an impossible candidate would earn), and blocks are
-// consumed by reslicing rest so the constant block length is visible
-// to the prover. The gate holds the whole kernel bounds-check-free.
+// idiom) and that i indexes them, candidate IDs are range-checked with
+// a single never-taken uint compare per lane (an out-of-range ID gets
+// the empty window, the same verdict an impossible candidate would
+// earn), and blocks are consumed by reslicing rest so the constant
+// block length is visible to the prover. The gate holds the whole
+// kernel bounds-check-free.
 //
 //atm:noalloc
 //atm:noescape
 //atm:nobce
-func scanTableBatch(c *airspace.Columns, keep []int32, ti int, tx, ty, vx, vy, talt float64, cand []int32, r *scanResult) []int32 {
-	keep = keep[:0]
+func Scan(c *airspace.Columns, v *broadphase.View, w *airspace.World, b *ScanBuf, i int, vx, vy float64) ScanResult {
+	r := ScanResult{Tmin: airspace.SafeTime, With: airspace.NoConflict}
 	xs, ys, dxs, dys, alts := c.X, c.Y, c.DX, c.DY, c.Alt
 	n := len(xs)
-	if len(ys) < n || len(dxs) < n || len(dys) < n || len(alts) < n {
-		return keep // columns are always filled to equal length
+	if len(ys) < n || len(dxs) < n || len(dys) < n || len(alts) < n || uint(i) >= uint(n) {
+		return r // columns are always filled to equal length, and i indexes them
 	}
+	cand := v.Candidates(&b.cand, w, i)
+	r.Cands = int32(len(cand))
+	tx, ty, talt := xs[i], ys[i], alts[i]
+	keep := b.keep[:0]
 	for _, p := range cand {
 		q := int(p)
-		if uint(q) < uint(n) && q != ti && AltOverlapAt(talt, alts[q]) {
+		if uint(q) < uint(n) && q != i && AltOverlapAt(talt, alts[q]) {
 			keep = append(keep, p)
 		}
 	}
-	nk := len(keep)
-	r.checks += int32(nk)
-	if nk == 0 {
-		return keep
-	}
-	r.batches += int32((nk + kernelBatch - 1) / kernelBatch)
+	b.keep = keep
+	r.Checks = int32(len(keep))
 	const sep = airspace.SepTotal
 	var blo, bhi [kernelBatch]float64
 	rest := keep
@@ -135,9 +164,9 @@ func scanTableBatch(c *airspace.Columns, keep []int32, ti int, tx, ty, vx, vy, t
 			bhi[l] = min(min(max(x1, x2), max(y1, y2)), airspace.HorizonPeriods)
 		}
 		for l := 0; l < kernelBatch; l++ {
-			if blo[l] < bhi[l] && blo[l] < r.tmin {
-				r.tmin = blo[l]
-				r.with = blk[l]
+			if blo[l] < bhi[l] && blo[l] < r.Tmin {
+				r.Tmin = blo[l]
+				r.With = blk[l]
 			}
 		}
 		rest = rest[kernelBatch:]
@@ -157,51 +186,29 @@ func scanTableBatch(c *airspace.Columns, keep []int32, ti int, tx, ty, vx, vy, t
 		y2 := (sep - dy) / dvy
 		tlo := max(max(min(x1, x2), min(y1, y2)), 0)
 		thi := min(min(max(x1, x2), max(y1, y2)), airspace.HorizonPeriods)
-		if tlo < thi && tlo < r.tmin {
-			r.tmin = tlo
-			r.with = p
+		if tlo < thi && tlo < r.Tmin {
+			r.Tmin = tlo
+			r.With = p
 		}
 	}
-	return keep
+	return r
+}
+
+// kernelBatches is the number of kernelBatch-wide iterations, tail
+// included, a scan with the given pair checks runs: the runner's
+// kernel.batches tally.
+func kernelBatches(checks int32) int64 {
+	return int64((checks + kernelBatch - 1) / kernelBatch)
 }
 
 // beginDetect takes the scratch of one Detect/DetectResolve invocation:
 // it snapshots the world into the scratch columns and prepares the
-// candidate view over them — or the identity list for the all-pairs
-// scan.
+// candidate view over them.
 func beginDetect(w *airspace.World, src broadphase.PairSource, p *parexec.Pool) *detectScratch {
-	n := w.N()
-	sc := getDetectScratch(n, p.Workers())
+	sc := getDetectScratch(w.N(), p.Workers())
 	sc.cols.FillFrom(w)
-	sc.allPairs = src == nil
-	if sc.allPairs && cap(sc.all) < n {
-		sc.all = make([]int32, n)
-		for i := range sc.all {
-			sc.all[i] = int32(i)
-		}
-	}
-	sc.view = broadphase.PrepareView(src, w, &sc.cols, p)
+	sc.view.Prepare(src, w, &sc.cols, p)
 	return sc
-}
-
-// scanOne runs one full scan of the track at index i with probe
-// velocity (vx, vy) on b's buffers. A scan is never fanned out: one
-// kernel call over the track's whole candidate list is both the fast
-// path and the reason the batch tally cannot depend on worker count.
-//
-//atm:noalloc
-//atm:noescape
-func (sc *detectScratch) scanOne(w *airspace.World, b *workerBuf, i int, vx, vy float64) scanResult {
-	var cand []int32
-	if sc.allPairs {
-		cand = sc.all[:len(sc.res)]
-	} else {
-		cand = sc.view.Candidates(&b.cand, w, i)
-	}
-	c := &sc.cols
-	r := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
-	b.keep = scanTableBatch(c, b.keep, i, c.X[i], c.Y[i], vx, vy, c.Alt[i], cand, &r)
-	return r
 }
 
 // scanJob is the parallel scan phase's persistent body: one chunk of
@@ -222,7 +229,7 @@ func (j *scanJob) Chunk(worker, lo, hi int) {
 		if j.wantReach {
 			sc.reach[i] = broadphase.ReachAt(c.DX[i], c.DY[i])
 		}
-		sc.res[i] = sc.scanOne(j.w, b, i, c.DX[i], c.DY[i])
+		sc.res[i] = Scan(c, &sc.view, j.w, b, i, c.DX[i], c.DY[i])
 	}
 }
 
@@ -245,11 +252,11 @@ func DetectExec(w *airspace.World, src broadphase.PairSource, pool *parexec.Pool
 		track := &w.Aircraft[i]
 		track.ResetConflict()
 		r := sc.res[i]
-		st.PairChecks += int(r.checks)
-		batches += int64(r.batches)
-		if r.tmin < airspace.CriticalTime {
+		st.PairChecks += int(r.Checks)
+		batches += kernelBatches(r.Checks)
+		if r.Tmin < airspace.CriticalTime {
 			st.Conflicts++
-			MarkConflict(w, track, r.with, r.tmin)
+			MarkConflict(w, track, r.With, r.Tmin)
 		}
 	}
 	sc.view.AddKernelBatches(batches)
@@ -288,16 +295,16 @@ func DetectResolveExec(w *airspace.World, src broadphase.PairSource, pool *parex
 		track := &w.Aircraft[i]
 		r := sc.res[i]
 		if !replay || dirtyInteracts(w, sc, track, dirty) {
-			r = sc.scanOne(w, b, i, track.DX, track.DY)
+			r = Scan(c, &sc.view, w, b, i, track.DX, track.DY)
 		}
 		track.ResetConflict()
-		st.PairChecks += int(r.checks)
-		batches += int64(r.batches)
-		if !(r.tmin < airspace.CriticalTime) {
+		st.PairChecks += int(r.Checks)
+		batches += kernelBatches(r.Checks)
+		if !(r.Tmin < airspace.CriticalTime) {
 			continue
 		}
 		st.Conflicts++
-		MarkConflict(w, track, r.with, r.tmin)
+		MarkConflict(w, track, r.With, r.Tmin)
 
 		base := geom.Vec2{X: track.DX, Y: track.DY}
 		resolved := false
@@ -305,10 +312,10 @@ func DetectResolveExec(w *airspace.World, src broadphase.PairSource, pool *parex
 			st.Rotations++
 			v := base.Rotate(deg)
 			track.BatX, track.BatY = v.X, v.Y
-			pr := sc.scanOne(w, b, i, v.X, v.Y)
-			st.PairChecks += int(pr.checks)
-			batches += int64(pr.batches)
-			if !(pr.tmin < airspace.CriticalTime) {
+			pr := Scan(c, &sc.view, w, b, i, v.X, v.Y)
+			st.PairChecks += int(pr.Checks)
+			batches += kernelBatches(pr.Checks)
+			if !(pr.Tmin < airspace.CriticalTime) {
 				track.DX, track.DY = v.X, v.Y
 				c.SetVel(i, v.X, v.Y)
 				track.ResetConflict()
@@ -317,7 +324,7 @@ func DetectResolveExec(w *airspace.World, src broadphase.PairSource, pool *parex
 				dirty = append(dirty, int32(i))
 				break
 			}
-			MarkConflict(w, track, pr.with, pr.tmin)
+			MarkConflict(w, track, pr.With, pr.Tmin)
 		}
 		if !resolved {
 			st.Unresolved++

@@ -15,17 +15,17 @@ import (
 // aircraft records: every candidate of track — every aircraft for a nil
 // source, else one per-track AppendCandidates query — folded through
 // PairConflict in candidate order under the strict-< first-wins rule.
-func scalarScan(w *airspace.World, src broadphase.PairSource, track *airspace.Aircraft, vx, vy float64) scanResult {
-	r := scanResult{tmin: airspace.SafeTime, with: airspace.NoConflict}
+func scalarScan(w *airspace.World, src broadphase.PairSource, track *airspace.Aircraft, vx, vy float64) ScanResult {
+	r := ScanResult{Tmin: airspace.SafeTime, With: airspace.NoConflict}
 	fold := func(trial *airspace.Aircraft) {
 		if trial.ID == track.ID || !AltOverlap(track, trial) {
 			return
 		}
-		r.checks++
+		r.Checks++
 		tmin, tmax, ok := PairConflict(track.X, track.Y, vx, vy, trial)
-		if ok && tmin < tmax && tmin < r.tmin {
-			r.tmin = tmin
-			r.with = trial.ID
+		if ok && tmin < tmax && tmin < r.Tmin {
+			r.Tmin = tmin
+			r.With = trial.ID
 		}
 	}
 	if src == nil {
@@ -51,10 +51,10 @@ func scalarDetect(w *airspace.World, src broadphase.PairSource) DetectStats {
 		track := &w.Aircraft[i]
 		track.ResetConflict()
 		r := scalarScan(w, src, track, track.DX, track.DY)
-		st.PairChecks += int(r.checks)
-		if r.tmin < airspace.CriticalTime {
+		st.PairChecks += int(r.Checks)
+		if r.Tmin < airspace.CriticalTime {
 			st.Conflicts++
-			MarkConflict(w, track, r.with, r.tmin)
+			MarkConflict(w, track, r.With, r.Tmin)
 		}
 	}
 	return st
@@ -73,12 +73,12 @@ func scalarDetectResolve(w *airspace.World, src broadphase.PairSource) DetectSta
 		track := &w.Aircraft[i]
 		track.ResetConflict()
 		r := scalarScan(w, src, track, track.DX, track.DY)
-		st.PairChecks += int(r.checks)
-		if !(r.tmin < airspace.CriticalTime) {
+		st.PairChecks += int(r.Checks)
+		if !(r.Tmin < airspace.CriticalTime) {
 			continue
 		}
 		st.Conflicts++
-		MarkConflict(w, track, r.with, r.tmin)
+		MarkConflict(w, track, r.With, r.Tmin)
 
 		base := geom.Vec2{X: track.DX, Y: track.DY}
 		resolved := false
@@ -87,15 +87,15 @@ func scalarDetectResolve(w *airspace.World, src broadphase.PairSource) DetectSta
 			v := base.Rotate(deg)
 			track.BatX, track.BatY = v.X, v.Y
 			pr := scalarScan(w, src, track, v.X, v.Y)
-			st.PairChecks += int(pr.checks)
-			if !(pr.tmin < airspace.CriticalTime) {
+			st.PairChecks += int(pr.Checks)
+			if !(pr.Tmin < airspace.CriticalTime) {
 				track.DX, track.DY = v.X, v.Y
 				track.ResetConflict()
 				st.Resolved++
 				resolved = true
 				break
 			}
-			MarkConflict(w, track, pr.with, pr.tmin)
+			MarkConflict(w, track, pr.With, pr.Tmin)
 		}
 		if !resolved {
 			st.Unresolved++

@@ -36,11 +36,10 @@ var noallocContract = map[string]noallocSpec{
 	// Task 1's persistent phase body: expected positions, box hits,
 	// commit and wrap.
 	"corrJob.Chunk": {decl: true},
-	// The Tasks 2-3 runner, batch.go: the batched kernel, one scan, and
-	// the parallel scan body.
-	"scanTableBatch":        {decl: true},
-	"detectScratch.scanOne": {decl: true},
-	"scanJob.Chunk":         {decl: true},
+	// Tasks 2-3, batch.go: the one pair scan and the runner's parallel
+	// scan body.
+	"Scan":          {decl: true},
+	"scanJob.Chunk": {decl: true},
 }
 
 // TestNoallocManifestMatchesDirectives parses this package's sources

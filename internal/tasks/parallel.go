@@ -68,45 +68,17 @@ const (
 	elemGrain  = 1024
 )
 
-// rotationSchedule is RotationSchedule computed once: the schedule is
-// probed for every conflicted aircraft and must not allocate per use.
-var rotationSchedule = RotationSchedule()
-
-// scanResult is one track's scan outcome: the earliest conflict start,
-// the partner that achieved it (first-wins on ties), the number of pair
-// checks performed, and the number of 8-wide kernel batch iterations
-// executed (tail included).
-type scanResult struct {
-	tmin    float64
-	with    int32
-	checks  int32
-	batches int32
-}
-
-// workerBuf is one worker's candidate buffers, padded so neighbouring
-// workers' slice headers don't share a cache line: cand receives
-// per-track queries, keep is the kernel's compaction buffer (Correlate
-// uses cand alone).
-type workerBuf struct {
-	cand []int32
-	keep []int32
-	_    [16]byte
-}
-
 // detectScratch holds the reusable state of one Detect/DetectResolve
 // invocation; a sync.Pool keeps the hot path allocation-free.
 type detectScratch struct {
-	res   []scanResult
+	res   []ScanResult
 	reach []float64
 	dirty []int32
-	bufs  []workerBuf
-	// cols is the column snapshot every scan reads (batch.go).
+	bufs  []ScanBuf
+	// cols is the column snapshot every scan reads, and view serves
+	// each track's candidates (batch.go).
 	cols airspace.Columns
-	// view serves each track's candidates; with allPairs set (no pair
-	// source) the scan reads all[:n] instead, the identity list.
-	view     broadphase.View
-	allPairs bool
-	all      []int32
+	view broadphase.View
 	// job is the parallel scan phase's persistent body, held here so
 	// its RunBody dispatch allocates nothing.
 	job scanJob
@@ -120,7 +92,7 @@ func getDetectScratch(n, workers int) *detectScratch {
 		sc = &detectScratch{}
 	}
 	if cap(sc.res) < n {
-		sc.res = make([]scanResult, n)
+		sc.res = make([]ScanResult, n)
 	}
 	sc.res = sc.res[:n]
 	if cap(sc.reach) < n {
@@ -175,7 +147,7 @@ type corrScratch struct {
 	length    []int32
 	owner     []int32
 	withdrawn []int32
-	bufs      []workerBuf
+	bufs      []ScanBuf
 	// job is the persistent body of every fanned-out phase.
 	job corrJob
 }

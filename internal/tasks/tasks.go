@@ -14,13 +14,14 @@
 // Task 1 has one host body (parallel.go): the bounding-box search of
 // each pass fanned out per radar, then a serial replay of Algorithm 1's
 // matching in radar order, identical at any worker count; the tests
-// hold it to a scalar fold of Algorithm 1. Tasks 2-3 have one runner
-// for every pair source (batch.go): a column snapshot of the world
-// scanned by a batched pair kernel, with candidates from the source's
-// broadphase.View or, with no source, every aircraft. It runs the serial in-place Algorithm 2 at
-// one worker and a parallel snapshot scan plus serial replay above
-// that, identical at any worker count; the tests hold it to a scalar
-// fold of Algorithm 2 over the aircraft records.
+// hold it to a scalar fold of Algorithm 1. Tasks 2-3 have one pair
+// scan, Scan (batch.go): a column snapshot of the world scanned by a
+// batched pair kernel over the candidates a broadphase.View serves —
+// every aircraft with no source. The runner here and the cuda, mimd
+// and vector executors all call it. The runner runs the serial
+// in-place Algorithm 2 at one worker and a parallel snapshot scan plus
+// serial replay above that, identical at any worker count; the tests
+// hold it to a scalar fold of Algorithm 2 over the aircraft records.
 package tasks
 
 import (
@@ -115,22 +116,14 @@ func inBox(rep *radar.Report, a *airspace.Aircraft, boxHalf float64) bool {
 // velocities — while the trial aircraft flies its recorded course. It
 // returns the conflict window (timeMin, timeMax) in periods clipped to
 // [0, HorizonPeriods], and whether the pair is on a collision course
-// within the horizon (timeMin < timeMax).
+// within the horizon (timeMin < timeMax). It is the scalar statement of
+// the pair math; Scan evaluates the same windows branch-free.
 func PairConflict(tx, ty, tvx, tvy float64, trial *airspace.Aircraft) (timeMin, timeMax float64, conflict bool) {
-	return PairConflictAt(tx, ty, tvx, tvy, trial.X, trial.Y, trial.DX, trial.DY)
-}
-
-// PairConflictAt is PairConflict with the trial aircraft's state passed
-// as scalars, for callers that hold the world in column (SoA) form and
-// have no Aircraft record to take the address of. The arithmetic is the
-// same expression on the same values, so the result is bit-identical to
-// PairConflict on the corresponding record.
-func PairConflictAt(tx, ty, tvx, tvy, px, py, pvx, pvy float64) (timeMin, timeMax float64, conflict bool) {
-	wx, openX := geom.AxisConflictWindow(tx, tvx, px, pvx, airspace.SepTotal)
+	wx, openX := geom.AxisConflictWindow(tx, tvx, trial.X, trial.DX, airspace.SepTotal)
 	if !openX && wx.Empty() {
 		return 0, 0, false
 	}
-	wy, openY := geom.AxisConflictWindow(ty, tvy, py, pvy, airspace.SepTotal)
+	wy, openY := geom.AxisConflictWindow(ty, tvy, trial.Y, trial.DY, airspace.SepTotal)
 	if !openY && wy.Empty() {
 		return 0, 0, false
 	}
@@ -152,8 +145,8 @@ func AltOverlap(a, b *airspace.Aircraft) bool {
 	return AltOverlapAt(a.Alt, b.Alt)
 }
 
-// AltOverlapAt is AltOverlap on scalar altitudes, for column-form
-// callers. Same expression, bit-identical result.
+// AltOverlapAt is AltOverlap on scalar altitudes, for Scan's column
+// form. Same expression, bit-identical result.
 //
 //atm:inline
 func AltOverlapAt(a, b float64) bool {
@@ -233,16 +226,27 @@ func MarkConflict(w *airspace.World, track *airspace.Aircraft, with int32, tmin 
 	}
 }
 
-// RotationSchedule returns the trial heading offsets of Task 3 in the
-// order the paper probes them: alternating sign, growing magnitude
-// (+5, -5, +10, -10, ... +30, -30 degrees).
-func RotationSchedule() []float64 {
-	var degs []float64
+// rotationCount is the number of trial headings of Task 3: each
+// ResolutionStepDeg up to MaxResolutionDeg, on either side.
+const rotationCount = 2 * int(MaxResolutionDeg/ResolutionStepDeg)
+
+// rotationSchedule is the schedule RotationSchedule returns, computed
+// once.
+var rotationSchedule = func() (degs [rotationCount]float64) {
+	k := 0
 	for mag := ResolutionStepDeg; mag <= MaxResolutionDeg; mag += ResolutionStepDeg {
-		degs = append(degs, mag, -mag)
+		degs[k], degs[k+1] = mag, -mag
+		k += 2
 	}
 	return degs
-}
+}()
+
+// RotationSchedule returns the trial heading offsets of Task 3 in the
+// order the paper probes them: alternating sign, growing magnitude
+// (+5, -5, +10, -10, ... +30, -30 degrees). The schedule is computed
+// once and returned by value, so every executor probes it per
+// conflicted aircraft without allocating.
+func RotationSchedule() [rotationCount]float64 { return rotationSchedule }
 
 // AltitudeResolve is the paper's fallback for conflicts that survive
 // the ±30° rotation search: "any left unresolved ... that were urgent

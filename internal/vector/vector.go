@@ -4,12 +4,15 @@
 // efficient, vector-based parallel computation" [8, 9].
 //
 // The machine is a many-core CPU whose cores each execute W-lane SIMD
-// instructions. The ATM tasks are written here in explicitly
-// lane-blocked form — the aircraft database is scanned eight records at
-// a time through mask registers, exactly as a vectorizing port of the
-// CUDA kernels would be — and every vector instruction is counted. The
-// cost model charges the per-core critical path of vector instructions
-// at the profile's issue rate, plus a barrier per parallel phase. No
+// instructions. Task 1 is written here in explicitly lane-blocked form
+// — the aircraft database is scanned eight records at a time through
+// mask registers, exactly as a vectorizing port of the CUDA kernels
+// would be — and every vector instruction is counted. Tasks 2-3 run the
+// shared pair scan (tasks.Scan, itself an 8-wide blocked kernel) and
+// are charged the lane blocks that cover each scan's candidate list.
+// The cost model charges the per-core critical path of vector
+// instructions at the profile's issue rate, plus a barrier per
+// parallel phase. No
 // OS-jitter term is modeled: the package answers the paper's question
 // "could wide SIMD units give the deterministic, SIMD-like behaviour
 // the GPUs showed?" for the idealized case where the vector units are
@@ -19,7 +22,6 @@ package vector
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -87,12 +89,12 @@ type Machine struct {
 	// Resolution scratch for DetectResolve.
 	newDX, newDY []float64
 	resolved     []bool
-	// Candidate view of the pruned gather scan, the SoA mirror viewed as
-	// airspace.Columns for its index build (same backing arrays, no
-	// copy), and per-core buffers for its per-track queries.
+	// Candidate view of the pair scan, the SoA mirror viewed as
+	// airspace.Columns for the scan and the index build (same backing
+	// arrays, no copy), and per-core scan buffers.
 	view broadphase.View
 	cols airspace.Columns
-	bufs []candBuf
+	bufs []tasks.ScanBuf
 
 	// Telemetry phase marks: per-core cumulative instruction
 	// snapshots taken after each parallel phase when a recorder is
@@ -100,13 +102,6 @@ type Machine struct {
 	marks   []phaseMark
 	markOps []uint64 // len(marks)*Cores snapshots
 	marksOn bool
-}
-
-// candBuf is one modeled core's candidate buffer, padded against false
-// sharing of the slice headers.
-type candBuf struct {
-	cand []int32
-	_    [40]byte
 }
 
 // phaseMark names one parallel phase; its per-core cumulative
@@ -136,8 +131,9 @@ func New(p Profile) *Machine {
 func (m *Machine) Name() string { return m.prof.Name }
 
 // SetPairSource installs a broadphase pair source for the Tasks 2-3
-// scan (nil restores the all-pairs lane sweep). Pruned scans walk the
-// candidate list through gather loads instead of contiguous blocks.
+// scan (nil restores the all-pairs lane sweep). Pruned scans are
+// charged gather loads over the candidate list instead of contiguous
+// blocks.
 func (m *Machine) SetPairSource(src broadphase.PairSource) { m.src = src }
 
 // SetWorkers pins the host worker count that executes the modeled
@@ -537,7 +533,8 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 // DetectResolve runs Tasks 2-3: each core owns a slice of track
 // aircraft; the inner trial scan evaluates the Batcher window for eight
 // trial aircraft at a time against a pre-kernel snapshot (the same
-// snapshot discipline as the CUDA kernel).
+// snapshot discipline as the CUDA kernel), charged one lane block per
+// eight candidates.
 //
 //atm:allow atomic -- conflict and rotation tallies are order-independent sums read only after the join
 func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Duration) {
@@ -550,7 +547,7 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 		m.resolved = make([]bool, n)
 	}
 	if len(m.bufs) < m.prof.Cores {
-		m.bufs = make([]candBuf, m.prof.Cores)
+		m.bufs = make([]tasks.ScanBuf, m.prof.Cores)
 	}
 	newDX, newDY := m.newDX, m.newDY
 	resolved := m.resolved[:n]
@@ -564,9 +561,11 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	// maintained source (the production sweep) also builds its
 	// candidate table on the host pool, and the phase name reports it.
 	// The charge is identical either way, as bit-identity requires.
+	// With no source the view serves every aircraft and no phase is
+	// charged.
+	m.cols = airspace.Columns{X: s.x, Y: s.y, DX: s.dx, DY: s.dy, Alt: s.alt}
+	m.view.Prepare(m.src, w, &m.cols, parexec.Resolve(m.pool))
 	if m.src != nil {
-		m.cols = airspace.Columns{X: s.x, Y: s.y, DX: s.dx, DY: s.dy, Alt: s.alt}
-		m.view = broadphase.PrepareView(m.src, w, &m.cols, parexec.Resolve(m.pool))
 		name := "index"
 		if m.view.Maintained() {
 			name = "index.rebuild"
@@ -576,65 +575,20 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 		})
 	}
 
+	// scan runs the shared pair scan for track i on course (vx, vy),
+	// charged as the lane blocks that cover its candidate list:
+	// contiguous loads over the whole database with no source, gather
+	// loads over the broadphase candidate list with one.
 	var conflicts, rotations, resolvedCount, unresolvedCount, pairChecks int64
-
-	// scanLane folds one trial record into the running minimum.
-	scanLane := func(i, p int, tx, ty, tdx, tdy, talt float64, vx, vy float64,
-		checks *uint64, earliest *float64, with *int32) {
-		if p == i || math.Abs(talt-s.alt[i]) >= airspace.AltBandFeet {
-			return
-		}
-		*checks++
-		tmin, tmax, ok := tasks.PairConflictAt(s.x[i], s.y[i], vx, vy, tx, ty, tdx, tdy)
-		if ok && tmin < tmax && tmin < *earliest {
-			*earliest = tmin
-			*with = int32(p)
-		}
+	viBlock := uint64(viPair)
+	if m.src != nil {
+		viBlock += viGather
 	}
-
-	// scan evaluates one candidate course for track i in lane blocks:
-	// contiguous loads over the whole database, or gather loads over the
-	// broadphase candidate list.
 	scan := func(core int, i int, vx, vy float64) (earliest float64, with int32, critical bool) {
-		earliest = airspace.SafeTime
-		with = airspace.NoConflict
-		var vi, checks uint64
-		if m.src == nil {
-			for base := 0; base < n; base += Lanes {
-				var tx, ty, tdx, tdy, talt block
-				var valid mask
-				loadField(&tx, &valid, s.x, base, n)
-				loadField(&ty, &valid, s.y, base, n)
-				loadField(&tdx, &valid, s.dx, base, n)
-				loadField(&tdy, &valid, s.dy, base, n)
-				loadField(&talt, &valid, s.alt, base, n)
-				vi += viPair
-				for l := 0; l < Lanes; l++ {
-					if !valid[l] {
-						continue
-					}
-					scanLane(i, base+l, tx[l], ty[l], tdx[l], tdy[l], talt[l], vx, vy,
-						&checks, &earliest, &with)
-				}
-			}
-		} else {
-			cand := m.view.Candidates(&m.bufs[core].cand, w, i)
-			for base := 0; base < len(cand); base += Lanes {
-				end := base + Lanes
-				if end > len(cand) {
-					end = len(cand)
-				}
-				vi += viPair + viGather
-				for _, p32 := range cand[base:end] {
-					p := int(p32)
-					scanLane(i, p, s.x[p], s.y[p], s.dx[p], s.dy[p], s.alt[p], vx, vy,
-						&checks, &earliest, &with)
-				}
-			}
-		}
-		t.vecInstr[core] += vi
-		atomic.AddInt64(&pairChecks, int64(checks))
-		return earliest, with, earliest < airspace.CriticalTime
+		r := tasks.Scan(&m.cols, &m.view, w, &m.bufs[core], i, vx, vy)
+		t.vecInstr[core] += uint64((r.Cands+Lanes-1)/Lanes) * viBlock
+		atomic.AddInt64(&pairChecks, int64(r.Checks))
+		return r.Tmin, r.With, r.Tmin < airspace.CriticalTime
 	}
 
 	m.parallel(t, "scanresolve", 0, n, func(core, lo, hi int) {
