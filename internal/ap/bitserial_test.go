@@ -91,7 +91,7 @@ func TestLessBroadcastMatchesScalarCompare(t *testing.T) {
 		m := NewMachine(STARAN, n)
 		m.Search(1, func(_ *Machine, i int) bool { return true })
 		m.LessBroadcast(bp, threshold)
-		for i, on := range m.Mask() {
+		for i, on := range m.mask {
 			want := vals[i] < threshold
 			if on != want {
 				t.Fatalf("threshold %d record %d (=%d): mask %v, want %v",

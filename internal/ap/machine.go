@@ -12,6 +12,12 @@
 // cycles/clock, a pure function of the instruction trace, which makes
 // the AP timing exactly as deterministic as the paper requires.
 //
+// A wide op's charge reads only its op count and the tile count, never
+// the responder mask. Task 1 and the priority display execute their
+// wide ops; Tasks 2-3 charge each associative scan its wide-op trace
+// and compute it with tasks.Scan, the pair scan every executor shares,
+// over a column snapshot the machine holds.
+//
 // Two profiles are provided:
 //
 //   - STARAN: the idealized associative processor of [12, 13], with one
@@ -30,8 +36,10 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/airspace"
 	"repro/internal/broadphase"
 	"repro/internal/parexec"
+	"repro/internal/tasks"
 )
 
 // peGrain is the chunk size the host worker pool hands out when a wide
@@ -118,16 +126,12 @@ type Machine struct {
 
 	// mask is the current responder mask over the PE array.
 	mask []bool
-	// scratch is a reusable per-PE temporary register (one wide word).
-	scratch []float64
-	// candMask is a per-PE candidate flag used by the opt-in broadphase
-	// variant of the detection program.
-	candMask []bool
-	// view is the detection program's broadphase candidate view, and
-	// candBuf the reusable buffer of its per-track queries for the
-	// control-unit scatter.
-	view    broadphase.View
-	candBuf []int32
+	// cols is the detection program's column snapshot of the database,
+	// view its broadphase candidate view, and scan the buffers of its
+	// tasks.Scan calls.
+	cols airspace.Columns
+	view broadphase.View
+	scan tasks.ScanBuf
 	// matchedRadar is TrackProgram's per-aircraft paired-radar table.
 	matchedRadar []int32
 
@@ -187,7 +191,6 @@ const (
 	wideMaskAnd
 	wideCount
 	wideMin
-	wideMax
 )
 
 // wideJob is the host body of every wide op. The reductions store one
@@ -229,13 +232,13 @@ func (j *wideJob) Chunk(_, lo, hi int) {
 			}
 		}
 		m.partCnt[lo/peGrain] = c
-	case wideMin, wideMax:
+	case wideMin:
 		best, arg := j.def, int32(-1)
 		for i := lo; i < hi; i++ {
 			if !mask[i] {
 				continue
 			}
-			if v := j.value(m, i); j.kind == wideMin && v < best || j.kind == wideMax && v > best {
+			if v := j.value(m, i); v < best {
 				best, arg = v, int32(i)
 			}
 		}
@@ -362,21 +365,6 @@ func (m *Machine) MaskAnd(pred func(m *Machine, i int) bool) {
 	m.dispatch(wideMaskAnd)
 }
 
-// Mask exposes the current responder mask (read-only use by programs).
-func (m *Machine) Mask() []bool { return m.mask }
-
-// AnyResponder reports whether any PE responds (constant-time in AP
-// hardware).
-func (m *Machine) AnyResponder() bool {
-	m.cycles += uint64(m.prof.ReduceCycles) * uint64(m.Tiles())
-	for i := 0; i < m.n; i++ {
-		if m.mask[i] {
-			return true
-		}
-	}
-	return false
-}
-
 // CountResponders returns the number of responders (constant-time
 // reduction in AP hardware).
 //
@@ -427,25 +415,6 @@ func (m *Machine) MinReduce(def float64, value func(m *Machine, i int) float64) 
 	best, arg := def, -1
 	for k := 0; k < nc; k++ {
 		if pa[k] >= 0 && pb[k] < best {
-			best, arg = pb[k], int(pa[k])
-		}
-	}
-	return best, arg
-}
-
-// MaxReduce returns the maximum of value(i) over responders and the
-// lowest index attaining it. It returns (def, -1) with no responders.
-//
-//atm:ordered-merge
-func (m *Machine) MaxReduce(def float64, value func(m *Machine, i int) float64) (float64, int) {
-	m.cycles += uint64(m.prof.ReduceCycles+m.prof.SelectCycles) * uint64(m.Tiles())
-	nc := m.chunks()
-	m.job.value, m.job.def = value, def
-	m.dispatch(wideMax)
-	pb, pa := m.partBest, m.partArg
-	best, arg := def, -1
-	for k := 0; k < nc; k++ {
-		if pa[k] >= 0 && pb[k] > best {
 			best, arg = pb[k], int(pa[k])
 		}
 	}

@@ -46,8 +46,8 @@ func (p *Platform) SetWorkers(n int) {
 
 // SetPairSource installs a broadphase pair source for the detection
 // program (nil keeps the full associative scan). On a true AP this only
-// trims the PairChecks account, not the wide-operation time — see
-// apScan.
+// trims the PairChecks account, not the wide-operation time, and adds
+// the control-unit scatter of each candidate set — see chargeTrack.
 func (p *Platform) SetPairSource(src broadphase.PairSource) { p.src = src }
 
 // SetTelemetry attaches a recorder (nil detaches): each task then

@@ -3,7 +3,6 @@ package ap
 import (
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
-	"repro/internal/geom"
 	"repro/internal/radar"
 	"repro/internal/tasks"
 )
@@ -19,11 +18,6 @@ type operands struct {
 	// and the current pass's box half-width.
 	rep     *radar.Report
 	boxHalf float64
-	// idx and (vx, vy) are apScan's track and probed velocity; pruned
-	// narrows its search to candMask.
-	idx    int
-	vx, vy float64
-	pruned bool
 }
 
 // The programs' element bodies: one PE's step of a wide op, reading
@@ -60,32 +54,6 @@ func peDeadReckon(m *Machine, i int) {
 }
 
 func peWrap(m *Machine, i int) { airspace.Wrap(&m.args.ac[i]) }
-
-func peScanEligible(m *Machine, p int) bool {
-	if m.args.pruned && !m.candMask[p] {
-		return false
-	}
-	return p != m.args.idx && tasks.AltOverlap(&m.args.ac[m.args.idx], &m.args.ac[p])
-}
-
-// peConflictWindow stores in scratch the start of PE p's conflict
-// window with the track on its probed velocity, SafeTime for none.
-func peConflictWindow(m *Machine, p int) {
-	if !m.mask[p] {
-		return
-	}
-	track := &m.args.ac[m.args.idx]
-	tmin, tmax, ok := tasks.PairConflict(track.X, track.Y, m.args.vx, m.args.vy, &m.args.ac[p])
-	if ok && tmin < tmax {
-		m.scratch[p] = tmin
-	} else {
-		m.scratch[p] = airspace.SafeTime
-	}
-}
-
-func peCritical(m *Machine, p int) bool { return m.scratch[p] < airspace.SafeTime }
-
-func peTmin(m *Machine, p int) float64 { return m.scratch[p] }
 
 func peCol(m *Machine, i int) bool { return m.args.ac[i].Col }
 
@@ -222,74 +190,6 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 	return st
 }
 
-// apScan evaluates one candidate course for track aircraft idx against
-// the whole database in one associative pass: a broadcast of the track
-// record, a wide evaluation of Equations 1-6 on every PE, and a
-// constant-time min-reduction over the critical responders. Semantics
-// match tasks.scan exactly (min over strict improvements, lowest index
-// wins ties).
-//
-// When a broadphase view is supplied, the control unit scatters the
-// track's candidate flags into PE memory before the search and the
-// responder mask is additionally narrowed to candidates, so the wide
-// bodies read the records of candidate PEs only. An associative search
-// is constant-time over all PEs regardless of the mask, so pruning does
-// not shorten the wide operations — it trims PairChecks (and the
-// control-unit work those would imply on other machines), which is the
-// honest statement of what a broad phase buys a true associative
-// processor: nothing on the wide path. Exactness is unaffected: pairs
-// outside a candidate set have tmin >= SafeTime and could never survive
-// the criticality mask anyway.
-func apScan(m *Machine, w *airspace.World, idx int, vx, vy float64, st *tasks.DetectStats, view *broadphase.View) (earliest float64, with int32, critical bool) {
-	ac := w.Aircraft
-	m.Broadcast(5) // x, y, vx, vy, alt
-
-	// tmin per PE, computed by the wide Batcher evaluation.
-	// The slice is scratch PE memory; allocate once per machine.
-	if len(m.scratch) < len(ac) {
-		m.scratch = make([]float64, len(ac))
-	}
-
-	pruned := view != nil
-	var cand []int32
-	if pruned {
-		cand = view.Candidates(&m.candBuf, w, idx)
-		if len(m.candMask) < len(ac) {
-			m.candMask = make([]bool, len(ac))
-		}
-		for _, p := range cand {
-			m.candMask[p] = true
-		}
-		// Control-unit scatter of the candidate flags into PE memory.
-		m.Scalar(len(cand))
-	}
-
-	m.args = operands{ac: ac, idx: idx, vx: vx, vy: vy, pruned: pruned}
-	m.Search(2, peScanEligible)
-	for _, p := range cand {
-		m.candMask[p] = false
-	}
-	checks := 0
-	for _, r := range m.Mask() {
-		if r {
-			checks++
-		}
-	}
-	st.PairChecks += checks
-
-	// Wide evaluation of Equations 1-6 (the 4 divisions, the interval
-	// intersection and the horizon clip): ~14 word operations.
-	m.ParallelOp(14, peConflictWindow)
-	m.MaskAnd(peCritical)
-
-	earliest, arg := m.MinReduce(airspace.SafeTime, peTmin)
-	with = airspace.NoConflict
-	if arg >= 0 {
-		with = int32(arg)
-	}
-	return earliest, with, earliest < airspace.CriticalTime
-}
-
 // DetectResolveProgram is the AP implementation of Tasks 2-3: the
 // control unit visits each aircraft in turn; detection of that
 // aircraft against the entire database is one constant-time associative
@@ -310,6 +210,13 @@ func DetectResolveProgram(m *Machine, w *airspace.World) tasks.DetectStats {
 // under pruning because the broadphase envelopes depend only on speed,
 // which rotation preserves (see package broadphase).
 //
+// The host computes each associative pass with tasks.Scan over the
+// machine's column snapshot of the database, and the control flow is
+// the tasks runner's own in-place step, tasks.ResolveInPlace. The
+// cycles are those of the wide-op trace the pass issues on the
+// hardware (see chargeTrack), which depend on the candidate count
+// alone, never on which PEs respond.
+//
 //atm:modeled-time
 func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.PairSource) tasks.DetectStats {
 	var st tasks.DetectStats
@@ -320,49 +227,49 @@ func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.Pair
 	// marks its index build and builds its candidate table once, so the
 	// per-PE scatter reads table rows; other sources query per track.
 	// Candidates and cycle charges are identical either way.
-	var view *broadphase.View
+	m.cols.FillFrom(w)
+	m.view.Prepare(src, w, &m.cols, nil)
 	if src != nil {
-		m.view.Prepare(src, w, nil, nil)
-		view = &m.view
-		if view.Maintained() {
+		if m.view.Maintained() {
 			m.mark("ap.index.rebuild", 0)
 		}
 		// Control-unit index build over the database.
 		m.Scalar(w.N())
 	}
 	m.mark("ap.scanresolve", 0)
-	ac := w.Aircraft
-	for i := range ac {
-		track := &ac[i]
-		track.ResetConflict()
-		m.Scalar(4)
-		tmin, with, critical := apScan(m, w, i, track.DX, track.DY, &st, view)
-		if !critical {
-			continue
-		}
-		st.Conflicts++
-		tasks.MarkConflict(w, track, with, tmin)
-
-		base := geom.Vec2{X: track.DX, Y: track.DY}
-		resolved := false
-		for _, deg := range tasks.RotationSchedule() {
-			st.Rotations++
-			m.Scalar(8) // rotate on the control unit
-			v := base.Rotate(deg)
-			track.BatX, track.BatY = v.X, v.Y
-			tmin, with, critical = apScan(m, w, i, v.X, v.Y, &st, view)
-			if !critical {
-				track.DX, track.DY = v.X, v.Y
-				track.ResetConflict()
-				st.Resolved++
-				resolved = true
-				break
-			}
-			tasks.MarkConflict(w, track, with, tmin)
-		}
-		if !resolved {
-			st.Unresolved++
-		}
+	for i := range w.Aircraft {
+		r := tasks.Scan(&m.cols, &m.view, w, &m.scan, i, m.cols.DX[i], m.cols.DY[i])
+		probes, _ := tasks.ResolveInPlace(&m.cols, &m.view, w, &m.scan, i, r, &st)
+		m.chargeTrack(probes, r.Cands, src != nil)
 	}
 	return st
+}
+
+// chargeTrack charges one track of the detection program: its
+// control-unit set-up, a control-unit rotation per probe, and the
+// 1+probes associative passes — the track's course and each rotation
+// probed. The total does not depend on the order the hardware issues
+// them in, and no phase mark falls inside a track.
+//
+// A pass over cands candidates is a broadcast of the track record;
+// with a pair source, the control-unit scatter of the candidate flags
+// into PE memory; the search for eligible PEs (candidate, not the
+// track, altitude band); the wide evaluation of Equations 1-6 (the 4
+// divisions, the interval intersection and the horizon clip: ~14 word
+// operations); the mask narrowing to critical PEs; and the
+// constant-time min-reduction with select that yields the earliest
+// conflict and its partner. Pruning does not shorten the wide
+// operations, which run over all PEs whatever the mask holds: on a
+// true AP a broad phase trims PairChecks and adds the scatter, nothing
+// on the wide path.
+func (m *Machine) chargeTrack(probes int, cands int32, pruned bool) {
+	scans := 1 + probes
+	m.Scalar(4 + 8*probes) // set-up, and a rotation per probe
+	m.Broadcast(5 * scans) // x, y, vx, vy, alt
+	if pruned {
+		m.Scalar(int(cands) * scans)
+	}
+	m.chargeWide((2 + 14 + 1) * scans) // Search, Equations 1-6, MaskAnd
+	// MinReduce.
+	m.cycles += uint64(scans*(m.prof.ReduceCycles+m.prof.SelectCycles)) * uint64(m.Tiles())
 }

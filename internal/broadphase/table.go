@@ -45,7 +45,7 @@ import (
 // tableGrain is the segment size of the table build: one self-scheduled
 // chunk covers this many consecutive tracks. Small enough to
 // load-balance skewed candidate counts, large enough that the per-chunk
-// bookkeeping (owner, offset, scratch acquisition) is noise.
+// bookkeeping (owner, offset) is noise.
 const tableGrain = 256
 
 // Table size limits, in candidates. tableMaxCand caps one build at
@@ -126,11 +126,13 @@ func TableOf(src PairSource) TableSource {
 	return nil
 }
 
-// tableBuf is one segment's candidate-run buffer, padded so slice
-// headers written by different workers don't share a cache line.
+// tableBuf is one segment's candidate-run buffer and the query bitmap
+// its walk uses, padded so slice headers written by different workers
+// don't share a cache line.
 type tableBuf struct {
-	cand []int32
-	_    [40]byte
+	cand  []int32
+	words []uint64
+	_     [16]byte
 }
 
 // Sharded reports whether the sweep builds the candidate table: true
@@ -155,9 +157,10 @@ func (s *Sweep) TakeShardStats() (segments, batches int64) {
 
 // fillJob walks one grain-aligned segment of tracks, emitting each
 // track's candidate run into the segment's buffer and recording the
-// run length in the table's Start[track+1]. The buffer belongs to the
-// segment, not the claiming worker, so steady-state buffer sizes are
-// independent of the claim order.
+// run length in the table's Start[track+1]. The buffer and the query
+// bitmap belong to the segment, not the claiming worker, so steady-
+// state buffer sizes are independent of the claim order, and the walk
+// never borrows from the query pool, which a GC empties.
 //
 // Every segment adds what it emitted to the shared running total at
 // least every tablePublish candidates and stops once the total passes
@@ -171,14 +174,12 @@ func (j *fillJob) Chunk(_, lo, hi int) {
 	if s.tableTotal.Load() > s.tableLimit {
 		return
 	}
-	chunk := lo / tableGrain
-	buf := s.chunkBufs[chunk].cand[:0]
-	nw := (s.n + 63) / 64
-	sc := s.getScratch(nw) //atm:allow noallocflow -- scratch acquisition allocates only on pool miss or fleet growth; steady state reuses pooled words
+	tb := &s.chunkBufs[lo/tableGrain]
+	buf := tb.cand[:0]
 	published := 0
 	for k := lo; k < hi; k++ {
 		before := len(buf)
-		buf = s.appendCandidatesID(buf, k, sc.words)
+		buf = s.appendCandidatesID(buf, k, tb.words)
 		s.table.Start[k+1] = int32(len(buf) - before)
 		if len(buf)-published >= tablePublish || k == hi-1 {
 			if s.tableTotal.Add(int64(len(buf)-published)) > s.tableLimit {
@@ -187,8 +188,7 @@ func (j *fillJob) Chunk(_, lo, hi int) {
 			published = len(buf)
 		}
 	}
-	s.scratch.Put(sc)
-	s.chunkBufs[chunk].cand = withHeadroom(buf) //atm:allow noallocflow -- headroom regrow only, amortized to nothing in steady state
+	tb.cand = withHeadroom(buf) //atm:allow noallocflow -- headroom regrow only, amortized to nothing in steady state
 }
 
 // withHeadroom returns buf, reallocated with an eighth of spare
@@ -235,6 +235,12 @@ func (s *Sweep) PrepareTable() *PairTable {
 	chunks := (n + tableGrain - 1) / tableGrain
 	if len(s.chunkBufs) < chunks {
 		s.chunkBufs = slices.Grow(s.chunkBufs, chunks-len(s.chunkBufs))[:chunks]
+	}
+	nw := (n + 63) / 64
+	for k := range s.chunkBufs[:chunks] {
+		if len(s.chunkBufs[k].words) < nw {
+			s.chunkBufs[k].words = make([]uint64, nw)
+		}
 	}
 
 	s.tableLimit = tableLimit(n)

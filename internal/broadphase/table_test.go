@@ -337,3 +337,40 @@ func TestPrepareTableSizeLimit(t *testing.T) {
 		ref.Prepare(dense)
 	}
 }
+
+// TestPrepareTableAllocFreeAcrossGC: a steady-state table build
+// allocates nothing, even when garbage collections have emptied every
+// sync.Pool since the last build. Each segment walk queries with a
+// bitmap its segment owns; a bitmap borrowed from the sweep's query
+// pool would be reallocated after the collections. Two collections
+// run between builds because a pooled item survives the first in the
+// pool's victim cache. The builds run their segments serially, with
+// no pool and on a one-worker pool: a collection also frees the
+// runtime's own records of goroutines waiting on a channel, so a
+// parallel dispatch after one may allocate in the runtime whatever
+// its body does.
+func TestPrepareTableAllocFreeAcrossGC(t *testing.T) {
+	w := randomWorld(rng.New(0x6cb17), 600, 0.3)
+	for pi, pool := range []*parexec.Pool{nil, parexec.NewPool(1)} {
+		s := newSweep()
+		s.SetPool(pool)
+		s.Prepare(w)
+		if s.PrepareTable() == nil { // grow the segment and CSR buffers
+			t.Fatal("N=600 world passed the table limit")
+		}
+		const builds = 5
+		var mallocs uint64
+		var before, after runtime.MemStats
+		for k := 0; k < builds; k++ {
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			s.PrepareTable()
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		if mallocs >= builds {
+			t.Errorf("pool=%d: %d allocations over %d table builds, want under one per build", pi, mallocs, builds)
+		}
+	}
+}

@@ -20,15 +20,16 @@ import (
 // allocates at most a small constant — its per-phase dispatch — however
 // many aircraft it scans and however many conflicts it resolves. One
 // platform per executor family that runs the shared pair scan (cuda,
-// mimd, vector), with no pair source and with the sweep. The limit
-// holds at any worker count, so the default pool runs.
+// mimd, vector), and both AP profiles, with no pair source and with
+// the sweep. The limit holds at any worker count, so the default pool
+// runs.
 func TestDetectResolveAllocsBounded(t *testing.T) {
 	const limit = 24
 	base := airspace.NewWorld(2000, rng.New(2018))
 	if st := tasks.DetectResolve(base.Clone()); st.Conflicts == 0 {
 		t.Fatal("the N=2000 world has no conflicts; the test would not exercise resolution")
 	}
-	for _, name := range []string{TitanXPascal, Xeon16, XeonPhi} {
+	for _, name := range []string{TitanXPascal, Xeon16, XeonPhi, STARAN, ClearSpeed} {
 		for _, srcName := range []string{"", broadphase.SweepName} {
 			p := MustNew(name, 7)
 			if srcName != "" {

@@ -1,17 +1,19 @@
-// The one Tasks 2-3 pair scan, Scan, and the Tasks 2-3 runner built on
-// it: Detect and DetectResolve for every pair source.
+// The one Tasks 2-3 pair scan, Scan, the in-place step of Algorithm 2,
+// ResolveInPlace, and the Tasks 2-3 runner built on them: Detect and
+// DetectResolve for every pair source.
 //
-// Scan is the pair fold of every executor but the AP: the runner here,
-// cuda's CheckCollisionPath, and the mimd and vector machines each call
-// it per track and probe, and keep only their own control flow,
-// snapshot discipline and modeled charges, which they compute from the
-// scan's candidate and check counts. Every source runs the same scan;
-// only the candidate list of a track differs. The broadphase.View
-// serves it: the identity list [0, n) with no source, the row of the
-// candidate table where the source builds one, a per-track query
-// otherwise. Three things make the runner bit-identical to the
-// reference scan of Algorithm 2 over the aircraft records (kept as the
-// scalar reference in the tests):
+// Scan is the pair fold of every executor: the runner here, cuda's
+// CheckCollisionPath, the AP's detection program, and the mimd and
+// vector machines each call it per track and probe, and keep only their
+// own control flow, snapshot discipline and modeled charges, which they
+// compute from the scan's candidate and check counts. The AP, whose
+// control flow is the runner's serial one, shares ResolveInPlace too.
+// Every source runs the same scan; only the candidate list of a track
+// differs. The broadphase.View serves it: the identity list [0, n)
+// with no source, the row of the candidate table where the source
+// builds one, a per-track query otherwise. Three things make the
+// runner bit-identical to the reference scan of Algorithm 2 over the
+// aircraft records (kept as the scalar reference in the tests):
 //
 //   - Every value the scan reads — positions, velocities, altitudes —
 //     comes from an airspace.Columns snapshot that FillFrom copies out
@@ -81,7 +83,7 @@ type ScanResult struct {
 }
 
 // Scan is the fused Task 2+3 pair kernel, the one pair scan of every
-// executor but the AP. It folds the candidates v serves for the track
+// executor. It folds the candidates v serves for the track
 // at index i of the column snapshot c — at its snapshot position and
 // altitude, probing velocity (vx, vy) — using b's buffers; w is the
 // world v was prepared on, which a per-track query reads.
@@ -256,7 +258,7 @@ func DetectExec(w *airspace.World, src broadphase.PairSource, pool *parexec.Pool
 		batches += kernelBatches(r.Checks)
 		if r.Tmin < airspace.CriticalTime {
 			st.Conflicts++
-			MarkConflict(w, track, r.With, r.Tmin)
+			markConflict(w, track, r.With, r.Tmin)
 		}
 	}
 	sc.view.AddKernelBatches(batches)
@@ -297,40 +299,59 @@ func DetectResolveExec(w *airspace.World, src broadphase.PairSource, pool *parex
 		if !replay || dirtyInteracts(w, sc, track, dirty) {
 			r = Scan(c, &sc.view, w, b, i, track.DX, track.DY)
 		}
-		track.ResetConflict()
-		st.PairChecks += int(r.Checks)
-		batches += kernelBatches(r.Checks)
-		if !(r.Tmin < airspace.CriticalTime) {
-			continue
-		}
-		st.Conflicts++
-		MarkConflict(w, track, r.With, r.Tmin)
-
-		base := geom.Vec2{X: track.DX, Y: track.DY}
-		resolved := false
-		for _, deg := range rotationSchedule {
-			st.Rotations++
-			v := base.Rotate(deg)
-			track.BatX, track.BatY = v.X, v.Y
-			pr := Scan(c, &sc.view, w, b, i, v.X, v.Y)
-			st.PairChecks += int(pr.Checks)
-			batches += kernelBatches(pr.Checks)
-			if !(pr.Tmin < airspace.CriticalTime) {
-				track.DX, track.DY = v.X, v.Y
-				c.SetVel(i, v.X, v.Y)
-				track.ResetConflict()
-				st.Resolved++
-				resolved = true
-				dirty = append(dirty, int32(i))
-				break
-			}
-			MarkConflict(w, track, pr.With, pr.Tmin)
-		}
-		if !resolved {
-			st.Unresolved++
+		probes, resolved := ResolveInPlace(c, &sc.view, w, b, i, r, &st)
+		batches += int64(1+probes) * kernelBatches(r.Checks)
+		if resolved {
+			dirty = append(dirty, int32(i))
 		}
 	}
 	sc.dirty = dirty[:0]
 	sc.view.AddKernelBatches(batches)
 	return st
+}
+
+// ResolveInPlace is Algorithm 2's step for the track at index i once
+// r, its scan on its committed course, is known: it clears the track's
+// conflict fields and, if r is critical, marks the conflict and probes
+// the rotation schedule with one Scan per trial heading, committing the
+// first conflict-free heading in place — to the record and, through
+// SetVel, to the column snapshot c. It accounts the track in st and
+// returns the number of headings it probed and whether it committed
+// one. The tasks runner and the AP's detection program both run it.
+//
+// Every probe is handed the candidate list of r: candidate sets depend
+// only on positions and speeds, rotation keeps speed, and v is prepared
+// once per invocation. So every probe has r's Cands and Checks, and a
+// caller charges the track's 1+probes scans from r alone.
+//
+//atm:noalloc
+func ResolveInPlace(c *airspace.Columns, v *broadphase.View, w *airspace.World, b *ScanBuf, i int, r ScanResult, st *DetectStats) (probes int, resolved bool) {
+	track := &w.Aircraft[i]
+	track.ResetConflict()
+	st.PairChecks += int(r.Checks)
+	if !(r.Tmin < airspace.CriticalTime) {
+		return 0, false
+	}
+	st.Conflicts++
+	markConflict(w, track, r.With, r.Tmin)
+
+	base := geom.Vec2{X: track.DX, Y: track.DY}
+	for _, deg := range rotationSchedule {
+		probes++
+		st.Rotations++
+		h := base.Rotate(deg)
+		track.BatX, track.BatY = h.X, h.Y
+		pr := Scan(c, v, w, b, i, h.X, h.Y)
+		st.PairChecks += int(pr.Checks)
+		if !(pr.Tmin < airspace.CriticalTime) {
+			track.DX, track.DY = h.X, h.Y
+			c.SetVel(i, h.X, h.Y)
+			track.ResetConflict()
+			st.Resolved++
+			return probes, true
+		}
+		markConflict(w, track, pr.With, pr.Tmin)
+	}
+	st.Unresolved++
+	return probes, false
 }

@@ -54,7 +54,7 @@ func scalarDetect(w *airspace.World, src broadphase.PairSource) DetectStats {
 		st.PairChecks += int(r.Checks)
 		if r.Tmin < airspace.CriticalTime {
 			st.Conflicts++
-			MarkConflict(w, track, r.With, r.Tmin)
+			markConflict(w, track, r.With, r.Tmin)
 		}
 	}
 	return st
@@ -78,7 +78,7 @@ func scalarDetectResolve(w *airspace.World, src broadphase.PairSource) DetectSta
 			continue
 		}
 		st.Conflicts++
-		MarkConflict(w, track, r.With, r.Tmin)
+		markConflict(w, track, r.With, r.Tmin)
 
 		base := geom.Vec2{X: track.DX, Y: track.DY}
 		resolved := false
@@ -95,7 +95,7 @@ func scalarDetectResolve(w *airspace.World, src broadphase.PairSource) DetectSta
 				resolved = true
 				break
 			}
-			MarkConflict(w, track, pr.With, pr.Tmin)
+			markConflict(w, track, pr.With, pr.Tmin)
 		}
 		if !resolved {
 			st.Unresolved++

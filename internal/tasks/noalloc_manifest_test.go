@@ -36,10 +36,12 @@ var noallocContract = map[string]noallocSpec{
 	// Task 1's persistent phase body: expected positions, box hits,
 	// commit and wrap.
 	"corrJob.Chunk": {decl: true},
-	// Tasks 2-3, batch.go: the one pair scan and the runner's parallel
-	// scan body.
-	"Scan":          {decl: true},
-	"scanJob.Chunk": {decl: true},
+	// Tasks 2-3, batch.go: the one pair scan, the runner's parallel
+	// scan body, and the in-place step of Algorithm 2 that the runner
+	// and the AP's detection program share.
+	"Scan":           {decl: true},
+	"scanJob.Chunk":  {decl: true},
+	"ResolveInPlace": {decl: true},
 }
 
 // TestNoallocManifestMatchesDirectives parses this package's sources

@@ -19,7 +19,7 @@
 //     Detect mutates only the conflict fields (Col, ColWith, TimeTill,
 //     BatX, BatY). Every per-track scan is therefore independent of
 //     the others and can run concurrently; the serial replay applies
-//     ResetConflict/MarkConflict in index order, reproducing the
+//     ResetConflict/markConflict in index order, reproducing the
 //     reference's final state and stats exactly.
 //
 //   - DetectResolve: the only cross-track dependency is a committed

@@ -17,11 +17,13 @@
 // hold it to a scalar fold of Algorithm 1. Tasks 2-3 have one pair
 // scan, Scan (batch.go): a column snapshot of the world scanned by a
 // batched pair kernel over the candidates a broadphase.View serves —
-// every aircraft with no source. The runner here and the cuda, mimd
-// and vector executors all call it. The runner runs the serial
+// every aircraft with no source. The runner here and the cuda, ap,
+// mimd and vector executors all call it. The runner runs the serial
 // in-place Algorithm 2 at one worker and a parallel snapshot scan plus
-// serial replay above that, identical at any worker count; the tests
-// hold it to a scalar fold of Algorithm 2 over the aircraft records.
+// serial replay above that, identical at any worker count; both forms
+// finish each track with ResolveInPlace, the in-place step the ap
+// executor shares. The tests hold the runner to a scalar fold of
+// Algorithm 2 over the aircraft records.
 package tasks
 
 import (
@@ -205,12 +207,11 @@ func DetectWith(w *airspace.World, src broadphase.PairSource) DetectStats {
 	return DetectExec(w, src, nil)
 }
 
-// MarkConflict records a critical conflict on the track aircraft and
+// markConflict records a critical conflict on the track aircraft and
 // mirrors it onto the trial aircraft, as Algorithm 2 line 9 sets col and
-// colWith "for both trial and track aircrafts". It is shared by the
-// platform implementations whose control flow is sequential (the
-// associative and multicore machines).
-func MarkConflict(w *airspace.World, track *airspace.Aircraft, with int32, tmin float64) {
+// colWith "for both trial and track aircrafts". Detect's serial pass
+// and ResolveInPlace apply it in index order.
+func markConflict(w *airspace.World, track *airspace.Aircraft, with int32, tmin float64) {
 	track.Col = true
 	track.ColWith = with
 	if tmin < track.TimeTill {

@@ -158,16 +158,6 @@ type block [Lanes]float64
 // mask is one W-lane predicate register.
 type mask [Lanes]bool
 
-// none reports whether no lane is set.
-func (k *mask) none() bool {
-	for _, b := range k {
-		if b {
-			return false
-		}
-	}
-	return true
-}
-
 // count returns the number of set lanes.
 func (k *mask) count() int {
 	c := 0

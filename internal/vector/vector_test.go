@@ -37,12 +37,12 @@ func TestNewPanicsOnBadProfile(t *testing.T) {
 
 func TestMaskHelpers(t *testing.T) {
 	var k mask
-	if !k.none() || k.count() != 0 {
+	if k.count() != 0 {
 		t.Fatal("zero mask misreported")
 	}
 	k[3] = true
 	k[7] = true
-	if k.none() || k.count() != 2 {
+	if k.count() != 2 {
 		t.Fatalf("mask count = %d", k.count())
 	}
 }
