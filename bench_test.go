@@ -276,7 +276,7 @@ func benchParExecTask1(b *testing.B, n, workers int) {
 		w.CloneInto(wc)
 		f.CloneInto(fc)
 		b.StartTimer()
-		tasks.CorrelateExec(wc, fc, pool)
+		tasks.CorrelateNExec(wc, fc, tasks.BoxPasses, pool)
 	}
 }
 

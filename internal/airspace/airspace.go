@@ -226,13 +226,3 @@ func (w *World) WrapAll() {
 		Wrap(&w.Aircraft[i])
 	}
 }
-
-// ComputeExpected fills ExpX/ExpY with (X+DX, Y+DY) for every aircraft —
-// the per-period dead-reckoning step of Task 1.
-func (w *World) ComputeExpected() {
-	for i := range w.Aircraft {
-		a := &w.Aircraft[i]
-		a.ExpX = a.X + a.DX
-		a.ExpY = a.Y + a.DY
-	}
-}

@@ -178,16 +178,6 @@ func TestLongRunStaysNearField(t *testing.T) {
 	}
 }
 
-func TestComputeExpected(t *testing.T) {
-	w := NewWorld(10, rng.New(5))
-	w.ComputeExpected()
-	for _, a := range w.Aircraft {
-		if a.ExpX != a.X+a.DX || a.ExpY != a.Y+a.DY {
-			t.Fatalf("aircraft %d expected position wrong", a.ID)
-		}
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	w := NewWorld(10, rng.New(5))
 	c := w.Clone()

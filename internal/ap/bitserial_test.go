@@ -110,7 +110,7 @@ func TestLessBroadcastRespectsMask(t *testing.T) {
 	m := NewMachine(STARAN, n)
 	m.Search(1, func(_ *Machine, i int) bool { return i < 10 })
 	m.LessBroadcast(bp, 5)
-	if got := m.CountResponders(); got != 10 {
+	if got := len(responders(m)); got != 10 {
 		t.Fatalf("responders = %d, want only the 10 pre-masked", got)
 	}
 }

@@ -13,10 +13,13 @@
 // the AP timing exactly as deterministic as the paper requires.
 //
 // A wide op's charge reads only its op count and the tile count, never
-// the responder mask. Task 1 and the priority display execute their
-// wide ops; Tasks 2-3 charge each associative scan its wide-op trace
-// and compute it with tasks.Scan, the pair scan every executor shares,
-// over a column snapshot the machine holds.
+// the responder mask. Element-wise steps (Task 1's expected positions,
+// commit and wrap) and the priority display's searches and reductions
+// execute their wide ops. The associative searches of Task 1 and Tasks
+// 2-3 are charged their wide-op traces and computed with the code
+// every executor shares: Task 1's from the box-hit rows of
+// tasks.BoxHits, Tasks 2-3's with tasks.Scan, the pair scan, over a
+// column snapshot the machine holds.
 //
 // Two profiles are provided:
 //
@@ -132,13 +135,14 @@ type Machine struct {
 	cols airspace.Columns
 	view broadphase.View
 	scan tasks.ScanBuf
-	// matchedRadar is TrackProgram's per-aircraft paired-radar table.
+	// hits serves TrackProgram each radar's box-hit row, and
+	// matchedRadar is its per-aircraft paired-radar table.
+	hits         tasks.BoxHits
 	matchedRadar []int32
 
 	// Per-chunk reduction partials.
 	partBest []float64
 	partArg  []int32
-	partCnt  []int32
 
 	// args holds the operands of the programs' wide ops, which the
 	// control unit sets before issuing them as the hardware broadcasts
@@ -188,8 +192,6 @@ type wideKind uint8
 const (
 	wideParallel wideKind = iota
 	wideSearch
-	wideMaskAnd
-	wideCount
 	wideMin
 )
 
@@ -218,20 +220,6 @@ func (j *wideJob) Chunk(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			mask[i] = j.pred(m, i)
 		}
-	case wideMaskAnd:
-		for i := lo; i < hi; i++ {
-			if mask[i] {
-				mask[i] = j.pred(m, i)
-			}
-		}
-	case wideCount:
-		c := int32(0)
-		for i := lo; i < hi; i++ {
-			if mask[i] {
-				c++
-			}
-		}
-		m.partCnt[lo/peGrain] = c
 	case wideMin:
 		best, arg := j.def, int32(-1)
 		for i := lo; i < hi; i++ {
@@ -289,11 +277,9 @@ func (m *Machine) chunks() int {
 	if cap(m.partBest) < c {
 		m.partBest = make([]float64, c)
 		m.partArg = make([]int32, c)
-		m.partCnt = make([]int32, c)
 	}
 	m.partBest = m.partBest[:c]
 	m.partArg = m.partArg[:c]
-	m.partCnt = m.partCnt[:c]
 	return c
 }
 
@@ -355,41 +341,6 @@ func (m *Machine) Search(units int, pred func(m *Machine, i int) bool) {
 	m.chargeWide(units)
 	m.job.pred = pred
 	m.dispatch(wideSearch)
-}
-
-// MaskAnd narrows the responder mask with pred (one wide step). pred
-// must be element-wise independent (see ParallelOp).
-func (m *Machine) MaskAnd(pred func(m *Machine, i int) bool) {
-	m.chargeWide(1)
-	m.job.pred = pred
-	m.dispatch(wideMaskAnd)
-}
-
-// CountResponders returns the number of responders (constant-time
-// reduction in AP hardware).
-//
-//atm:ordered-merge
-func (m *Machine) CountResponders() int {
-	m.cycles += uint64(m.prof.ReduceCycles) * uint64(m.Tiles())
-	nc := m.chunks()
-	m.dispatch(wideCount)
-	c := 0
-	for k := 0; k < nc; k++ {
-		c += int(m.partCnt[k])
-	}
-	return c
-}
-
-// FirstResponder returns the lowest responding index, or -1. This is
-// the AP "step" (pick-one) operation.
-func (m *Machine) FirstResponder() int {
-	m.cycles += uint64(m.prof.SelectCycles) * uint64(m.Tiles())
-	for i := 0; i < m.n; i++ {
-		if m.mask[i] {
-			return i
-		}
-	}
-	return -1
 }
 
 // ClearResponder removes index i from the mask (used when stepping

@@ -1,6 +1,7 @@
 package ap
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -63,22 +64,29 @@ func TestClearSpeedTiledPassScales(t *testing.T) {
 	}
 }
 
+// responders lists the PEs the responder mask holds, in index order.
+func responders(m *Machine) []int {
+	var on []int
+	for i, b := range m.mask {
+		if b {
+			on = append(on, i)
+		}
+	}
+	return on
+}
+
 func TestSearchAndReductions(t *testing.T) {
 	m := NewMachine(STARAN, 10)
 	m.Search(1, func(_ *Machine, i int) bool { return i%2 == 0 })
-	if got := m.CountResponders(); got != 5 {
-		t.Fatalf("CountResponders = %d, want 5", got)
-	}
-	if got := m.FirstResponder(); got != 0 {
-		t.Fatalf("FirstResponder = %d, want 0", got)
+	if got := responders(m); !slices.Equal(got, []int{0, 2, 4, 6, 8}) {
+		t.Fatalf("responders = %v, want [0 2 4 6 8]", got)
 	}
 	m.ClearResponder(0)
-	if got := m.FirstResponder(); got != 2 {
-		t.Fatalf("FirstResponder after clear = %d, want 2", got)
+	if got := responders(m); !slices.Equal(got, []int{2, 4, 6, 8}) {
+		t.Fatalf("responders after clear = %v, want [2 4 6 8]", got)
 	}
-	m.MaskAnd(func(_ *Machine, i int) bool { return i > 5 })
-	if got := m.CountResponders(); got != 2 { // 6, 8
-		t.Fatalf("after MaskAnd: %d responders, want 2", got)
+	if v, arg := m.MinReduce(100, func(_ *Machine, i int) float64 { return float64(10 - i) }); v != 2 || arg != 8 {
+		t.Fatalf("MinReduce over the remaining responders = (%v,%d), want (2,8)", v, arg)
 	}
 }
 
@@ -99,8 +107,8 @@ func TestReduceNoResponders(t *testing.T) {
 	if min != 42 || arg != -1 {
 		t.Fatalf("MinReduce with no responders = (%v,%d)", min, arg)
 	}
-	if m.FirstResponder() != -1 {
-		t.Fatal("FirstResponder with empty mask")
+	if got := responders(m); len(got) != 0 {
+		t.Fatalf("responders %v with an all-false search", got)
 	}
 }
 
@@ -119,8 +127,8 @@ func TestTimeConversion(t *testing.T) {
 func TestZeroRecordMachine(t *testing.T) {
 	m := NewMachine(STARAN, 0)
 	m.Search(1, func(_ *Machine, i int) bool { return true })
-	if m.CountResponders() != 0 {
-		t.Fatal("empty machine has responders")
+	if got := responders(m); len(got) != 0 {
+		t.Fatalf("empty machine has responders %v", got)
 	}
 }
 

@@ -14,10 +14,6 @@ const databaseFields = 10
 // operands are the broadcast values the programs' element bodies read.
 type operands struct {
 	ac []airspace.Aircraft
-	// rep and boxHalf are the radar report TrackProgram is correlating
-	// and the current pass's box half-width.
-	rep     *radar.Report
-	boxHalf float64
 }
 
 // The programs' element bodies: one PE's step of a wide op, reading
@@ -28,24 +24,6 @@ func peExpected(m *Machine, i int) {
 	a.ExpX = a.X + a.DX
 	a.ExpY = a.Y + a.DY
 	a.RMatch = airspace.MatchNone
-}
-
-// peInBox reports whether the radar being correlated lies inside the
-// current box around PE i's expected position.
-func peInBox(m *Machine, i int) bool {
-	a, rep, h := &m.args.ac[i], m.args.rep, m.args.boxHalf
-	return rep.RX > a.ExpX-h && rep.RX < a.ExpX+h &&
-		rep.RY > a.ExpY-h && rep.RY < a.ExpY+h
-}
-
-func peBoxEligible(m *Machine, i int) bool {
-	return m.args.ac[i].RMatch != airspace.MatchDiscarded && peInBox(m, i)
-}
-
-func pePaired(m *Machine, i int) bool { return m.args.ac[i].RMatch == airspace.MatchOne }
-
-func peBoxFree(m *Machine, i int) bool {
-	return m.args.ac[i].RMatch == airspace.MatchNone && peInBox(m, i)
 }
 
 func peDeadReckon(m *Machine, i int) {
@@ -72,6 +50,11 @@ func peTimeTill(m *Machine, i int) float64 { return m.args.ac[i].TimeTill }
 // tail cases of Algorithm 1; on unambiguous geometry the results are
 // identical.
 //
+// The host computes each radar's responders from its box-hit row
+// (tasks.BoxHits), and the program is charged the wide-op trace the
+// search issues on the hardware (see chargeBoxSearch), which depends on
+// the responder counts alone, never on which PEs respond.
+//
 //atm:modeled-time
 func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.CorrelateStats {
 	var st tasks.CorrelateStats
@@ -97,18 +80,11 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 		matchedRadar[i] = -1
 	}
 
-	m.args.boxHalf = tasks.InitialBoxHalf
+	boxHalf := tasks.InitialBoxHalf
 	for pass := 0; pass < tasks.BoxPasses; pass++ {
 		m.mark("ap.boxpass", int32(pass))
-		pending := 0
-		for j := range f.Reports {
-			if f.Reports[j].MatchWith == radar.Unmatched {
-				pending++
-			}
-		}
-		if pass < tasks.BoxPasses {
-			st.PassRadars[pass] = pending
-		}
+		pending := m.hits.Prepare(w, f, boxHalf, m.pool)
+		st.PassRadars[pass] = pending
 		if pending == 0 {
 			break
 		}
@@ -119,22 +95,20 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 			if rep.MatchWith != radar.Unmatched {
 				continue
 			}
-			m.Broadcast(3) // rx, ry, boxHalf
-			m.args.rep = rep
-
-			// Associative search: eligible aircraft whose expected
-			// position box contains the radar.
-			m.Search(6, peBoxEligible)
+			// The search's responders: aircraft not withdrawn whose
+			// box contains the radar. A radar released earlier in this
+			// pass is served its row on demand.
+			row := m.hits.Row(w, f, &m.scan, j)
 			st.Comparisons += len(ac)
 
 			// Withdraw responders that are already paired with another
 			// radar (Algorithm 1 line 8) and release those radars.
-			m.MaskAnd(pePaired)
-			for {
-				k := m.FirstResponder()
-				if k < 0 {
-					break
+			paired := 0
+			for _, k := range row {
+				if ac[k].RMatch != airspace.MatchOne {
+					continue
 				}
+				paired++
 				ac[k].RMatch = airspace.MatchDiscarded
 				st.WithdrawnAircraft++
 				if r := matchedRadar[k]; r >= 0 {
@@ -142,27 +116,32 @@ func TrackProgram(m *Machine, w *airspace.World, f *radar.Frame) tasks.Correlate
 					matchedRadar[k] = -1
 					m.Scalar(2)
 				}
-				m.ClearResponder(k)
 			}
 
-			// Re-search for the free responders and resolve the radar.
-			m.Search(6, peBoxFree)
-			switch c := m.CountResponders(); {
-			case c == 1:
-				k := m.FirstResponder()
-				ac[k].RMatch = airspace.MatchOne
-				rep.MatchWith = int32(k)
-				matchedRadar[k] = int32(j)
-				m.Scalar(3)
-			case c >= 2:
+			// The free responders resolve the radar.
+			free, first := 0, int32(-1)
+			for _, k := range row {
+				if ac[k].RMatch == airspace.MatchNone {
+					if free == 0 {
+						first = k
+					}
+					free++
+				}
+			}
+			m.chargeBoxSearch(paired, free)
+			switch {
+			case free == 1:
+				ac[first].RMatch = airspace.MatchOne
+				rep.MatchWith = first
+				matchedRadar[first] = int32(j)
+			case free >= 2:
 				// Two or more aircraft respond: the radar is ambiguous
 				// and discarded (Algorithm 1 line 9).
 				rep.MatchWith = radar.Discarded
 				st.DiscardedRadars++
-				m.Scalar(1)
 			}
 		}
-		m.args.boxHalf *= 2
+		boxHalf *= 2
 	}
 
 	// Commit: everyone dead-reckons, matched aircraft take the measured
@@ -243,6 +222,31 @@ func DetectResolveProgramWith(m *Machine, w *airspace.World, src broadphase.Pair
 		m.chargeTrack(probes, r.Cands, src != nil)
 	}
 	return st
+}
+
+// chargeBoxSearch charges one pending radar of the tracking program,
+// the trace its associative search issues: the broadcast of the radar
+// position and box size; the search for eligible aircraft in the box,
+// the mask narrowing to paired responders and the search for free
+// ones; a pick-one step per paired responder withdrawn, plus the empty
+// step that ends the walk, and the control-unit clear of each; the
+// count of free responders; and the control unit's verdict — a pick-one
+// step and the pairing when exactly one responds, the discard when two
+// or more do.
+func (m *Machine) chargeBoxSearch(paired, free int) {
+	tiles := uint64(m.Tiles())
+	m.Broadcast(3)
+	m.chargeWide(6 + 1 + 6)
+	m.cycles += uint64((paired+1)*m.prof.SelectCycles) * tiles
+	m.Scalar(paired)
+	m.cycles += uint64(m.prof.ReduceCycles) * tiles
+	switch {
+	case free == 1:
+		m.cycles += uint64(m.prof.SelectCycles) * tiles
+		m.Scalar(3)
+	case free >= 2:
+		m.Scalar(1)
+	}
 }
 
 // chargeTrack charges one track of the detection program: its

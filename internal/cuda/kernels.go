@@ -54,6 +54,12 @@ type deviceState struct {
 	acClaims  []int32
 	radarHits []int32
 	radarCand []int32
+	// hits serves each census thread its radar's box-hit row; eligible
+	// is the pass's exclusive prefix count of census-eligible aircraft
+	// (eligible[p] of them have index below p), from which a thread's
+	// box-check charge is read in O(1).
+	hits     tasks.BoxHits
+	eligible []int32
 
 	// Snapshot of committed courses for CheckCollisionPath, in column
 	// (SoA) form: threads read these dense arrays while writing
@@ -121,6 +127,10 @@ func (e *Engine) resetState(w *airspace.World, f *radar.Frame) *deviceState {
 	if f != nil {
 		s.radarHits = growInt32(s.radarHits, f.N())
 		s.radarCand = growInt32(s.radarCand, f.N())
+		s.eligible = growInt32(s.eligible, w.N()+1)
+	}
+	if nw := e.dev.Workers(); len(s.bufs) < nw {
+		s.bufs = slices.Grow(s.bufs, nw-len(s.bufs))[:nw]
 	}
 	s.conflicts, s.rotations, s.resolvedCount, s.unresolvedCount, s.pairChecks = 0, 0, 0, 0, 0
 	return s
@@ -167,6 +177,7 @@ func (e *Engine) SetWorkers(n int) { e.dev.SetWorkers(n) }
 //atm:modeled-time
 //atm:allow atomic -- claim counters and the matched tally are commutative sums read only after the launch barrier; the per-pass census arbitration makes the outcome interleaving-independent
 func (e *Engine) TrackDrone(w *airspace.World, f *radar.Frame) TrackResult {
+	f.Reset()
 	s := e.resetState(w, f)
 	res := TrackResult{}
 	n := w.N()
@@ -202,8 +213,13 @@ func (e *Engine) TrackDrone(w *airspace.World, f *radar.Frame) TrackResult {
 				t.Ops(1)
 			}))
 		}
-		// Census: each radar thread scans every still-eligible aircraft
-		// (the O(N^2) heart of Task 1).
+		// Census: each radar thread tests every still-eligible aircraft
+		// (the O(N^2) heart of Task 1) up to its second eligible hit.
+		// The host computes the test's outcome from the radar's box-hit
+		// row, and the thread is charged one box check per eligible
+		// aircraft it would have visited, read off the prefix count.
+		s.hits.Prepare(w, f, boxHalf, parexec.Resolve(e.dev.pool))
+		s.countEligible()
 		res.add(e.dev.Launch("census", r, func(t *Thread) {
 			rep := &reps[t.ID]
 			s.radarHits[t.ID] = 0
@@ -213,21 +229,19 @@ func (e *Engine) TrackDrone(w *airspace.World, f *radar.Frame) TrackResult {
 			}
 			hits := int32(0)
 			cand := int32(-1)
-			for p := range ac {
-				a := &ac[p]
-				if a.RMatch == airspace.MatchDiscarded || a.RMatch == airspace.MatchOne {
+			stop := int32(n - 1)
+			for _, q := range s.hits.Row(w, f, &s.bufs[t.Worker], t.ID) {
+				if ac[q].RMatch != airspace.MatchNone {
 					continue
 				}
-				t.Ops(opsBoxCheck)
-				if rep.RX > a.ExpX-boxHalf && rep.RX < a.ExpX+boxHalf &&
-					rep.RY > a.ExpY-boxHalf && rep.RY < a.ExpY+boxHalf {
-					hits++
-					cand = a.ID
-					if hits > 1 {
-						break
-					}
+				hits++
+				cand = q
+				if hits > 1 {
+					stop = q
+					break
 				}
 			}
+			t.Ops(opsBoxCheck * int(s.eligible[stop+1]))
 			s.radarHits[t.ID] = hits
 			s.radarCand[t.ID] = cand
 			t.Mem(radarRecordBytes)
@@ -307,6 +321,20 @@ func (e *Engine) TrackDrone(w *airspace.World, f *radar.Frame) TrackResult {
 	res.Matched = int(matched)
 	res.Time += res.TransferTime
 	return res
+}
+
+// countEligible fills the exclusive prefix count of census-eligible
+// aircraft, those not yet matched or withdrawn. The census never writes
+// RMatch, so the count holds for the whole launch.
+func (s *deviceState) countEligible() {
+	c := int32(0)
+	for p := range s.w.Aircraft {
+		s.eligible[p] = c
+		if s.w.Aircraft[p].RMatch == airspace.MatchNone {
+			c++
+		}
+	}
+	s.eligible[len(s.w.Aircraft)] = c
 }
 
 func (r *TrackResult) add(st KernelStats) {
@@ -399,9 +427,6 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 	s.newDX = growFloat64(s.newDX, n)
 	s.newDY = growFloat64(s.newDY, n)
 	s.resolved = growInt32(s.resolved, n)
-	if nw := e.dev.Workers(); len(s.bufs) < nw {
-		s.bufs = slices.Grow(s.bufs, nw-len(s.bufs))[:nw]
-	}
 	ac := w.Aircraft
 	res.add(e.dev.Launch("snapshot", n, func(t *Thread) {
 		a := &ac[t.ID]

@@ -138,6 +138,13 @@ type scratch struct {
 	locks     []sync.Mutex //atm:allow sync -- machine-owned stripe locks; arbitration order is the modeled FCFS behaviour
 	state     []int32
 	matchedBy []int32
+	// hits serves the census its box-hit rows. withdrawals[:logged]
+	// logs this Track call's withdrawals in claim order, each as its
+	// aircraft index plus one, so that a slot claimed but not yet
+	// written reads 0.
+	hits        tasks.BoxHits
+	withdrawals []int32
+	logged      atomic.Int32 //atm:allow atomic -- the withdrawal log's slot counter; slots are claimed in arbitration order, the modeled FCFS behaviour, and read only as a count
 
 	// snap is the committed-course snapshot in column (SoA) form.
 	snap         airspace.Columns
@@ -307,16 +314,24 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	tally := m.tally()
 	phases := 0
 
-	if cap(m.scr.state) < n {
-		m.scr.state = make([]int32, n)
-		m.scr.matchedBy = make([]int32, n)
+	scr := &m.scr
+	clear(scr.withdrawals[:scr.logged.Load()])
+	scr.logged.Store(0)
+	if cap(scr.state) < n {
+		scr.state = make([]int32, n)
+		scr.matchedBy = make([]int32, n)
+		scr.withdrawals = make([]int32, n)
 	}
-	if m.scr.locks == nil {
-		m.scr.locks = make([]sync.Mutex, lockStripes)
+	if scr.locks == nil {
+		scr.locks = make([]sync.Mutex, lockStripes)
 	}
-	state := m.scr.state[:n]         // acFree/acMatched/acWithdrawn
-	matchedBy := m.scr.matchedBy[:n] // radar currently paired with aircraft
-	locks := m.scr.locks
+	if len(scr.bufs) < m.prof.Cores {
+		scr.bufs = make([]tasks.ScanBuf, m.prof.Cores)
+	}
+	state := scr.state[:n]         // acFree/acMatched/acWithdrawn
+	matchedBy := scr.matchedBy[:n] // radar currently paired with aircraft
+	locks := scr.locks
+	withdrawals := scr.withdrawals[:n]
 
 	phases++
 	m.parallel(n, func(core, lo, hi int) {
@@ -337,15 +352,8 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 
 	boxHalf := tasks.InitialBoxHalf
 	for pass := 0; pass < tasks.BoxPasses; pass++ {
-		pending := 0
-		for j := range reps {
-			if reps[j].MatchWith == radar.Unmatched {
-				pending++
-			}
-		}
-		if pass < tasks.BoxPasses {
-			st.PassRadars[pass] = pending
-		}
+		pending := scr.hits.Prepare(w, f, boxHalf, m.pool)
+		st.PassRadars[pass] = pending
 		if pending == 0 {
 			break
 		}
@@ -360,24 +368,28 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 				if atomic.LoadInt32(&rep.MatchWith) != radar.Unmatched {
 					continue
 				}
+				// Walk the radar's box-hit row, skipping aircraft
+				// withdrawn at read time, up to the second hit. A radar
+				// released mid-pass is served its row on demand.
 				hits := 0
 				cand := int32(-1)
-				for p := 0; p < n; p++ {
-					if atomic.LoadInt32(&state[p]) == acWithdrawn {
+				stop := int32(n - 1)
+				for _, q := range scr.hits.Row(w, f, &scr.bufs[core], j) {
+					if atomic.LoadInt32(&state[q]) == acWithdrawn {
 						continue
 					}
-					ops += opsBoxCheck
-					comps++
-					a := &ac[p]
-					if rep.RX > a.ExpX-boxHalf && rep.RX < a.ExpX+boxHalf &&
-						rep.RY > a.ExpY-boxHalf && rep.RY < a.ExpY+boxHalf {
-						hits++
-						cand = a.ID
-						if hits > 1 {
-							break
-						}
+					hits++
+					cand = q
+					if hits > 1 {
+						stop = q
+						break
 					}
 				}
+				// The scan tests every aircraft not withdrawn, up to
+				// stop.
+				checked := uint64(stop+1) - scr.withdrawnThrough(stop)
+				ops += opsBoxCheck * checked
+				comps += checked
 				switch {
 				case hits >= 2:
 					atomic.StoreInt32(&rep.MatchWith, radar.Discarded)
@@ -399,6 +411,8 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 						// the next, doubled box.
 						atomic.StoreInt32(&state[cand], acWithdrawn)
 						atomic.AddUint64(&withdrawn, 1)
+						slot := scr.logged.Add(1) - 1
+						atomic.StoreInt32(&withdrawals[slot], cand+1)
 						if prev := matchedBy[cand]; prev >= 0 {
 							atomic.StoreInt32(&reps[prev].MatchWith, radar.Unmatched)
 							matchedBy[cand] = -1
@@ -468,6 +482,22 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	m.markPhase(tally, "wrap", 0)
 
 	return st, m.taskTime(n, phases, tally)
+}
+
+// withdrawnThrough counts the logged withdrawals of aircraft with index
+// at most stop. At one worker the log is complete whenever a census
+// reads it; above one, as with the census's own reads, what it holds
+// depends on the interleaving.
+//
+//atm:allow atomic -- the withdrawal log is read while other cores may append to it; a slot not yet written reads 0 and counts as no withdrawal
+func (s *scratch) withdrawnThrough(stop int32) uint64 {
+	c := uint64(0)
+	for k := range s.logged.Load() {
+		if e := atomic.LoadInt32(&s.withdrawals[k]); e > 0 && e <= stop+1 {
+			c++
+		}
+	}
+	return c
 }
 
 // DetectResolve runs Tasks 2-3 with aircraft partitioned across cores.

@@ -54,6 +54,130 @@ func TestTrackMatchesReferenceOnCleanTraffic(t *testing.T) {
 	}
 }
 
+// serialTrack is Track at one worker written as the sequential
+// algorithm it then is: per pass, each radar still unmatched, in index
+// order, tests every aircraft not withdrawn — one comparison each — up
+// to its second box hit. Two hits discard the radar; one claims the
+// aircraft first come first served, and a claim on an aircraft already
+// matched withdraws it and releases its radar.
+func serialTrack(w *airspace.World, f *radar.Frame) tasks.CorrelateStats {
+	var st tasks.CorrelateStats
+	state := make([]int32, w.N())
+	matchedBy := make([]int32, w.N())
+	for i := range w.Aircraft {
+		a := &w.Aircraft[i]
+		a.ExpX, a.ExpY = a.X+a.DX, a.Y+a.DY
+		a.RMatch = airspace.MatchNone
+		matchedBy[i] = -1
+	}
+	f.Reset()
+	h := tasks.InitialBoxHalf
+	for pass := 0; pass < tasks.BoxPasses; pass++ {
+		for j := range f.Reports {
+			if f.Reports[j].MatchWith == radar.Unmatched {
+				st.PassRadars[pass]++
+			}
+		}
+		if st.PassRadars[pass] == 0 {
+			break
+		}
+		for j := range f.Reports {
+			rep := &f.Reports[j]
+			if rep.MatchWith != radar.Unmatched {
+				continue
+			}
+			hits, cand := 0, int32(-1)
+			for p := range w.Aircraft {
+				if state[p] == acWithdrawn {
+					continue
+				}
+				st.Comparisons++
+				a := &w.Aircraft[p]
+				if rep.RX > a.ExpX-h && rep.RX < a.ExpX+h && rep.RY > a.ExpY-h && rep.RY < a.ExpY+h {
+					hits++
+					cand = int32(p)
+					if hits > 1 {
+						break
+					}
+				}
+			}
+			switch {
+			case hits >= 2:
+				rep.MatchWith = radar.Discarded
+				st.DiscardedRadars++
+			case hits == 1 && state[cand] == acFree:
+				state[cand] = acMatched
+				matchedBy[cand] = int32(j)
+				rep.MatchWith = cand
+			case hits == 1 && state[cand] == acMatched:
+				state[cand] = acWithdrawn
+				st.WithdrawnAircraft++
+				f.Reports[matchedBy[cand]].MatchWith = radar.Unmatched
+				matchedBy[cand] = -1
+			}
+		}
+		h *= 2
+	}
+	for i := range w.Aircraft {
+		a := &w.Aircraft[i]
+		a.X, a.Y = a.ExpX, a.ExpY
+		switch state[i] {
+		case acMatched:
+			a.RMatch = airspace.MatchOne
+		case acWithdrawn:
+			a.RMatch = airspace.MatchDiscarded
+		}
+	}
+	for j := range f.Reports {
+		rep := &f.Reports[j]
+		switch {
+		case rep.MatchWith == radar.Unmatched:
+			st.UnmatchedRadars++
+		case rep.MatchWith >= 0 && state[rep.MatchWith] == acMatched:
+			w.Aircraft[rep.MatchWith].X, w.Aircraft[rep.MatchWith].Y = rep.RX, rep.RY
+			st.Matched++
+		}
+	}
+	w.WrapAll()
+	return st
+}
+
+// TestTrackAtOneWorkerIsSerial: at one worker the cores run in order,
+// so Track is serialTrack exactly — world, frame and stats, the
+// Comparisons tally included, which the census reads off its box-hit
+// rows and its log of this call's withdrawals. Noisy traffic makes
+// withdrawals release radars mid-pass, some onto radars not yet
+// scanned.
+func TestTrackAtOneWorkerIsSerial(t *testing.T) {
+	base := airspace.NewWorld(1500, rng.New(17))
+	m := New(Xeon16, 1)
+	m.SetWorkers(1)
+	for period := 0; period < 3; period++ {
+		frame := radar.Generate(base, 2.5, rng.New(uint64(18+period)))
+		refW, refF := base.Clone(), frame.Clone()
+		ref := serialTrack(refW, refF)
+		if ref.WithdrawnAircraft == 0 || ref.DiscardedRadars == 0 {
+			t.Fatalf("period %d: no contention (stats %+v); the test exercises nothing", period, ref)
+		}
+		w, f := base.Clone(), frame.Clone()
+		st, _ := m.Track(w, f)
+		if st != ref {
+			t.Fatalf("period %d: stats %+v, serial %+v", period, st, ref)
+		}
+		for i := range w.Aircraft {
+			if w.Aircraft[i] != refW.Aircraft[i] {
+				t.Fatalf("period %d: aircraft %d is %+v, serial %+v", period, i, w.Aircraft[i], refW.Aircraft[i])
+			}
+		}
+		for j := range f.Reports {
+			if f.Reports[j] != refF.Reports[j] {
+				t.Fatalf("period %d: report %d is %+v, serial %+v", period, j, f.Reports[j], refF.Reports[j])
+			}
+		}
+		base = w
+	}
+}
+
 func TestTrackHighMatchRateOnRandomTraffic(t *testing.T) {
 	w := airspace.NewWorld(3000, rng.New(7))
 	f := radar.Generate(w, radar.DefaultNoise, rng.New(8))

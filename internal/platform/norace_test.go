@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
+	"repro/internal/radar"
 	"repro/internal/rng"
 	"repro/internal/tasks"
 )
@@ -44,6 +45,31 @@ func TestDetectResolveAllocsBounded(t *testing.T) {
 			if allocs > limit {
 				t.Errorf("%s src=%q: %.0f allocs per DetectResolve, want at most %d", name, srcName, allocs, limit)
 			}
+		}
+	}
+}
+
+// TestTrackAllocsBounded pins the executors' Task 1 steady state: once
+// a machine's scratch (its box-hit rows included) has grown, a Track
+// call allocates at most a small constant — its per-phase and
+// per-launch dispatch — however many radars it correlates. One
+// platform per executor family and both AP profiles, at the default
+// pool.
+func TestTrackAllocsBounded(t *testing.T) {
+	const limit = 48
+	base := airspace.NewWorld(2000, rng.New(2018))
+	frame := radar.Generate(base, radar.DefaultNoise, rng.New(2019))
+	for _, name := range []string{TitanXPascal, Xeon16, XeonPhi, STARAN, ClearSpeed} {
+		p := MustNew(name, 7)
+		w, f := base.Clone(), frame.Clone()
+		p.Track(w, f) // grow the machine's scratch
+		allocs := testing.AllocsPerRun(5, func() {
+			base.CloneInto(w)
+			frame.CloneInto(f)
+			p.Track(w, f)
+		})
+		if allocs > limit {
+			t.Errorf("%s: %.0f allocs per Track, want at most %d", name, allocs, limit)
 		}
 	}
 }

@@ -100,6 +100,44 @@ func TestAllPlatformsRunBothTasks(t *testing.T) {
 	}
 }
 
+// TestTrackResetsReusedFrame: Frame.Reset's contract lets a frame be
+// reused across calls and platforms, so every platform's Track must
+// start from an unmatched frame. A frame already correlated once gives
+// the same world, frame and modeled time as a fresh clone. The two
+// platforms are built from one seed and issue the same calls at one
+// worker, so xeon16's jitter and arbitration line up too.
+func TestTrackResetsReusedFrame(t *testing.T) {
+	base := airspace.NewWorld(1000, rng.New(7))
+	frame := radar.Generate(base, radar.DefaultNoise, rng.New(8))
+	for _, name := range append(Names(), ExtensionNames()...) {
+		reused, fresh := MustNew(name, 7), MustNew(name, 7)
+		reused.(Workered).SetWorkers(1)
+		fresh.(Workered).SetWorkers(1)
+		usedF := frame.Clone()
+		reused.Track(base.Clone(), usedF)
+		fresh.Track(base.Clone(), frame.Clone())
+
+		usedW, freshW, freshF := base.Clone(), base.Clone(), frame.Clone()
+		usedD := reused.Track(usedW, usedF)
+		freshD := fresh.Track(freshW, freshF)
+		if usedD != freshD {
+			t.Errorf("%s: Track on a reused frame took %v, on a fresh one %v", name, usedD, freshD)
+		}
+		for i := range freshW.Aircraft {
+			if usedW.Aircraft[i] != freshW.Aircraft[i] {
+				t.Errorf("%s: aircraft %d differs after Track on a reused frame", name, i)
+				break
+			}
+		}
+		for j := range freshF.Reports {
+			if usedF.Reports[j] != freshF.Reports[j] {
+				t.Errorf("%s: report %d differs after Track on a reused frame", name, j)
+				break
+			}
+		}
+	}
+}
+
 // Fig. 4/6 ordering at a mid-sweep point: every NVIDIA device model
 // must beat the AP, the ClearSpeed emulation and the Xeon on both
 // tasks.

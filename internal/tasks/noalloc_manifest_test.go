@@ -31,11 +31,15 @@ type noallocSpec struct {
 //   - reviewers deciding whether a new hot-path function needs the
 //     directive: if it is called per period, it belongs here.
 var noallocContract = map[string]noallocSpec{
-	"dirtyInteracts":         {decl: true},
-	"correlateRadarFallback": {decl: true},
-	// Task 1's persistent phase body: expected positions, box hits,
-	// commit and wrap.
+	"dirtyInteracts": {decl: true},
+	// Task 1: the persistent body of its element-wise phases (expected
+	// positions, commit, wrap), and the box search every executor
+	// shares — Prepare's per-radar body, the row read and the all-N
+	// row fill behind both.
 	"corrJob.Chunk": {decl: true},
+	"boxJob.Chunk":  {decl: true},
+	"BoxHits.Row":   {decl: true},
+	"appendBoxRow":  {decl: true},
 	// Tasks 2-3, batch.go: the one pair scan, the runner's parallel
 	// scan body, and the in-place step of Algorithm 2 that the runner
 	// and the AP's detection program share.

@@ -37,15 +37,15 @@
 //     one the reference would compute.
 //
 //   - Correlate: expected positions are fixed for the whole
-//     invocation, so each (radar, pass) bounding-box candidate set is
-//     a pure function of geometry. The parallel phase computes those
-//     candidate lists per pass; the serial replay runs the reference
-//     matching state machine over the candidates only, in radar-index
-//     then aircraft-index order, and reconstructs the Comparisons
-//     tally (which the reference counts per eligible aircraft, hit or
-//     miss) from the candidate walk plus the set of aircraft withdrawn
-//     before the scan started. A radar released mid-pass has no
-//     precomputed list and falls back to the reference inner loop.
+//     invocation, so each (radar, pass) bounding-box hit row is a pure
+//     function of geometry. BoxHits (boxhits.go) computes those rows
+//     per pass, fanned out per radar; the serial replay runs the
+//     reference matching state machine over the rows only, in
+//     radar-index then aircraft-index order, and reconstructs the
+//     Comparisons tally (which the reference counts per eligible
+//     aircraft, hit or miss) from the row walk plus the set of
+//     aircraft withdrawn before the scan started. A radar released
+//     mid-pass is served an on-demand row, replayed the same way.
 package tasks
 
 import (
@@ -143,43 +143,25 @@ func dirtyInteracts(w *airspace.World, sc *detectScratch, track *airspace.Aircra
 
 // corrScratch holds the reusable state of one Correlate invocation.
 type corrScratch struct {
-	start     []int32 // per radar: offset into its worker's buffer, -1 = no list
-	length    []int32
-	owner     []int32
+	hits      BoxHits
 	withdrawn []int32
-	bufs      []ScanBuf
-	// job is the persistent body of every fanned-out phase.
+	// row receives the on-demand rows of radars released mid-pass.
+	row ScanBuf
+	// job is the persistent body of the element-wise phases.
 	job corrJob
 }
 
 var corrScratchPool sync.Pool
 
-func getCorrScratch(nr, workers int) *corrScratch {
+func getCorrScratch() *corrScratch {
 	sc, _ := corrScratchPool.Get().(*corrScratch)
 	if sc == nil {
 		sc = &corrScratch{}
-	}
-	if cap(sc.start) < nr {
-		sc.start = make([]int32, nr)
-		sc.length = make([]int32, nr)
-		sc.owner = make([]int32, nr)
-	}
-	sc.start = sc.start[:nr]
-	sc.length = sc.length[:nr]
-	sc.owner = sc.owner[:nr]
-	if len(sc.bufs) < workers {
-		sc.bufs = slices.Grow(sc.bufs, workers-len(sc.bufs))[:workers]
 	}
 	return sc
 }
 
 func putCorrScratch(sc *corrScratch) { corrScratchPool.Put(sc) }
-
-// CorrelateExec is Correlate on an explicit engine pool; nil means the
-// process default.
-func CorrelateExec(w *airspace.World, f *radar.Frame, pool *parexec.Pool) CorrelateStats {
-	return CorrelateNExec(w, f, BoxPasses, pool)
-}
 
 // CorrelateNExec is CorrelateN on an explicit engine pool; nil means
 // the process default. It runs Algorithm 1 with the per-pass
@@ -196,24 +178,18 @@ func CorrelateNExec(w *airspace.World, f *radar.Frame, passes int, pool *parexec
 	p := parexec.Resolve(pool)
 	var st CorrelateStats
 	n := w.N()
-	nr := len(f.Reports)
-	sc := getCorrScratch(nr, p.Workers())
+	sc := getCorrScratch()
 	defer putCorrScratch(sc)
 	job := &sc.job
-	*job = corrJob{sc: sc, w: w, f: f}
+	*job = corrJob{w: w}
 
-	job.run(p, corrExpected, n, elemGrain)
+	job.run(p, corrExpected, n)
 	f.Reset()
 
 	withdrawn := sc.withdrawn[:0]
 	boxHalf := InitialBoxHalf
 	for pass := 0; pass < passes; pass++ {
-		pending := 0
-		for i := range f.Reports {
-			if f.Reports[i].MatchWith == radar.Unmatched {
-				pending++
-			}
-		}
+		pending := sc.hits.Prepare(w, f, boxHalf, p)
 		if pass < BoxPasses {
 			st.PassRadars[pass] = pending
 		}
@@ -221,28 +197,15 @@ func CorrelateNExec(w *airspace.World, f *radar.Frame, passes int, pool *parexec
 			break
 		}
 
-		for wk := range sc.bufs {
-			sc.bufs[wk].cand = sc.bufs[wk].cand[:0]
-		}
-		job.boxHalf = boxHalf
-		job.run(p, corrBoxHits, nr, radarGrain)
-
 		// Serial replay in radar-index order.
 		for j := range f.Reports {
 			rep := &f.Reports[j]
 			if rep.MatchWith != radar.Unmatched {
 				continue
 			}
-			if sc.start[j] < 0 {
-				// Released mid-pass by a withdrawal: no precomputed
-				// list, run the reference inner loop.
-				correlateRadarFallback(w, f, rep, boxHalf, &st, &withdrawn)
-				continue
-			}
 			priorWithdrawn := len(withdrawn)
-			cand := sc.bufs[sc.owner[j]].cand[sc.start[j] : sc.start[j]+sc.length[j]]
 			broke := int32(-1)
-			for _, q := range cand {
+			for _, q := range sc.hits.Row(w, f, &sc.row, j) {
 				a := &w.Aircraft[q]
 				if a.RMatch != airspace.MatchNone && a.RMatch != airspace.MatchOne {
 					continue // withdrawn aircraft are out of the search
@@ -292,7 +255,7 @@ func CorrelateNExec(w *airspace.World, f *radar.Frame, passes int, pool *parexec
 
 	// Commit (line 12) and field re-entry, with the element-wise
 	// aircraft loops fanned out and the radar loop serial.
-	job.run(p, corrCommit, n, elemGrain)
+	job.run(p, corrCommit, n)
 	for i := range f.Reports {
 		rep := &f.Reports[i]
 		switch rep.MatchWith {
@@ -308,7 +271,7 @@ func CorrelateNExec(w *airspace.World, f *radar.Frame, passes int, pool *parexec
 			}
 		}
 	}
-	job.run(p, corrWrap, n, elemGrain)
+	job.run(p, corrWrap, n)
 	return st
 }
 
@@ -317,32 +280,27 @@ type corrPhase uint8
 
 const (
 	corrExpected corrPhase = iota // expected positions, match reset
-	corrBoxHits                   // one pass's box hits, per radar
 	corrCommit                    // every aircraft takes its expected position
 	corrWrap                      // field re-entry
 )
 
-// corrJob is the persistent body of Correlate's fanned-out phases,
+// corrJob is the persistent body of Correlate's element-wise phases,
 // held in corrScratch so that dispatching a phase allocates nothing.
 type corrJob struct {
-	sc      *corrScratch
-	w       *airspace.World
-	f       *radar.Frame
-	boxHalf float64
-	phase   corrPhase
+	w     *airspace.World
+	phase corrPhase
 }
 
-// run dispatches one phase over [0, n).
-func (j *corrJob) run(p *parexec.Pool, phase corrPhase, n, grain int) {
+// run dispatches one phase over aircraft [0, n).
+func (j *corrJob) run(p *parexec.Pool, phase corrPhase, n int) {
 	j.phase = phase
-	p.RunBody(n, grain, j)
+	p.RunBody(n, elemGrain, j)
 }
 
-// Chunk runs the job's phase over aircraft [lo, hi), or over radars
-// [lo, hi) in the box-hit phase.
+// Chunk runs the job's phase over aircraft [lo, hi).
 //
 //atm:noalloc
-func (j *corrJob) Chunk(worker, lo, hi int) {
+func (j *corrJob) Chunk(_, lo, hi int) {
 	ac := j.w.Aircraft
 	switch j.phase {
 	case corrExpected:
@@ -352,31 +310,6 @@ func (j *corrJob) Chunk(worker, lo, hi int) {
 			a.ExpY = a.Y + a.DY
 			a.RMatch = airspace.MatchNone
 		}
-	case corrBoxHits:
-		// Geometric box hits for every radar still unmatched at pass
-		// start. Expected positions and the box size are fixed for the
-		// whole pass, so the lists cannot go stale; eligibility
-		// (withdrawals, earlier matches) is dynamic and left to the
-		// replay.
-		sc := j.sc
-		buf := sc.bufs[worker].cand
-		for r := lo; r < hi; r++ {
-			rep := &j.f.Reports[r]
-			if rep.MatchWith != radar.Unmatched {
-				sc.start[r] = -1
-				continue
-			}
-			s := int32(len(buf))
-			for q := range ac {
-				if inBox(rep, &ac[q], j.boxHalf) {
-					buf = append(buf, int32(q))
-				}
-			}
-			sc.start[r] = s
-			sc.length[r] = int32(len(buf)) - s
-			sc.owner[r] = int32(worker)
-		}
-		sc.bufs[worker].cand = buf
 	case corrCommit:
 		for i := lo; i < hi; i++ {
 			a := &ac[i]
@@ -385,44 +318,6 @@ func (j *corrJob) Chunk(worker, lo, hi int) {
 	case corrWrap:
 		for i := lo; i < hi; i++ {
 			airspace.Wrap(&ac[i])
-		}
-	}
-}
-
-// correlateRadarFallback scans one radar against every aircraft with
-// the reference inner loop, recording withdrawals for the replay's
-// Comparisons bookkeeping.
-//
-//atm:noalloc
-func correlateRadarFallback(w *airspace.World, f *radar.Frame, rep *radar.Report, boxHalf float64, st *CorrelateStats, withdrawn *[]int32) {
-	for q := range w.Aircraft {
-		a := &w.Aircraft[q]
-		if a.RMatch != airspace.MatchNone && a.RMatch != airspace.MatchOne {
-			continue
-		}
-		st.Comparisons++
-		if !inBox(rep, a, boxHalf) {
-			continue
-		}
-		switch a.RMatch {
-		case airspace.MatchNone:
-			if rep.MatchWith == radar.Unmatched {
-				a.RMatch = airspace.MatchOne
-				rep.MatchWith = a.ID
-			} else {
-				prev := &w.Aircraft[rep.MatchWith]
-				prev.RMatch = airspace.MatchNone
-				rep.MatchWith = radar.Discarded
-				st.DiscardedRadars++
-			}
-		case airspace.MatchOne:
-			a.RMatch = airspace.MatchDiscarded
-			st.WithdrawnAircraft++
-			releaseRadarOf(f, a.ID)
-			*withdrawn = append(*withdrawn, int32(q))
-		}
-		if rep.MatchWith == radar.Discarded {
-			break
 		}
 	}
 }

@@ -32,9 +32,11 @@ func newTestSource(name string) broadphase.PairSource {
 // then the commit of line 12 and field re-entry.
 func scalarCorrelate(w *airspace.World, f *radar.Frame, passes int) CorrelateStats {
 	var st CorrelateStats
-	w.ComputeExpected()
 	for i := range w.Aircraft {
-		w.Aircraft[i].RMatch = airspace.MatchNone
+		a := &w.Aircraft[i]
+		a.ExpX = a.X + a.DX
+		a.ExpY = a.Y + a.DY
+		a.RMatch = airspace.MatchNone
 	}
 	f.Reset()
 
@@ -208,7 +210,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // cannot reach at small n: a world big enough that the dirty replay
 // rescans and probes long all-pairs candidate lists on the serial
 // thread, and radar noise heavy enough that aircraft withdrawals
-// release mid-pass radars into the serial fallback, held to the scalar
+// release mid-pass radars onto on-demand box rows, held to the scalar
 // Algorithm 1 at every worker count.
 func TestParallelMatchesSerialDense(t *testing.T) {
 	serial := parexec.NewPool(1)
@@ -243,7 +245,7 @@ func TestParallelMatchesSerialDense(t *testing.T) {
 	for _, p := range append([]*parexec.Pool{serial, parexec.NewPool(3)}, pools...) {
 		gotW := noisy.Clone()
 		gotF := frame.Clone()
-		corr := CorrelateExec(gotW, gotF, p)
+		corr := CorrelateNExec(gotW, gotF, BoxPasses, p)
 		if corr != corrRef {
 			t.Fatalf("workers=%d: stats diverged:\nscalar: %+v\nexec:   %+v", p.Workers(), corrRef, corr)
 		}
@@ -293,8 +295,8 @@ func TestExecZeroAllocSteadyState(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := parexec.NewPool(workers)
 		w, f := base.Clone(), frame.Clone()
-		CorrelateExec(w, f, p) // warm the scratch pool and the worker pool
-		if avg := testing.AllocsPerRun(10, func() { CorrelateExec(w, f, p) }); avg > 0.5 {
+		CorrelateNExec(w, f, BoxPasses, p) // warm the scratch pool and the worker pool
+		if avg := testing.AllocsPerRun(10, func() { CorrelateNExec(w, f, BoxPasses, p) }); avg > 0.5 {
 			t.Errorf("workers=%d: %.1f allocs per Correlate, want <= 0.5", workers, avg)
 		}
 
@@ -309,7 +311,7 @@ func TestExecZeroAllocSteadyState(t *testing.T) {
 			w := base.Clone()
 			f := frame.Clone()
 			run := func() {
-				CorrelateExec(w, f, p)
+				CorrelateNExec(w, f, BoxPasses, p)
 				DetectResolveExec(w, src, p)
 			}
 			run() // warm scratch pools and the worker pool
@@ -352,15 +354,17 @@ func TestDetectScratchWorkerGrowth(t *testing.T) {
 	}
 }
 
-// TestCorrScratchWorkerGrowth is TestDetectScratchWorkerGrowth for the
-// correlate scratch.
+// TestCorrScratchWorkerGrowth is TestDetectScratchWorkerGrowth for
+// Task 1's box search: one BoxHits reused at 8, 9 and 10 workers keeps
+// a buffer per worker and a row per radar.
 func TestCorrScratchWorkerGrowth(t *testing.T) {
-	putCorrScratch(&corrScratch{})
+	w := airspace.NewWorld(16, rng.New(1))
+	f := radar.Generate(w, radar.DefaultNoise, rng.New(2))
+	var b BoxHits
 	for _, workers := range []int{8, 9, 10} {
-		sc := getCorrScratch(16, workers)
-		if len(sc.bufs) < workers || len(sc.start) != 16 {
-			t.Fatalf("workers=%d: %d worker buffers, %d radars", workers, len(sc.bufs), len(sc.start))
+		b.Prepare(w, f, InitialBoxHalf, parexec.NewPool(workers))
+		if len(b.bufs) < workers || len(b.start) != 16 {
+			t.Fatalf("workers=%d: %d worker buffers, %d radars", workers, len(b.bufs), len(b.start))
 		}
-		putCorrScratch(sc)
 	}
 }

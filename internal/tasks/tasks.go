@@ -11,10 +11,13 @@
 // the shared pairwise conflict math so that all platforms agree
 // bit-for-bit on what a conflict is.
 //
-// Task 1 has one host body (parallel.go): the bounding-box search of
-// each pass fanned out per radar, then a serial replay of Algorithm 1's
-// matching in radar order, identical at any worker count; the tests
-// hold it to a scalar fold of Algorithm 1. Tasks 2-3 have one pair
+// Task 1 has one box search, BoxHits (boxhits.go): per pass, each
+// pending radar's row of aircraft whose box contains it, fanned out per
+// radar. The host body here (parallel.go) replays Algorithm 1's
+// matching over those rows in radar order, identical at any worker
+// count, and the cuda, ap, mimd and vector executors walk the same rows
+// with their own matching and charges; the tests hold the host body to
+// a scalar fold of Algorithm 1. Tasks 2-3 have one pair
 // scan, Scan (batch.go): a column snapshot of the world scanned by a
 // batched pair kernel over the candidates a broadphase.View serves —
 // every aircraft with no source. The runner here and the cuda, ap,
@@ -27,7 +30,6 @@
 package tasks
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -299,44 +301,6 @@ func clampAlt(alt float64) float64 {
 		return airspace.AltMax
 	}
 	return alt
-}
-
-// AlphaBetaSmooth updates velocity estimates from the period's radar
-// residuals — the velocity half of the alpha-beta tracker the STARAN
-// ATM software used [13]. The paper's simplified Task 1 takes the radar
-// position as exact (the alpha = 1 case) but never corrects velocity,
-// so an aircraft whose true course changed (wind, a real-world turn)
-// drifts until correlation fails. Called after Correlate, this folds
-// beta times the position residual (actual fix minus expected position,
-// i.e. the dead-reckoning error) into the velocity estimate of every
-// radar-matched aircraft. It returns the number of aircraft updated.
-//
-// beta must lie in [0, 1]: 0 disables smoothing, small values (0.1-0.3)
-// give the classic critically-damped tracker.
-func AlphaBetaSmooth(w *airspace.World, beta float64) int {
-	if beta < 0 || beta > 1 {
-		panic(fmt.Sprintf("tasks: AlphaBetaSmooth beta %v outside [0,1]", beta))
-	}
-	updated := 0
-	for i := range w.Aircraft {
-		a := &w.Aircraft[i]
-		if a.RMatch != airspace.MatchOne {
-			continue
-		}
-		// After commit, X/Y is the radar fix and ExpX/ExpY the
-		// dead-reckoned prediction; their difference is the residual per
-		// period. A wrapped aircraft's residual is meaningless, skip it.
-		rx := a.X - a.ExpX
-		ry := a.Y - a.ExpY
-		if rx > airspace.FieldHalf || rx < -airspace.FieldHalf ||
-			ry > airspace.FieldHalf || ry < -airspace.FieldHalf {
-			continue
-		}
-		a.DX += beta * rx
-		a.DY += beta * ry
-		updated++
-	}
-	return updated
 }
 
 // PriorityList is the sequential reference for the controller-display

@@ -501,90 +501,3 @@ func TestPriorityListEmpty(t *testing.T) {
 		t.Fatalf("calm world produced list %v", got)
 	}
 }
-
-func TestAlphaBetaSmoothConvergesToTrueVelocity(t *testing.T) {
-	// Truth flies at 0.04 nm/period; the tracker's initial velocity
-	// estimate is zero. With beta-smoothing on the radar residuals the
-	// estimate must converge; without it, correlation eventually fails
-	// as dead reckoning drifts out of the bounding box.
-	const trueVX = 0.04
-	mkWorld := func() (*airspace.World, *airspace.Aircraft) {
-		w := spreadWorld(1, 5)
-		a := &w.Aircraft[0]
-		a.X, a.Y = 0, 0
-		a.DX, a.DY = 0, 0 // wrong estimate
-		return w, a
-	}
-
-	runPeriods := func(beta float64, periods int) (*airspace.Aircraft, int) {
-		w, a := mkWorld()
-		matched := 0
-		trueX := 0.0
-		for p := 0; p < periods; p++ {
-			trueX += trueVX
-			f := &radar.Frame{Reports: []radar.Report{{RX: trueX, RY: 0, MatchWith: radar.Unmatched}}}
-			st := Correlate(w, f)
-			matched += st.Matched
-			AlphaBetaSmooth(w, beta)
-		}
-		return a, matched
-	}
-
-	smoothed, matchedSmoothed := runPeriods(0.3, 30)
-	if matchedSmoothed != 30 {
-		t.Fatalf("smoothed tracker lost lock: %d of 30 matched", matchedSmoothed)
-	}
-	if math.Abs(smoothed.DX-trueVX) > 0.005 {
-		t.Fatalf("velocity estimate %v did not converge to %v", smoothed.DX, trueVX)
-	}
-
-	// The position commit (alpha = 1) keeps the raw tracker locked, but
-	// its velocity estimate stays wrong — so through a radar dropout it
-	// dead-reckons badly while the smoothed tracker coasts on target.
-	coast := func(beta float64) float64 {
-		w, a := mkWorld()
-		trueX := 0.0
-		for p := 0; p < 20; p++ { // with radar
-			trueX += trueVX
-			f := &radar.Frame{Reports: []radar.Report{{RX: trueX, RY: 0, MatchWith: radar.Unmatched}}}
-			Correlate(w, f)
-			AlphaBetaSmooth(w, beta)
-		}
-		for p := 0; p < 20; p++ { // dropout: dead reckoning only
-			trueX += trueVX
-			Correlate(w, &radar.Frame{})
-		}
-		return math.Abs(a.X - trueX)
-	}
-	errSmoothed := coast(0.3)
-	errRaw := coast(0)
-	if errSmoothed > 0.1 {
-		t.Fatalf("smoothed tracker coasted %.3f nm off target", errSmoothed)
-	}
-	if errRaw < 0.5 {
-		t.Fatalf("unsmoothed tracker coasted only %.3f nm off; expected large drift", errRaw)
-	}
-}
-
-func TestAlphaBetaSmoothOnlyTouchesMatched(t *testing.T) {
-	w := spreadWorld(3, 50)
-	// Nobody matched: RMatch all zero.
-	before := w.Clone()
-	if n := AlphaBetaSmooth(w, 0.5); n != 0 {
-		t.Fatalf("updated %d aircraft with no matches", n)
-	}
-	for i := range w.Aircraft {
-		if w.Aircraft[i] != before.Aircraft[i] {
-			t.Fatalf("aircraft %d modified", i)
-		}
-	}
-}
-
-func TestAlphaBetaSmoothBadBetaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("beta > 1 did not panic")
-		}
-	}()
-	AlphaBetaSmooth(spreadWorld(1, 5), 1.5)
-}

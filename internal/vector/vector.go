@@ -4,12 +4,14 @@
 // efficient, vector-based parallel computation" [8, 9].
 //
 // The machine is a many-core CPU whose cores each execute W-lane SIMD
-// instructions. Task 1 is written here in explicitly lane-blocked form
-// — the aircraft database is scanned eight records at a time through
-// mask registers, exactly as a vectorizing port of the CUDA kernels
-// would be — and every vector instruction is counted. Tasks 2-3 run the
-// shared pair scan (tasks.Scan, itself an 8-wide blocked kernel) and
-// are charged the lane blocks that cover each scan's candidate list.
+// instructions. Task 1 is charged in lane-blocked form — a vectorizing
+// port of the CUDA kernels scans the aircraft database eight records at
+// a time through mask registers — and computed from the shared box-hit
+// rows (tasks.BoxHits): each radar's census is charged the lane blocks
+// its blocked scan would visit. Tasks 2-3 run the shared pair scan
+// (tasks.Scan, itself an 8-wide blocked kernel) and are charged the
+// lane blocks that cover each scan's candidate list. Every vector
+// instruction is counted.
 // The cost model charges the per-core critical path of vector
 // instructions at the profile's issue rate, plus a barrier per
 // parallel phase. No
@@ -82,7 +84,9 @@ type Machine struct {
 
 	soa   soa
 	tally tally
-	// Per-pass claim scratch for Track.
+	// Per-pass census and claim scratch for Track: the box-hit rows
+	// the census walks, and the claim counters.
+	hits      tasks.BoxHits
 	acClaims  []int32
 	radarHits []int32
 	radarCand []int32
@@ -152,44 +156,11 @@ func (m *Machine) SetWorkers(n int) {
 // package comment for the caveat).
 func (m *Machine) Deterministic() bool { return true }
 
-// block is one W-lane vector register of doubles.
-type block [Lanes]float64
-
-// mask is one W-lane predicate register.
-type mask [Lanes]bool
-
-// count returns the number of set lanes.
-func (k *mask) count() int {
-	c := 0
-	for _, b := range k {
-		if b {
-			c++
-		}
-	}
-	return c
-}
-
-// lanes is a helper that loads a strided field into a vector register;
-// tail lanes beyond n are disabled in the returned mask.
-func loadField(dst *block, valid *mask, src []float64, base, n int) {
-	for l := 0; l < Lanes; l++ {
-		if base+l < n {
-			dst[l] = src[base+l]
-			valid[l] = true
-		} else {
-			dst[l] = 0
-			valid[l] = false
-		}
-	}
-}
-
 // soa is the structure-of-arrays mirror of the aircraft database that
-// vector code operates on (vector units need contiguous fields).
+// the Tasks 2-3 scan operates on (vector units need contiguous fields).
 type soa struct {
 	n                 int
 	x, y, dx, dy, alt []float64
-	expX, expY        []float64
-	rmatch            []int32
 }
 
 func growF(s []float64, n int) []float64 {
@@ -208,11 +179,6 @@ func (m *Machine) loadSOA(w *airspace.World) *soa {
 	s.x, s.y = growF(s.x, n), growF(s.y, n)
 	s.dx, s.dy = growF(s.dx, n), growF(s.dy, n)
 	s.alt = growF(s.alt, n)
-	s.expX, s.expY = growF(s.expX, n), growF(s.expY, n)
-	if cap(s.rmatch) < n {
-		s.rmatch = make([]int32, n)
-	}
-	s.rmatch = s.rmatch[:n]
 	for i := range w.Aircraft {
 		a := &w.Aircraft[i]
 		s.x[i], s.y[i] = a.X, a.Y
@@ -309,31 +275,27 @@ const (
 // kernel: each phase reads only state frozen at the previous barrier,
 // which makes both the outcome and the per-core instruction tally —
 // and therefore the modeled time — a pure function of the workload.
+// The census computes each radar's outcome from its box-hit row
+// (tasks.BoxHits) and charges the lane blocks the blocked scan visits:
+// every block up to the one holding the radar's second eligible hit.
 //
 //atm:allow atomic -- claim counters and match tallies are commutative sums read only after the phase barrier
 func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats, time.Duration) {
 	var st tasks.CorrelateStats
-	s := m.loadSOA(w)
 	t := m.newTally()
+	ac := w.Aircraft
 	reps := f.Reports
-	n := s.n
+	n := len(ac)
 
 	// Expected positions: pure vector adds over the whole database.
 	m.parallel(t, "expected", 0, n, func(core, lo, hi int) {
-		var vi uint64
-		for base := lo; base < hi; base += Lanes {
-			end := base + Lanes
-			if end > hi {
-				end = hi
-			}
-			for i := base; i < end; i++ {
-				s.expX[i] = s.x[i] + s.dx[i]
-				s.expY[i] = s.y[i] + s.dy[i]
-				s.rmatch[i] = 0
-			}
-			vi += viExpected
+		for i := lo; i < hi; i++ {
+			a := &ac[i]
+			a.ExpX = a.X + a.DX
+			a.ExpY = a.Y + a.DY
+			a.RMatch = airspace.MatchNone
 		}
-		t.vecInstr[core] += vi
+		t.vecInstr[core] += uint64((hi-lo+Lanes-1)/Lanes) * viExpected
 	})
 	f.Reset()
 
@@ -344,6 +306,9 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 		m.radarHits = make([]int32, len(reps))
 		m.radarCand = make([]int32, len(reps))
 	}
+	if len(m.bufs) < m.prof.Cores {
+		m.bufs = make([]tasks.ScanBuf, m.prof.Cores)
+	}
 	acClaims := m.acClaims[:n]
 	radarHits := m.radarHits[:len(reps)]
 	radarCand := m.radarCand[:len(reps)]
@@ -353,22 +318,16 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 
 	boxHalf := tasks.InitialBoxHalf
 	for pass := 0; pass < tasks.BoxPasses; pass++ {
-		pending := 0
-		for j := range reps {
-			if reps[j].MatchWith == radar.Unmatched {
-				pending++
-			}
-		}
-		if pass < tasks.BoxPasses {
-			st.PassRadars[pass] = pending
-		}
+		pending := m.hits.Prepare(w, f, boxHalf, m.pool)
+		st.PassRadars[pass] = pending
 		if pending == 0 {
 			break
 		}
 		var comparisons, discarded, withdrawn uint64
 
 		// Census: every still-unmatched radar scans the database in
-		// lane blocks. Match state is frozen for the whole phase.
+		// lane blocks until a block holds its second eligible hit.
+		// Match state is frozen for the whole phase.
 		m.parallel(t, "census", int32(pass), len(reps), func(core, lo, hi int) {
 			var vi, comps uint64
 			for j := lo; j < hi; j++ {
@@ -380,31 +339,20 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 				}
 				hits := int32(0)
 				cand := int32(-1)
-				for base := 0; base < n; base += Lanes {
-					var ex, ey block
-					var valid mask
-					loadField(&ex, &valid, s.expX, base, n)
-					loadField(&ey, &valid, s.expY, base, n)
-					vi += viBoxCheck
-					comps += uint64(valid.count())
-					for l := 0; l < Lanes; l++ {
-						if !valid[l] {
-							continue
-						}
-						i := base + l
-						if s.rmatch[i] != 0 {
-							continue // matched or withdrawn
-						}
-						if rep.RX > ex[l]-boxHalf && rep.RX < ex[l]+boxHalf &&
-							rep.RY > ey[l]-boxHalf && rep.RY < ey[l]+boxHalf {
-							hits++
-							cand = int32(i)
-						}
+				blocks := (n + Lanes - 1) / Lanes
+				for _, q := range m.hits.Row(w, f, &m.bufs[core], j) {
+					if ac[q].RMatch != airspace.MatchNone {
+						continue // matched or withdrawn
 					}
+					hits++
+					cand = q
 					if hits > 1 {
+						blocks = int(q)/Lanes + 1
 						break
 					}
 				}
+				vi += uint64(blocks) * viBoxCheck
+				comps += uint64(min(blocks*Lanes, n))
 				radarHits[j] = hits
 				radarCand[j] = cand
 			}
@@ -440,8 +388,8 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 				if i%Lanes == 0 {
 					vi += viClaim
 				}
-				if acClaims[i] >= 2 && s.rmatch[i] == 0 {
-					s.rmatch[i] = -1
+				if acClaims[i] >= 2 && ac[i].RMatch == airspace.MatchNone {
+					ac[i].RMatch = airspace.MatchDiscarded
 					atomic.AddUint64(&withdrawn, 1)
 				}
 			}
@@ -459,8 +407,8 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 				}
 				vi += viClaim
 				cand := radarCand[j]
-				if acClaims[cand] == 1 && s.rmatch[cand] == 0 {
-					s.rmatch[cand] = 1
+				if acClaims[cand] == 1 && ac[cand].RMatch == airspace.MatchNone {
+					ac[cand].RMatch = airspace.MatchOne
 					rep.MatchWith = cand
 				}
 			}
@@ -483,9 +431,8 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	m.parallel(t, "commit", 0, n, func(core, lo, hi int) {
 		var vi uint64
 		for i := lo; i < hi; i++ {
-			a := &w.Aircraft[i]
-			a.X, a.Y = s.expX[i], s.expY[i]
-			a.RMatch = int8(s.rmatch[i])
+			a := &ac[i]
+			a.X, a.Y = a.ExpX, a.ExpY
 			if i%Lanes == 0 {
 				vi += viCommit
 			}
@@ -496,8 +443,8 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	m.parallel(t, "commitRadar", 0, len(reps), func(core, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			rep := &reps[j]
-			if rep.MatchWith >= 0 && s.rmatch[rep.MatchWith] == 1 {
-				a := &w.Aircraft[rep.MatchWith]
+			if rep.MatchWith >= 0 && ac[rep.MatchWith].RMatch == airspace.MatchOne {
+				a := &ac[rep.MatchWith]
 				a.X, a.Y = rep.RX, rep.RY
 				atomic.AddUint64(&matched, 1)
 			}
@@ -512,7 +459,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	}
 	m.parallel(t, "wrap", 0, n, func(core, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			airspace.Wrap(&w.Aircraft[i])
+			airspace.Wrap(&ac[i])
 		}
 		t.vecInstr[core] += uint64((hi - lo + Lanes - 1) / Lanes * viCommit)
 	})

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/airspace"
@@ -35,28 +36,74 @@ func TestNewPanicsOnBadProfile(t *testing.T) {
 	New(Profile{})
 }
 
-func TestMaskHelpers(t *testing.T) {
-	var k mask
-	if k.count() != 0 {
-		t.Fatal("zero mask misreported")
+// tailWorld is a 13-aircraft world, one full lane block and a tail
+// block of five, parked 10 nm apart, with the aircraft listed in pair
+// moved onto one position and one radar fix on that position (or far
+// from every aircraft when pair is empty).
+func tailWorld(pair ...int) (*airspace.World, *radar.Frame) {
+	w := &airspace.World{Aircraft: make([]airspace.Aircraft, 13)}
+	for i := range w.Aircraft {
+		a := &w.Aircraft[i]
+		a.ID = int32(i)
+		a.X = float64(i)*10 - 60
+		a.Alt = 10000
+		a.ResetConflict()
 	}
-	k[3] = true
-	k[7] = true
-	if k.count() != 2 {
-		t.Fatalf("mask count = %d", k.count())
+	fix := radar.Report{RX: 100, RY: 100, MatchWith: radar.Unmatched}
+	for _, i := range pair {
+		w.Aircraft[i].X, w.Aircraft[i].Y = 5, 5
+		fix.RX, fix.RY = 5, 5
+	}
+	return w, &radar.Frame{Reports: []radar.Report{fix}}
+}
+
+// censusBlocks runs Track with phase marks on and returns the lane
+// blocks each census phase was charged, with the Track's stats.
+func censusBlocks(w *airspace.World, f *radar.Frame) ([]int, tasks.CorrelateStats) {
+	m := New(XeonPhi7210)
+	m.beginMarks()
+	st, _ := m.Track(w, f)
+	cores := m.prof.Cores
+	var blocks []int
+	for k, mk := range m.marks {
+		if mk.name != "census" {
+			continue
+		}
+		var d uint64
+		for c := 0; c < cores; c++ {
+			d += m.markOps[k*cores+c] - m.markOps[(k-1)*cores+c]
+		}
+		blocks = append(blocks, int(d/viBoxCheck))
+	}
+	return blocks, st
+}
+
+// TestMaskHelpers: a radar with no eligible hit is charged every lane
+// block at N=13, the tail block included, but only the 13 valid lanes
+// as comparisons — in each of the three passes it stays unmatched.
+func TestMaskHelpers(t *testing.T) {
+	blocks, st := censusBlocks(tailWorld())
+	if !slices.Equal(blocks, []int{2, 2, 2}) || st.Comparisons != 3*13 {
+		t.Fatalf("census blocks %v, %d comparisons; want [2 2 2], 39", blocks, st.Comparisons)
 	}
 }
 
+// TestLoadFieldTailLanes: the census stops after the block holding the
+// radar's second eligible hit. At aircraft 9 that is the tail block (2
+// blocks, 13 valid lanes compared); at aircraft 5 the first block (1
+// block, 8 comparisons). The radar is discarded in pass 0.
 func TestLoadFieldTailLanes(t *testing.T) {
-	src := []float64{1, 2, 3}
-	var b block
-	var valid mask
-	loadField(&b, &valid, src, 0, len(src))
-	if !valid[0] || !valid[2] || valid[3] {
-		t.Fatalf("tail lanes wrong: %+v", valid)
-	}
-	if b[1] != 2 || b[3] != 0 {
-		t.Fatalf("block = %+v", b)
+	for _, c := range []struct {
+		first, second, blocks, comparisons int
+	}{
+		{2, 9, 2, 13},
+		{1, 5, 1, 8},
+	} {
+		blocks, st := censusBlocks(tailWorld(c.first, c.second))
+		if !slices.Equal(blocks, []int{c.blocks}) || st.Comparisons != c.comparisons || st.DiscardedRadars != 1 {
+			t.Errorf("hits at %d and %d: census blocks %v, stats %+v; want [%d], %d comparisons, 1 discard",
+				c.first, c.second, blocks, st, c.blocks, c.comparisons)
+		}
 	}
 }
 

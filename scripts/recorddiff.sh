@@ -12,14 +12,15 @@
 # every span, mark and counter. Every configuration whose outputs
 # differ is named, and the exit status is 1 if any differ.
 #
-# Matrix (28 configurations, about five minutes for both sides on a
-# 2-vCPU VM):
+# Matrix (35 configurations, about six to seven minutes for both sides
+# on a 2-vCPU VM):
 #   - titanx, staran, xeon16 and xeonphi (one platform per executor
-#     family) x {all pairs, brute, sweep} x {uniform, dense} at N=2500,
-#     2 major cycles;
+#     family), plus clearspeed, the one profile whose wide ops are
+#     tiled (Tiles() > 1), x {all pairs, brute, sweep} x {uniform,
+#     dense} at N=2500, 2 major cycles;
 #   - the one-cluster world dense:clusters=1,alt=25000,altspread=14000
 #     at N=2200 with the sweep, past the candidate table's size limit,
-#     on the same four platforms.
+#     on the same five platforms.
 #
 # The base tree is unpacked with git archive, so an interrupted run
 # leaves no registered worktree behind.
@@ -48,7 +49,7 @@ go build -o "$tmp/atmsim.head" ./cmd/atmsim
 
 # Each configuration is "platform scenario n source"; "-" is all pairs.
 configs=()
-for p in titanx staran xeon16 xeonphi; do
+for p in titanx staran clearspeed xeon16 xeonphi; do
     for fam in uniform dense; do
         for src in - brute sweep; do
             configs+=("$p $fam 2500 $src")
