@@ -92,7 +92,7 @@ func (p *Platform) Track(w *airspace.World, f *radar.Frame) time.Duration {
 	d := m.Time()
 	if p.rec != nil {
 		p.emitMarks(m, d)
-		p.rec.Counter(p.rec.Intern(telemetry.NameTrackMatched), int64(st.Matched))
+		st.Record(p.rec)
 	}
 	return d
 }
@@ -108,11 +108,7 @@ func (p *Platform) DetectResolve(w *airspace.World) time.Duration {
 	d := m.Time()
 	if p.rec != nil {
 		p.emitMarks(m, d)
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectConflicts), int64(st.Conflicts))
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectRotations), int64(st.Rotations))
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectResolved), int64(st.Resolved))
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectUnresolved), int64(st.Unresolved))
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectPairChecks), int64(st.PairChecks))
+		st.Record(p.rec)
 	}
 	return d
 }

@@ -15,11 +15,16 @@
 //   - Within a resolution discipline, platforms agree on the world
 //     trajectory: the snapshot group (CUDA devices, the multicore
 //     Xeon, the wide-vector machines) resolves against a frozen copy
-//     of the period's world, the sequential group (STARAN, ClearSpeed)
-//     implements the paper's in-place reference scan. The two
-//     disciplines legitimately differ on mutually conflicting pairs
-//     (see internal/platform's cross-platform tests), so fingerprints
-//     are compared within each group, never across.
+//     of the period's world through the shared snapshot step
+//     (tasks.Snapshot), the sequential group (STARAN, ClearSpeed)
+//     implements the paper's in-place reference scan through the
+//     shared in-place step (tasks.ResolveInPlace). Agreement within a
+//     group therefore checks each executor's launches, phases and
+//     charges around its group's step; the steps themselves are held
+//     to test-side references (tasks, and internal/platform's
+//     cross-platform tests). The two disciplines legitimately differ
+//     on mutually conflicting pairs, so fingerprints are compared
+//     within each group, never across.
 //
 // Every future optimization PR inherits this oracle: a change that
 // breaks any equality above fails conformance before it lands.

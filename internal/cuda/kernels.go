@@ -1,13 +1,11 @@
 package cuda
 
 import (
-	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
-	"repro/internal/geom"
 	"repro/internal/parexec"
 	"repro/internal/radar"
 	"repro/internal/tasks"
@@ -41,60 +39,15 @@ const (
 	radarRecordBytes    = 20
 )
 
-// deviceState mirrors the paper's global-memory arrays for one launch
-// sequence. Mutable cross-thread state is held in atomics so kernels
-// are race-free under the engine's real concurrency.
+// deviceState is Task 1's device-resident state for one launch
+// sequence: the world, the census each pass's launches step through,
+// and eligible, the pass's exclusive prefix count of census-eligible
+// aircraft (eligible[p] of them have index below p), from which a
+// census thread's box-check charge is read in O(1).
 type deviceState struct {
-	w *airspace.World
-	f *radar.Frame
-
-	// Correlation claims: acClaims[p] counts the radars whose unique
-	// box candidate is aircraft p this pass; radarHits/radarCand hold
-	// each radar's in-box census for the current pass.
-	acClaims  []int32
-	radarHits []int32
-	radarCand []int32
-	// hits serves each census thread its radar's box-hit row; eligible
-	// is the pass's exclusive prefix count of census-eligible aircraft
-	// (eligible[p] of them have index below p), from which a thread's
-	// box-check charge is read in O(1).
-	hits     tasks.BoxHits
+	w        *airspace.World
+	census   tasks.Census
 	eligible []int32
-
-	// Snapshot of committed courses for CheckCollisionPath, in column
-	// (SoA) form: threads read these dense arrays while writing
-	// proposed courses to newDX/newDY.
-	snap         airspace.Columns
-	newDX, newDY []float64
-	resolved     []int32
-
-	// view serves the pair scan its candidate sets: every aircraft for
-	// the paper's all-pairs kernel, the pair source's otherwise. It is
-	// prepared once per launch sequence and every probe reads it
-	// bit-identically (candidate sets depend only on positions and
-	// speeds, and resolution only rotates courses).
-	view broadphase.View
-
-	// bufs are per-host-worker scan buffers, indexed by Thread.Worker.
-	bufs []tasks.ScanBuf
-
-	// Aggregate task counters (atomic).
-	conflicts, rotations, resolvedCount, unresolvedCount, pairChecks int64
-}
-
-// grow returns s resized for len(int32 slices) n, reusing capacity.
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growFloat64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // TrackResult reports one TrackDrone invocation.
@@ -108,32 +61,18 @@ type TrackResult struct {
 
 // Engine binds a Device to the ATM kernels and owns the persistent
 // device-resident aircraft array, as the paper's program keeps the
-// drone struct in global memory across the whole run. The device-state
-// arrays are engine-owned scratch reused across invocations (an Engine
-// is, like the paper's program, a sequential launch pipeline), so a
-// steady-state period performs no per-launch allocations.
+// drone struct in global memory across the whole run. The device state
+// and the Tasks 2-3 snapshot are engine-owned scratch reused across
+// invocations (an Engine is, like the paper's program, a sequential
+// launch pipeline), so a steady-state period performs no per-launch
+// allocations.
 type Engine struct {
 	dev   *Device
 	src   broadphase.PairSource
 	state deviceState
-}
-
-// resetState prepares the engine's reusable device state for a new
-// launch sequence against w (and f, for Task 1).
-func (e *Engine) resetState(w *airspace.World, f *radar.Frame) *deviceState {
-	s := &e.state
-	s.w, s.f = w, f
-	s.acClaims = growInt32(s.acClaims, w.N())
-	if f != nil {
-		s.radarHits = growInt32(s.radarHits, f.N())
-		s.radarCand = growInt32(s.radarCand, f.N())
-		s.eligible = growInt32(s.eligible, w.N()+1)
-	}
-	if nw := e.dev.Workers(); len(s.bufs) < nw {
-		s.bufs = slices.Grow(s.bufs, nw-len(s.bufs))[:nw]
-	}
-	s.conflicts, s.rotations, s.resolvedCount, s.unresolvedCount, s.pairChecks = 0, 0, 0, 0, 0
-	return s
+	// snap is CheckCollisionPath's snapshot of committed courses; its
+	// slots are the host workers (Thread.Worker).
+	snap tasks.Snapshot
 }
 
 // NewEngine returns an ATM kernel engine on the given device profile.
@@ -167,21 +106,28 @@ func (e *Engine) SetWorkers(n int) { e.dev.SetWorkers(n) }
 // ambiguous geometry is arbitrated: instead of order-dependent
 // claim/release chains (which are unavoidably racy on real hardware —
 // the paper leans on "variables to check if an aircraft has already
-// been found"), each pass takes a census (radarHits, acClaims) and then
-// applies the paper's discard rules to the census. The census is
-// commutative, so the outcome is independent of thread interleaving:
-// a radar with two in-box aircraft is discarded, an aircraft claimed by
-// two radars is withdrawn — the same rules, arbitrated per pass instead
-// of per scan step.
+// been found"), each pass's census, claim, arbitrate and finalize
+// launches step through the shared tasks.Census, which applies the
+// paper's discard rules to a commutative census, so the outcome is
+// independent of thread interleaving: a radar with two in-box aircraft
+// is discarded, an aircraft claimed by two radars is withdrawn — the
+// same rules, arbitrated per pass instead of per scan step.
 //
 //atm:modeled-time
-//atm:allow atomic -- claim counters and the matched tally are commutative sums read only after the launch barrier; the per-pass census arbitration makes the outcome interleaving-independent
+//atm:allow atomic -- the matched tally is a commutative sum read only after the launch barrier
 func (e *Engine) TrackDrone(w *airspace.World, f *radar.Frame) TrackResult {
 	f.Reset()
-	s := e.resetState(w, f)
 	res := TrackResult{}
 	n := w.N()
 	r := f.N()
+	s := &e.state
+	s.w = w
+	if cap(s.eligible) < n+1 {
+		s.eligible = make([]int32, n+1)
+	}
+	s.eligible = s.eligible[:n+1]
+	pool := parexec.Resolve(e.dev.pool)
+	census := &s.census
 
 	// Host -> device: the shuffled radar frame (the drone array is
 	// device-resident; the paper copies radar every period).
@@ -197,97 +143,55 @@ func (e *Engine) TrackDrone(w *airspace.World, f *radar.Frame) TrackResult {
 		a.ExpX = a.X + a.DX
 		a.ExpY = a.Y + a.DY
 		a.RMatch = airspace.MatchNone
-		s.acClaims[t.ID] = 0
 		t.Ops(opsExpected)
 		t.Mem(aircraftRecordBytes)
 	}))
 
 	boxHalf := tasks.InitialBoxHalf
 	for pass := 0; pass < tasks.BoxPasses; pass++ {
+		// The host prepares the pass: the box-hit rows, the cleared
+		// claim counters and the eligible prefix count.
+		census.Prepare(w, f, boxHalf, pool, pool.Workers())
+		s.countEligible()
 		if pass > 0 {
-			// Clear the previous pass's claim counters. Done as its own
-			// aircraft-indexed kernel so that no two radar threads ever
-			// write the same counter.
+			// The device clears the previous pass's claim counters in
+			// its own aircraft-indexed kernel, so that no two radar
+			// threads ever write the same counter. The host has cleared
+			// them above; the launch carries the kernel's charge.
 			res.add(e.dev.Launch("resetClaims", n, func(t *Thread) {
-				s.acClaims[t.ID] = 0
 				t.Ops(1)
 			}))
 		}
-		// Census: each radar thread tests every still-eligible aircraft
-		// (the O(N^2) heart of Task 1) up to its second eligible hit.
-		// The host computes the test's outcome from the radar's box-hit
-		// row, and the thread is charged one box check per eligible
-		// aircraft it would have visited, read off the prefix count.
-		s.hits.Prepare(w, f, boxHalf, parexec.Resolve(e.dev.pool))
-		s.countEligible()
+		// Census: each pending radar thread tests every still-eligible
+		// aircraft (the O(N^2) heart of Task 1) up to its second
+		// eligible hit. The outcome comes from the radar's box-hit row,
+		// and the thread is charged one box check per eligible aircraft
+		// it would have visited, read off the prefix count.
 		res.add(e.dev.Launch("census", r, func(t *Thread) {
-			rep := &reps[t.ID]
-			s.radarHits[t.ID] = 0
-			s.radarCand[t.ID] = -1
-			if rep.MatchWith != radar.Unmatched {
-				return
+			if pending, stop := census.Count(w, f, t.Worker, t.ID); pending {
+				t.Ops(opsBoxCheck * int(s.eligible[stop+1]))
+				t.Mem(radarRecordBytes)
 			}
-			hits := int32(0)
-			cand := int32(-1)
-			stop := int32(n - 1)
-			for _, q := range s.hits.Row(w, f, &s.bufs[t.Worker], t.ID) {
-				if ac[q].RMatch != airspace.MatchNone {
-					continue
-				}
-				hits++
-				cand = q
-				if hits > 1 {
-					stop = q
-					break
-				}
-			}
-			t.Ops(opsBoxCheck * int(s.eligible[stop+1]))
-			s.radarHits[t.ID] = hits
-			s.radarCand[t.ID] = cand
-			t.Mem(radarRecordBytes)
 		}))
-
 		// Claim: radars with exactly one candidate claim it atomically;
 		// radars that saw two or more aircraft are discarded (-2).
 		res.add(e.dev.Launch("claim", r, func(t *Thread) {
-			rep := &reps[t.ID]
-			if rep.MatchWith != radar.Unmatched {
-				return
-			}
-			t.Ops(opsClaim)
-			switch {
-			case s.radarHits[t.ID] >= 2:
-				rep.MatchWith = radar.Discarded
-			case s.radarHits[t.ID] == 1:
-				atomic.AddInt32(&s.acClaims[s.radarCand[t.ID]], 1)
+			if pending, _ := census.Claim(f, t.ID); pending {
+				t.Ops(opsClaim)
 			}
 		}))
-
 		// Arbitrate: aircraft claimed by two or more radars are
 		// withdrawn from correlation (-1), per Algorithm 1 line 8.
 		res.add(e.dev.Launch("arbitrate", n, func(t *Thread) {
 			t.Ops(opsResolveAC)
-			if s.acClaims[t.ID] >= 2 && ac[t.ID].RMatch == airspace.MatchNone {
-				ac[t.ID].RMatch = airspace.MatchDiscarded
-			}
+			census.Arbitrate(w, t.ID)
 		}))
-
 		// Finalize: a radar whose unique candidate survived arbitration
 		// becomes a match; contested radars return to the pool for the
 		// next, doubled box.
 		res.add(e.dev.Launch("finalize", r, func(t *Thread) {
-			rep := &reps[t.ID]
-			if rep.MatchWith != radar.Unmatched || s.radarHits[t.ID] != 1 {
-				return
-			}
-			t.Ops(opsFinalize)
-			cand := s.radarCand[t.ID]
-			if s.acClaims[cand] == 1 && ac[cand].RMatch == airspace.MatchNone {
-				// claims == 1 guarantees this thread is the only radar
-				// whose unique candidate is cand, so the write is
-				// race-free.
-				ac[cand].RMatch = airspace.MatchOne
-				rep.MatchWith = cand
+			if census.Finalize(w, f, t.ID) {
+				t.Ops(opsFinalize)
 			}
 		}))
 
@@ -364,7 +268,8 @@ func (r *DetectResult) add(st KernelStats) {
 // (±5°..±30°) until one is conflict-free. Proposed courses are written
 // to a private array and committed by a final kernel, so threads never
 // write another thread's aircraft — the race the paper guards against
-// is excluded by construction.
+// is excluded by construction. The threads run the shared snapshot
+// step (tasks.Snapshot) and are charged from the scans it returns.
 //
 // Because every thread reads the same pre-kernel snapshot, two mutually
 // conflicting aircraft both maneuver relative to each other's old
@@ -377,12 +282,12 @@ func (r *DetectResult) add(st KernelStats) {
 //atm:modeled-time
 func (e *Engine) CheckCollisionPath(w *airspace.World) DetectResult {
 	res := DetectResult{}
-	s := e.prepareDetect(w, &res)
-	e.detectResolveKernel(w, s, &res, true)
-	e.commitCourses(w, s, &res)
+	e.prepareDetect(w, &res)
+	e.detectResolveKernel(w, &res, true)
+	e.commitCourses(w, &res)
 	res.TransferTime += e.dev.TransferTime(w.N() * 8) // conflict flags back to host
 	res.Time += res.TransferTime
-	res.Stats = s.stats()
+	res.Stats = e.snap.Stats()
 	return res
 }
 
@@ -392,13 +297,13 @@ func (e *Engine) CheckCollisionPath(w *airspace.World) DetectResult {
 //atm:modeled-time
 func (e *Engine) DetectOnly(w *airspace.World) DetectResult {
 	res := DetectResult{}
-	s := e.prepareDetect(w, &res)
-	e.detectResolveKernel(w, s, &res, false)
+	e.prepareDetect(w, &res)
+	e.detectResolveKernel(w, &res, false)
 	// Split pipeline: detection results must round-trip to the host
 	// before the resolution kernel can be launched.
 	res.TransferTime += e.dev.TransferTime(w.N() * aircraftRecordBytes)
 	res.Time += res.TransferTime
-	res.Stats = s.stats()
+	res.Stats = e.snap.Stats()
 	return res
 }
 
@@ -410,38 +315,25 @@ func (e *Engine) ResolveOnly(w *airspace.World) DetectResult {
 	res := DetectResult{}
 	// Host -> device: the flagged aircraft state comes back down.
 	res.TransferTime += e.dev.TransferTime(w.N() * aircraftRecordBytes)
-	s := e.prepareDetect(w, &res)
-	e.resolveKernel(w, s, &res)
-	e.commitCourses(w, s, &res)
+	e.prepareDetect(w, &res)
+	e.resolveKernel(w, &res)
+	e.commitCourses(w, &res)
 	res.TransferTime += e.dev.TransferTime(w.N() * 8)
 	res.Time += res.TransferTime
-	res.Stats = s.stats()
+	res.Stats = e.snap.Stats()
 	return res
 }
 
-// prepareDetect snapshots committed courses into device arrays.
-func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceState {
+// prepareDetect snapshots committed courses and prepares the candidate
+// view on the host, and charges the snapshot and index-build launches.
+func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) {
 	n := w.N()
-	s := e.resetState(w, nil)
-	s.snap.Resize(n)
-	s.newDX = growFloat64(s.newDX, n)
-	s.newDY = growFloat64(s.newDY, n)
-	s.resolved = growInt32(s.resolved, n)
-	ac := w.Aircraft
+	pool := parexec.Resolve(e.dev.pool)
+	e.snap.Prepare(w, e.src, pool, pool.Workers())
 	res.add(e.dev.Launch("snapshot", n, func(t *Thread) {
-		a := &ac[t.ID]
-		s.snap.X[t.ID] = a.X
-		s.snap.Y[t.ID] = a.Y
-		s.snap.DX[t.ID] = a.DX
-		s.snap.DY[t.ID] = a.DY
-		s.snap.Alt[t.ID] = a.Alt
-		s.newDX[t.ID] = a.DX
-		s.newDY[t.ID] = a.DY
-		s.resolved[t.ID] = 0
 		t.Ops(opsSnapshot)
 		t.Mem(aircraftRecordBytes)
 	}))
-	s.view.Prepare(e.src, w, &s.snap, parexec.Resolve(e.dev.pool))
 	if e.src != nil {
 		// Host-side index build over the committed snapshot, modeled as
 		// one launch of per-aircraft insertion work; a maintained source
@@ -450,7 +342,7 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 		// charge is the launch below either way, as the bit-identity
 		// contract requires.
 		name := "broadphase"
-		if s.view.Maintained() {
+		if e.snap.Maintained() {
 			name = "broadphase.rebuild"
 		}
 		res.add(e.dev.Launch(name, n, func(t *Thread) {
@@ -458,111 +350,51 @@ func (e *Engine) prepareDetect(w *airspace.World, res *DetectResult) *deviceStat
 			t.Mem(16)
 		}))
 	}
-	return s
 }
 
-// scanSnapshot evaluates one candidate course for track aircraft i
-// against the snapshot with the shared pair scan and returns the
-// earliest critical conflict. A thread is charged opsPairCheck per pair
+// scanOps is a thread's charge for one scan: opsPairCheck per pair
 // check and one filter compare per other candidate it visits, itself
 // included.
-//
-//atm:noalloc
-//atm:allow atomic -- pairChecks is an order-independent sum read only after the launch barrier
-func (s *deviceState) scanSnapshot(t *Thread, i int, vx, vy float64) (earliest float64, with int32, critical bool) {
-	r := tasks.Scan(&s.snap, &s.view, s.w, &s.bufs[t.Worker], i, vx, vy)
-	t.Ops(int(r.Checks)*opsPairCheck + int(r.Cands-r.Checks))
-	atomic.AddInt64(&s.pairChecks, int64(r.Checks))
-	return r.Tmin, r.With, r.Tmin < airspace.CriticalTime
+func scanOps(r tasks.ScanResult) int {
+	return int(r.Checks)*opsPairCheck + int(r.Cands-r.Checks)
 }
 
 // detectResolveKernel runs the fused (or detection-only) kernel body.
-//
-//atm:allow atomic -- the conflicts counter is an order-independent sum read only after the launch barrier
-func (e *Engine) detectResolveKernel(w *airspace.World, s *deviceState, res *DetectResult, resolve bool) {
-	n := w.N()
-	ac := w.Aircraft
+// Every probe of a track has its detection scan's candidates and
+// checks, so a resolving thread is charged its probes from that scan.
+func (e *Engine) detectResolveKernel(w *airspace.World, res *DetectResult, resolve bool) {
 	name := "checkCollisionPath"
 	if !resolve {
 		name = "collisionDetect"
 	}
-	res.add(e.dev.Launch(name, n, func(t *Thread) {
-		i := t.ID
-		a := &ac[i]
-		a.ResetConflict()
-		tmin, with, critical := s.scanSnapshot(t, i, s.snap.DX[i], s.snap.DY[i])
-		if !critical {
-			return
+	res.add(e.dev.Launch(name, w.N(), func(t *Thread) {
+		r := e.snap.Detect(w, t.Worker, t.ID)
+		ops := scanOps(r)
+		t.Ops(ops)
+		if resolve && r.Critical() {
+			probes, _ := e.snap.Resolve(w, t.Worker, t.ID)
+			t.Ops(probes * (opsRotate + ops))
 		}
-		atomic.AddInt64(&s.conflicts, 1)
-		a.Col = true
-		a.ColWith = with
-		a.TimeTill = tmin
-		if !resolve {
-			return
-		}
-		s.resolveTrack(t, e, i, a)
 	}))
 }
 
 // resolveKernel runs Task 3 alone over previously flagged aircraft.
-func (e *Engine) resolveKernel(w *airspace.World, s *deviceState, res *DetectResult) {
+func (e *Engine) resolveKernel(w *airspace.World, res *DetectResult) {
 	ac := w.Aircraft
 	res.add(e.dev.Launch("collisionResolve", w.N(), func(t *Thread) {
-		a := &ac[t.ID]
-		if !a.Col {
+		if !ac[t.ID].Col {
 			return
 		}
-		s.resolveTrack(t, e, t.ID, a)
+		probes, r := e.snap.Resolve(w, t.Worker, t.ID)
+		t.Ops(probes * (opsRotate + scanOps(r)))
 	}))
-}
-
-// resolveTrack probes the rotation schedule for one aircraft.
-//
-//atm:noalloc
-//atm:allow atomic -- rotation/resolution counters are order-independent sums read only after the launch barrier
-func (s *deviceState) resolveTrack(t *Thread, e *Engine, i int, a *airspace.Aircraft) {
-	base := geom.Vec2{X: s.snap.DX[i], Y: s.snap.DY[i]}
-	for _, deg := range tasks.RotationSchedule() {
-		atomic.AddInt64(&s.rotations, 1)
-		t.Ops(opsRotate)
-		v := base.Rotate(deg)
-		a.BatX, a.BatY = v.X, v.Y
-		tmin, with, critical := s.scanSnapshot(t, i, v.X, v.Y)
-		if !critical {
-			s.newDX[i], s.newDY[i] = v.X, v.Y
-			s.resolved[i] = 1
-			atomic.AddInt64(&s.resolvedCount, 1)
-			return
-		}
-		a.ColWith = with
-		if tmin < a.TimeTill {
-			a.TimeTill = tmin
-		}
-	}
-	atomic.AddInt64(&s.unresolvedCount, 1)
 }
 
 // commitCourses applies the proposed courses and clears conflict flags
 // for resolved aircraft.
-func (e *Engine) commitCourses(w *airspace.World, s *deviceState, res *DetectResult) {
-	ac := w.Aircraft
+func (e *Engine) commitCourses(w *airspace.World, res *DetectResult) {
 	res.add(e.dev.Launch("commitCourses", w.N(), func(t *Thread) {
 		t.Ops(opsCommit)
-		if s.resolved[t.ID] == 1 {
-			a := &ac[t.ID]
-			a.DX, a.DY = s.newDX[t.ID], s.newDY[t.ID]
-			a.ResetConflict()
-		}
+		e.snap.Commit(w, t.ID)
 	}))
-}
-
-func (s *deviceState) stats() tasks.DetectStats {
-	return tasks.DetectStats{
-		Conflicts:  int(s.conflicts),
-		Rotations:  int(s.rotations),
-		Resolved:   int(s.resolvedCount),
-		Unresolved: int(s.unresolvedCount),
-		PairChecks: int(s.pairChecks),
-	}
 }

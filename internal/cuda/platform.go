@@ -6,6 +6,7 @@ import (
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
 	"repro/internal/radar"
+	"repro/internal/tasks"
 	"repro/internal/telemetry"
 )
 
@@ -68,7 +69,7 @@ func (p *Platform) Track(w *airspace.World, f *radar.Frame) time.Duration {
 	res := p.eng.TrackDrone(w, f)
 	if p.rec != nil {
 		p.emitKernels(res.Kernels, res.TransferTime)
-		p.rec.Counter(p.rec.Intern(telemetry.NameTrackMatched), int64(res.Matched))
+		tasks.CorrelateStats{Matched: res.Matched}.Record(p.rec)
 	}
 	return res.Time
 }
@@ -79,11 +80,7 @@ func (p *Platform) DetectResolve(w *airspace.World) time.Duration {
 	res := p.eng.CheckCollisionPath(w)
 	if p.rec != nil {
 		p.emitKernels(res.Kernels, res.TransferTime)
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectConflicts), int64(res.Stats.Conflicts))
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectRotations), int64(res.Stats.Rotations))
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectResolved), int64(res.Stats.Resolved))
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectUnresolved), int64(res.Stats.Unresolved))
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectPairChecks), int64(res.Stats.PairChecks))
+		res.Stats.Record(p.rec)
 	}
 	return res.Time
 }

@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
-	"repro/internal/geom"
 	"repro/internal/parexec"
 	"repro/internal/radar"
 	"repro/internal/rng"
@@ -138,30 +137,19 @@ type scratch struct {
 	locks     []sync.Mutex //atm:allow sync -- machine-owned stripe locks; arbitration order is the modeled FCFS behaviour
 	state     []int32
 	matchedBy []int32
-	// hits serves the census its box-hit rows. withdrawals[:logged]
+	// hits serves the census its box-hit rows, bufs holds each modeled
+	// core's buffer for a row served on demand. withdrawals[:logged]
 	// logs this Track call's withdrawals in claim order, each as its
 	// aircraft index plus one, so that a slot claimed but not yet
 	// written reads 0.
 	hits        tasks.BoxHits
+	bufs        []tasks.ScanBuf
 	withdrawals []int32
 	logged      atomic.Int32 //atm:allow atomic -- the withdrawal log's slot counter; slots are claimed in arbitration order, the modeled FCFS behaviour, and read only as a count
 
-	// snap is the committed-course snapshot in column (SoA) form.
-	snap         airspace.Columns
-	newDX, newDY []float64
-	resolved     []bool
-
-	// view serves the scan's candidate sets; bufs holds each modeled
-	// core's scan buffers.
-	view broadphase.View
-	bufs []tasks.ScanBuf
-}
-
-func growF(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
+	// snap is DetectResolve's snapshot of committed courses; its slots
+	// are the modeled cores.
+	snap tasks.Snapshot
 }
 
 // New returns a machine with the given profile; seed fixes the jitter
@@ -501,47 +489,22 @@ func (s *scratch) withdrawnThrough(stop int32) uint64 {
 }
 
 // DetectResolve runs Tasks 2-3 with aircraft partitioned across cores.
-// Workers scan a shared snapshot of committed courses and write only
-// their own aircraft, then a commit phase applies resolved courses —
-// the same snapshot discipline as the CUDA kernel, since a lock-free
-// shared-memory implementation needs it just as much.
-//
-//atm:allow atomic -- per-core conflict and rotation tallies are order-independent sums read only after the join
+// Workers run the shared snapshot step (tasks.Snapshot) on their
+// tracks, scanning a shared snapshot of committed courses and writing
+// only their own aircraft, then a commit phase applies resolved
+// courses — the same snapshot discipline as the CUDA kernel, since a
+// lock-free shared-memory implementation needs it just as much.
 func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Duration) {
 	n := w.N()
-	ac := w.Aircraft
 	tally := m.tally()
 	phases := 0
+	snap := &m.scr.snap
+	snap.Prepare(w, m.src, m.pool, m.prof.Cores)
 
-	scr := &m.scr
-	scr.snap.Resize(n)
-	scr.newDX = growF(scr.newDX, n)
-	scr.newDY = growF(scr.newDY, n)
-	if cap(scr.resolved) < n {
-		scr.resolved = make([]bool, n)
-	}
-	if len(scr.bufs) < m.prof.Cores {
-		scr.bufs = make([]tasks.ScanBuf, m.prof.Cores)
-	}
-	snapX, snapY := scr.snap.X, scr.snap.Y
-	snapDX, snapDY := scr.snap.DX, scr.snap.DY
-	snapAlt := scr.snap.Alt
-	newDX, newDY := scr.newDX, scr.newDY
-	resolved := scr.resolved[:n]
-
+	// The snapshot copy, charged per aircraft; the host made it above.
 	phases++
 	m.parallel(n, func(core, lo, hi int) {
-		var ops uint64
-		for i := lo; i < hi; i++ {
-			a := &ac[i]
-			snapX[i], snapY[i] = a.X, a.Y
-			snapDX[i], snapDY[i] = a.DX, a.DY
-			snapAlt[i] = a.Alt
-			newDX[i], newDY[i] = a.DX, a.DY
-			resolved[i] = false
-			ops += opsExpected
-		}
-		tally.ops[core] += ops
+		tally.ops[core] += uint64(hi-lo) * opsExpected
 	})
 	m.markPhase(tally, "snapshot", 0)
 
@@ -554,10 +517,9 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	// reports which — the charge is identical, as bit-identity
 	// requires. With no source the view serves every aircraft and no
 	// phase is charged.
-	scr.view.Prepare(m.src, w, &scr.snap, parexec.Resolve(m.pool))
 	if m.src != nil {
 		name := "index"
-		if scr.view.Maintained() {
+		if snap.Maintained() {
 			name = "index.rebuild"
 		}
 		phases++
@@ -567,54 +529,22 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 		m.markPhase(tally, name, 0)
 	}
 
-	// scan runs the shared pair scan for track i on course (vx, vy),
-	// charging the core opsPairCheck per pair check and one filter
-	// compare per other candidate, itself included.
-	var conflicts, rotations, resolvedCount, unresolvedCount, pairChecks uint64
-	scan := func(core, i int, vx, vy float64, ops *uint64) (earliest float64, with int32, critical bool) {
-		r := tasks.Scan(&scr.snap, &scr.view, w, &scr.bufs[core], i, vx, vy)
-		*ops += uint64(r.Checks)*opsPairCheck + uint64(r.Cands-r.Checks)
-		atomic.AddUint64(&pairChecks, uint64(r.Checks))
-		return r.Tmin, r.With, r.Tmin < airspace.CriticalTime
-	}
-
+	// Every scan is charged opsPairCheck per pair check and one filter
+	// compare per other candidate, itself included, and every probe
+	// opsRotate besides. A track's probes have its detection scan's
+	// candidates and checks.
 	phases++
 	m.parallel(n, func(core, lo, hi int) {
 		var ops uint64
 		for i := lo; i < hi; i++ {
-			a := &ac[i]
-			a.ResetConflict()
-			tmin, with, critical := scan(core, i, snapDX[i], snapDY[i], &ops)
-			if !critical {
-				continue
+			r := snap.Detect(w, core, i)
+			probes := uint64(0)
+			if r.Critical() {
+				p, _ := snap.Resolve(w, core, i)
+				probes = uint64(p)
 			}
-			atomic.AddUint64(&conflicts, 1)
-			a.Col = true
-			a.ColWith = with
-			a.TimeTill = tmin
-			base := geom.Vec2{X: snapDX[i], Y: snapDY[i]}
-			done := false
-			for _, deg := range tasks.RotationSchedule() {
-				atomic.AddUint64(&rotations, 1)
-				ops += opsRotate
-				v := base.Rotate(deg)
-				a.BatX, a.BatY = v.X, v.Y
-				tmin, with, critical = scan(core, i, v.X, v.Y, &ops)
-				if !critical {
-					newDX[i], newDY[i] = v.X, v.Y
-					resolved[i] = true
-					atomic.AddUint64(&resolvedCount, 1)
-					done = true
-					break
-				}
-				a.ColWith = with
-				if tmin < a.TimeTill {
-					a.TimeTill = tmin
-				}
-			}
-			if !done {
-				atomic.AddUint64(&unresolvedCount, 1)
-			}
+			scan := uint64(r.Checks)*opsPairCheck + uint64(r.Cands-r.Checks)
+			ops += (1+probes)*scan + probes*opsRotate
 		}
 		tally.ops[core] += ops
 	})
@@ -622,25 +552,12 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 
 	phases++
 	m.parallel(n, func(core, lo, hi int) {
-		var ops uint64
 		for i := lo; i < hi; i++ {
-			ops += opsCommit
-			if resolved[i] {
-				a := &ac[i]
-				a.DX, a.DY = newDX[i], newDY[i]
-				a.ResetConflict()
-			}
+			snap.Commit(w, i)
 		}
-		tally.ops[core] += ops
+		tally.ops[core] += uint64(hi-lo) * opsCommit
 	})
 	m.markPhase(tally, "commit", 0)
 
-	st := tasks.DetectStats{
-		Conflicts:  int(conflicts),
-		Rotations:  int(rotations),
-		Resolved:   int(resolvedCount),
-		Unresolved: int(unresolvedCount),
-		PairChecks: int(pairChecks),
-	}
-	return st, m.taskTime(n, phases, tally)
+	return snap.Stats(), m.taskTime(n, phases, tally)
 }

@@ -88,7 +88,7 @@ func (p *Platform) Track(w *airspace.World, f *radar.Frame) time.Duration {
 	st, d := p.m.Track(w, f)
 	if p.rec != nil {
 		p.emitMarks(d)
-		p.rec.Counter(p.rec.Intern(telemetry.NameTrackMatched), int64(st.Matched))
+		st.Record(p.rec)
 	}
 	return d
 }
@@ -101,11 +101,7 @@ func (p *Platform) DetectResolve(w *airspace.World) time.Duration {
 	st, d := p.m.DetectResolve(w)
 	if p.rec != nil {
 		p.emitMarks(d)
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectConflicts), int64(st.Conflicts))
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectRotations), int64(st.Rotations))
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectResolved), int64(st.Resolved))
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectUnresolved), int64(st.Unresolved))
-		p.rec.Counter(p.rec.Intern(telemetry.NameDetectPairChecks), int64(st.PairChecks))
+		st.Record(p.rec)
 	}
 	return d
 }

@@ -29,10 +29,16 @@ import (
 
 // Pool is a reusable worker pool. The zero value is not usable; create
 // pools with NewPool. Worker goroutines are spawned lazily on the first
-// parallel Run and live for the life of the pool.
+// parallel Run and live until the pool is unreachable: they hold only
+// the pool's inner state, so a dropped Pool is collected, and its
+// finalizer closes the wake channel they wait on, which ends them.
 type Pool struct {
 	workers int
+	s       *poolState
+}
 
+// poolState is the part of a Pool its helper goroutines share.
+type poolState struct {
 	mu      sync.Mutex // held for the duration of one dispatched Run
 	started bool       // workers spawned; guarded by mu
 	wake    chan struct{}
@@ -69,7 +75,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers}
+	return &Pool{workers: workers, s: &poolState{}}
 }
 
 // Workers returns the pool's worker count. Per-worker scratch passed to
@@ -114,7 +120,8 @@ func (p *Pool) RunBody(n, grain int, body Body) {
 	if grain <= 0 {
 		grain = 1
 	}
-	if p.workers == 1 || n <= grain || !p.mu.TryLock() {
+	s := p.s
+	if p.workers == 1 || n <= grain || !s.mu.TryLock() {
 		for lo := 0; lo < n; lo += grain {
 			hi := lo + grain
 			if hi > n {
@@ -124,16 +131,16 @@ func (p *Pool) RunBody(n, grain int, body Body) {
 		}
 		return
 	}
-	defer p.mu.Unlock()
-	if !p.started {
+	defer s.mu.Unlock()
+	if !s.started {
 		p.start() //atm:allow noallocflow -- one-time lazy startup: spawns the worker goroutines on the first parallel Run only
-		p.started = true
+		s.started = true
 	}
 
-	p.limit = int64(n)
-	p.grain = int64(grain)
-	p.body = body
-	p.cursor.Store(0)
+	s.limit = int64(n)
+	s.grain = int64(grain)
+	s.body = body
+	s.cursor.Store(0)
 
 	// Wake only as many helpers as there are chunks beyond the caller's
 	// first; the rest would spin on an exhausted cursor.
@@ -142,26 +149,36 @@ func (p *Pool) RunBody(n, grain int, body Body) {
 		helpers = chunks - 1
 	}
 	for i := 0; i < helpers; i++ {
-		p.wake <- struct{}{}
+		s.wake <- struct{}{}
 	}
-	p.drain(0)
+	s.drain(0)
 	for i := 0; i < helpers; i++ {
-		<-p.done
+		<-s.done
 	}
-	p.body = nil
+	s.body = nil
+	// The finalizer closes wake; keep p reachable until the helpers
+	// have reported back.
+	runtime.KeepAlive(p) //atm:allow noallocflow -- a compiler intrinsic that only marks p live; it allocates nothing
 }
 
-// start spawns the persistent helper goroutines.
+// start spawns the persistent helper goroutines, and sets the finalizer
+// that ends them once p is unreachable.
 func (p *Pool) start() {
-	p.wake = make(chan struct{}, p.workers)
-	p.done = make(chan struct{}, p.workers)
+	s := p.s
+	s.wake = make(chan struct{}, p.workers)
+	s.done = make(chan struct{}, p.workers)
 	for w := 1; w < p.workers; w++ {
-		go func(worker int) {
-			for range p.wake {
-				p.drain(worker)
-				p.done <- struct{}{}
-			}
-		}(w)
+		go s.help(w)
+	}
+	runtime.SetFinalizer(p, func(p *Pool) { close(p.s.wake) })
+}
+
+// help is one helper goroutine: it drains the current job as worker
+// each time it is woken, until wake is closed.
+func (s *poolState) help(worker int) {
+	for range s.wake {
+		s.drain(worker)
+		s.done <- struct{}{}
 	}
 }
 
@@ -170,10 +187,10 @@ func (p *Pool) start() {
 //
 //atm:noalloc
 //atm:noescape
-func (p *Pool) drain(worker int) {
-	limit, grain := p.limit, p.grain
+func (s *poolState) drain(worker int) {
+	limit, grain := s.limit, s.grain
 	for {
-		lo := p.cursor.Add(grain) - grain
+		lo := s.cursor.Add(grain) - grain
 		if lo >= limit {
 			return
 		}
@@ -181,7 +198,7 @@ func (p *Pool) drain(worker int) {
 		if hi > limit {
 			hi = limit
 		}
-		p.body.Chunk(worker, int(lo), int(hi))
+		s.body.Chunk(worker, int(lo), int(hi))
 	}
 }
 

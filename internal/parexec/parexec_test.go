@@ -1,8 +1,10 @@
 package parexec
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRunCoversRangeExactlyOnce checks every index is visited exactly
@@ -185,5 +187,29 @@ func TestSetDefaultWorkers(t *testing.T) {
 	SetDefaultWorkers(7)
 	if got := Default().Workers(); got != 7 {
 		t.Fatalf("default pool has %d workers after SetDefaultWorkers(7)", got)
+	}
+}
+
+// TestDroppedPoolReleasesWorkers drops 20 pools of 4 workers after one
+// parallel Run each and checks that their helper goroutines end: the
+// goroutine count must return to where it started once the pools are
+// collected (polled with GC for up to 5 s).
+func TestDroppedPoolReleasesWorkers(t *testing.T) {
+	runtime.GC()
+	start := runtime.NumGoroutine()
+	var sink atomic.Int64
+	for i := 0; i < 20; i++ {
+		NewPool(4).Run(100, 1, func(_, lo, hi int) { sink.Add(int64(hi - lo)) })
+	}
+	if sink.Load() != 20*100 {
+		t.Fatalf("the runs covered %d indices, want %d", sink.Load(), 20*100)
+	}
+	got := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); got > start && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got > start {
+		t.Fatalf("%d goroutines after dropping 20 pools, %d before: their helpers were never released", got, start)
 	}
 }

@@ -9,30 +9,6 @@ import (
 	"repro/internal/tasks"
 )
 
-// The CUDA, wide-vector and multicore machines all implement Tasks 2-3
-// with the same snapshot discipline (scan a frozen copy of committed
-// courses, write only your own aircraft, commit at a barrier), so on
-// identical traffic they must produce bitwise-identical worlds — three
-// independent implementations cross-checking each other.
-func TestSnapshotPlatformsAgreeOnDetectResolve(t *testing.T) {
-	base := airspace.NewWorld(700, rng.New(101))
-	names := []string{TitanXPascal, XeonPhi, Xeon16}
-	worlds := make([]*airspace.World, len(names))
-	for i, name := range names {
-		w := base.Clone()
-		MustNew(name, 1).DetectResolve(w)
-		worlds[i] = w
-	}
-	for i := 1; i < len(worlds); i++ {
-		for j := range worlds[0].Aircraft {
-			if worlds[0].Aircraft[j] != worlds[i].Aircraft[j] {
-				t.Fatalf("aircraft %d differs between %s and %s:\n%+v\n%+v",
-					j, names[0], names[i], worlds[0].Aircraft[j], worlds[i].Aircraft[j])
-			}
-		}
-	}
-}
-
 // The AP program implements the sequential reference exactly; the
 // snapshot platforms may differ from it only in how mutually
 // conflicting pairs maneuver. On traffic with no critical conflicts,

@@ -2,12 +2,13 @@
 // ResolveInPlace, and the Tasks 2-3 runner built on them: Detect and
 // DetectResolve for every pair source.
 //
-// Scan is the pair fold of every executor: the runner here, cuda's
-// CheckCollisionPath, the AP's detection program, and the mimd and
-// vector machines each call it per track and probe, and keep only their
-// own control flow, snapshot discipline and modeled charges, which they
-// compute from the scan's candidate and check counts. The AP, whose
-// control flow is the runner's serial one, shares ResolveInPlace too.
+// Scan is the pair fold of every executor: the runner here and the
+// AP's detection program call it per track and probe, and cuda's
+// CheckCollisionPath and the mimd and vector machines through the
+// snapshot step (snapshot.go). Each executor keeps only its own
+// control flow and modeled charges, which it computes from the scan's
+// candidate and check counts. The AP, whose control flow is the
+// runner's serial one, shares ResolveInPlace too.
 // Every source runs the same scan; only the candidate list of a track
 // differs. The broadphase.View serves it: the identity list [0, n)
 // with no source, the row of the candidate table where the source
@@ -81,6 +82,12 @@ type ScanResult struct {
 	Checks int32
 	Cands  int32
 }
+
+// Critical reports whether the scan found a conflict starting before
+// airspace.CriticalTime, the one Algorithm 2 must resolve.
+//
+//atm:inline
+func (r ScanResult) Critical() bool { return r.Tmin < airspace.CriticalTime }
 
 // Scan is the fused Task 2+3 pair kernel, the one pair scan of every
 // executor. It folds the candidates v serves for the track
@@ -256,7 +263,7 @@ func DetectExec(w *airspace.World, src broadphase.PairSource, pool *parexec.Pool
 		r := sc.res[i]
 		st.PairChecks += int(r.Checks)
 		batches += kernelBatches(r.Checks)
-		if r.Tmin < airspace.CriticalTime {
+		if r.Critical() {
 			st.Conflicts++
 			markConflict(w, track, r.With, r.Tmin)
 		}
@@ -329,7 +336,7 @@ func ResolveInPlace(c *airspace.Columns, v *broadphase.View, w *airspace.World, 
 	track := &w.Aircraft[i]
 	track.ResetConflict()
 	st.PairChecks += int(r.Checks)
-	if !(r.Tmin < airspace.CriticalTime) {
+	if !r.Critical() {
 		return 0, false
 	}
 	st.Conflicts++
@@ -343,7 +350,7 @@ func ResolveInPlace(c *airspace.Columns, v *broadphase.View, w *airspace.World, 
 		track.BatX, track.BatY = h.X, h.Y
 		pr := Scan(c, v, w, b, i, h.X, h.Y)
 		st.PairChecks += int(pr.Checks)
-		if !(pr.Tmin < airspace.CriticalTime) {
+		if !pr.Critical() {
 			track.DX, track.DY = h.X, h.Y
 			c.SetVel(i, h.X, h.Y)
 			track.ResetConflict()

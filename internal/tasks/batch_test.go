@@ -15,6 +15,8 @@ import (
 // aircraft records: every candidate of track — every aircraft for a nil
 // source, else one per-track AppendCandidates query — folded through
 // PairConflict in candidate order under the strict-< first-wins rule.
+// Cands counts the candidates, Checks those past the self-skip and the
+// altitude band.
 func scalarScan(w *airspace.World, src broadphase.PairSource, track *airspace.Aircraft, vx, vy float64) ScanResult {
 	r := ScanResult{Tmin: airspace.SafeTime, With: airspace.NoConflict}
 	fold := func(trial *airspace.Aircraft) {
@@ -32,11 +34,14 @@ func scalarScan(w *airspace.World, src broadphase.PairSource, track *airspace.Ai
 		for p := range w.Aircraft {
 			fold(&w.Aircraft[p])
 		}
+		r.Cands = int32(w.N())
 		return r
 	}
-	for _, p := range src.AppendCandidates(nil, w, track) {
+	cands := src.AppendCandidates(nil, w, track)
+	for _, p := range cands {
 		fold(&w.Aircraft[p])
 	}
+	r.Cands = int32(len(cands))
 	return r
 }
 

@@ -46,6 +46,16 @@ var noallocContract = map[string]noallocSpec{
 	"Scan":           {decl: true},
 	"scanJob.Chunk":  {decl: true},
 	"ResolveInPlace": {decl: true},
+	// The data-parallel executors' steps: the snapshot step of
+	// Algorithm 2 (snapshot.go), per track, and Task 1's census
+	// arbitration (census.go), per radar or aircraft.
+	"Snapshot.Detect":  {decl: true},
+	"Snapshot.Resolve": {decl: true},
+	"Snapshot.Commit":  {decl: true},
+	"Census.Count":     {decl: true},
+	"Census.Claim":     {decl: true},
+	"Census.Arbitrate": {decl: true},
+	"Census.Finalize":  {decl: true},
 }
 
 // TestNoallocManifestMatchesDirectives parses this package's sources

@@ -15,18 +15,21 @@
 // pending radar's row of aircraft whose box contains it, fanned out per
 // radar. The host body here (parallel.go) replays Algorithm 1's
 // matching over those rows in radar order, identical at any worker
-// count, and the cuda, ap, mimd and vector executors walk the same rows
-// with their own matching and charges; the tests hold the host body to
-// a scalar fold of Algorithm 1. Tasks 2-3 have one pair
-// scan, Scan (batch.go): a column snapshot of the world scanned by a
-// batched pair kernel over the candidates a broadphase.View serves —
-// every aircraft with no source. The runner here and the cuda, ap,
-// mimd and vector executors all call it. The runner runs the serial
+// count; the ap and mimd executors walk the same rows with their own
+// matching; and the cuda and vector executors share one census
+// arbitration over them, Census (census.go). The tests hold the host
+// body to a scalar fold of Algorithm 1 and Census to the all-N census
+// loops. Tasks 2-3 have one pair scan, Scan (batch.go): a column
+// snapshot of the world scanned by a batched pair kernel over the
+// candidates a broadphase.View serves — every aircraft with no source.
+// Around it, Algorithm 2 has one step per resolution discipline: the
+// in-place step ResolveInPlace, which the runner here and the ap
+// executor share, and the snapshot step Snapshot (snapshot.go), which
+// the cuda, mimd and vector executors share. The runner runs the serial
 // in-place Algorithm 2 at one worker and a parallel snapshot scan plus
-// serial replay above that, identical at any worker count; both forms
-// finish each track with ResolveInPlace, the in-place step the ap
-// executor shares. The tests hold the runner to a scalar fold of
-// Algorithm 2 over the aircraft records.
+// serial replay above that, identical at any worker count. The tests
+// hold the runner to a scalar fold of Algorithm 2 over the aircraft
+// records, and Snapshot to the snapshot discipline written plainly.
 package tasks
 
 import (
@@ -37,6 +40,7 @@ import (
 	"repro/internal/broadphase"
 	"repro/internal/geom"
 	"repro/internal/radar"
+	"repro/internal/telemetry"
 )
 
 // BoxPasses is the number of correlation passes of Algorithm 1: the
@@ -75,6 +79,12 @@ type CorrelateStats struct {
 	// PassRadars[k] is the number of still-unmatched radars entering
 	// pass k.
 	PassRadars [BoxPasses]int
+}
+
+// Record adds Task 1's matched count to rec as the track.matched
+// counter, the one Task 1 counter every platform records.
+func (st CorrelateStats) Record(rec *telemetry.Recorder) {
+	rec.Counter(rec.Intern(telemetry.NameTrackMatched), int64(st.Matched))
 }
 
 // Correlate runs Task 1 on the world against one radar frame: it
@@ -176,6 +186,17 @@ type DetectStats struct {
 	PairChecks int
 }
 
+// Record adds the stats to rec as the detect.* counters, interned in
+// one fixed order, so that every platform's event stream names them
+// alike.
+func (st DetectStats) Record(rec *telemetry.Recorder) {
+	rec.Counter(rec.Intern(telemetry.NameDetectConflicts), int64(st.Conflicts))
+	rec.Counter(rec.Intern(telemetry.NameDetectRotations), int64(st.Rotations))
+	rec.Counter(rec.Intern(telemetry.NameDetectResolved), int64(st.Resolved))
+	rec.Counter(rec.Intern(telemetry.NameDetectUnresolved), int64(st.Unresolved))
+	rec.Counter(rec.Intern(telemetry.NameDetectPairChecks), int64(st.PairChecks))
+}
+
 // DetectResolve runs Tasks 2 and 3 for every aircraft, mirroring the
 // paper's combined CheckCollisionPath kernel: detect the earliest
 // critical conflict on the committed course; if one exists, probe
@@ -233,8 +254,11 @@ func markConflict(w *airspace.World, track *airspace.Aircraft, with int32, tmin 
 // ResolutionStepDeg up to MaxResolutionDeg, on either side.
 const rotationCount = 2 * int(MaxResolutionDeg/ResolutionStepDeg)
 
-// rotationSchedule is the schedule RotationSchedule returns, computed
-// once.
+// rotationSchedule holds the trial heading offsets of Task 3 in the
+// order the paper probes them: alternating sign, growing magnitude
+// (+5, -5, +10, -10, ... +30, -30 degrees). It is computed once, so
+// every step of Algorithm 2 probes it per conflicted aircraft without
+// allocating.
 var rotationSchedule = func() (degs [rotationCount]float64) {
 	k := 0
 	for mag := ResolutionStepDeg; mag <= MaxResolutionDeg; mag += ResolutionStepDeg {
@@ -243,13 +267,6 @@ var rotationSchedule = func() (degs [rotationCount]float64) {
 	}
 	return degs
 }()
-
-// RotationSchedule returns the trial heading offsets of Task 3 in the
-// order the paper probes them: alternating sign, growing magnitude
-// (+5, -5, +10, -10, ... +30, -30 degrees). The schedule is computed
-// once and returned by value, so every executor probes it per
-// conflicted aircraft without allocating.
-func RotationSchedule() [rotationCount]float64 { return rotationSchedule }
 
 // AltitudeResolve is the paper's fallback for conflicts that survive
 // the ±30° rotation search: "any left unresolved ... that were urgent

@@ -373,7 +373,7 @@ func TestDetectResolveIsDeterministic(t *testing.T) {
 
 func TestRotationSchedule(t *testing.T) {
 	want := []float64{5, -5, 10, -10, 15, -15, 20, -20, 25, -25, 30, -30}
-	got := RotationSchedule()
+	got := rotationSchedule
 	if len(got) != len(want) {
 		t.Fatalf("schedule = %v", got)
 	}

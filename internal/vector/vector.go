@@ -6,12 +6,13 @@
 // The machine is a many-core CPU whose cores each execute W-lane SIMD
 // instructions. Task 1 is charged in lane-blocked form — a vectorizing
 // port of the CUDA kernels scans the aircraft database eight records at
-// a time through mask registers — and computed from the shared box-hit
-// rows (tasks.BoxHits): each radar's census is charged the lane blocks
-// its blocked scan would visit. Tasks 2-3 run the shared pair scan
-// (tasks.Scan, itself an 8-wide blocked kernel) and are charged the
-// lane blocks that cover each scan's candidate list. Every vector
-// instruction is counted.
+// a time through mask registers — and computed by the CUDA kernels'
+// census arbitration (tasks.Census) over the shared box-hit rows: each
+// radar's census is charged the lane blocks its blocked scan would
+// visit. Tasks 2-3 run the snapshot step the CUDA kernels share
+// (tasks.Snapshot, over the 8-wide blocked pair scan tasks.Scan) and
+// are charged the lane blocks that cover each scan's candidate list.
+// Every vector instruction is counted.
 // The cost model charges the per-core critical path of vector
 // instructions at the profile's issue rate, plus a barrier per
 // parallel phase. No
@@ -29,7 +30,6 @@ import (
 
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
-	"repro/internal/geom"
 	"repro/internal/parexec"
 	"repro/internal/radar"
 	"repro/internal/tasks"
@@ -82,23 +82,12 @@ type Machine struct {
 	src  broadphase.PairSource
 	pool *parexec.Pool
 
-	soa   soa
 	tally tally
-	// Per-pass census and claim scratch for Track: the box-hit rows
-	// the census walks, and the claim counters.
-	hits      tasks.BoxHits
-	acClaims  []int32
-	radarHits []int32
-	radarCand []int32
-	// Resolution scratch for DetectResolve.
-	newDX, newDY []float64
-	resolved     []bool
-	// Candidate view of the pair scan, the SoA mirror viewed as
-	// airspace.Columns for the scan and the index build (same backing
-	// arrays, no copy), and per-core scan buffers.
-	view broadphase.View
-	cols airspace.Columns
-	bufs []tasks.ScanBuf
+	// census is Track's per-pass census and snap DetectResolve's
+	// snapshot of committed courses; the slots of both are the
+	// modeled cores.
+	census tasks.Census
+	snap   tasks.Snapshot
 
 	// Telemetry phase marks: per-core cumulative instruction
 	// snapshots taken after each parallel phase when a recorder is
@@ -155,38 +144,6 @@ func (m *Machine) SetWorkers(n int) {
 // Deterministic reports true for the idealized vector model (see the
 // package comment for the caveat).
 func (m *Machine) Deterministic() bool { return true }
-
-// soa is the structure-of-arrays mirror of the aircraft database that
-// the Tasks 2-3 scan operates on (vector units need contiguous fields).
-type soa struct {
-	n                 int
-	x, y, dx, dy, alt []float64
-}
-
-func growF(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// loadSOA refreshes the machine's reusable structure-of-arrays mirror
-// from the world.
-func (m *Machine) loadSOA(w *airspace.World) *soa {
-	n := w.N()
-	s := &m.soa
-	s.n = n
-	s.x, s.y = growF(s.x, n), growF(s.y, n)
-	s.dx, s.dy = growF(s.dx, n), growF(s.dy, n)
-	s.alt = growF(s.alt, n)
-	for i := range w.Aircraft {
-		a := &w.Aircraft[i]
-		s.x[i], s.y[i] = a.X, a.Y
-		s.dx[i], s.dy[i] = a.DX, a.DY
-		s.alt[i] = a.Alt
-	}
-	return s
-}
 
 // tally accumulates per-core vector-instruction counts.
 type tally struct {
@@ -270,16 +227,16 @@ const (
 )
 
 // Track runs Task 1 with radars partitioned across cores and the
-// aircraft database scanned in 8-lane blocks. Matching uses the same
-// barrier-separated census/claim/arbitrate/finalize scheme as the CUDA
-// kernel: each phase reads only state frozen at the previous barrier,
-// which makes both the outcome and the per-core instruction tally —
-// and therefore the modeled time — a pure function of the workload.
-// The census computes each radar's outcome from its box-hit row
-// (tasks.BoxHits) and charges the lane blocks the blocked scan visits:
-// every block up to the one holding the radar's second eligible hit.
+// aircraft database scanned in 8-lane blocks. Matching runs the same
+// barrier-separated census/claim/arbitrate/finalize steps as the CUDA
+// kernel (tasks.Census), one phase each: each phase reads only state
+// frozen at the previous barrier, which makes both the outcome and the
+// per-core instruction tally — and therefore the modeled time — a pure
+// function of the workload. The census phase charges the lane blocks
+// the blocked scan visits: every block up to the one holding the
+// radar's second eligible hit.
 //
-//atm:allow atomic -- claim counters and match tallies are commutative sums read only after the phase barrier
+//atm:allow atomic -- the comparison, discard, withdrawal and match tallies are commutative sums read only after the phase barrier
 func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats, time.Duration) {
 	var st tasks.CorrelateStats
 	t := m.newTally()
@@ -299,26 +256,10 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	})
 	f.Reset()
 
-	if cap(m.acClaims) < n {
-		m.acClaims = make([]int32, n)
-	}
-	if cap(m.radarHits) < len(reps) {
-		m.radarHits = make([]int32, len(reps))
-		m.radarCand = make([]int32, len(reps))
-	}
-	if len(m.bufs) < m.prof.Cores {
-		m.bufs = make([]tasks.ScanBuf, m.prof.Cores)
-	}
-	acClaims := m.acClaims[:n]
-	radarHits := m.radarHits[:len(reps)]
-	radarCand := m.radarCand[:len(reps)]
-	for i := range acClaims {
-		acClaims[i] = 0
-	}
-
+	census := &m.census
 	boxHalf := tasks.InitialBoxHalf
 	for pass := 0; pass < tasks.BoxPasses; pass++ {
-		pending := m.hits.Prepare(w, f, boxHalf, m.pool)
+		pending := census.Prepare(w, f, boxHalf, m.pool, m.prof.Cores)
 		st.PassRadars[pass] = pending
 		if pending == 0 {
 			break
@@ -329,95 +270,63 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 		// lane blocks until a block holds its second eligible hit.
 		// Match state is frozen for the whole phase.
 		m.parallel(t, "census", int32(pass), len(reps), func(core, lo, hi int) {
-			var vi, comps uint64
+			var blocks, comps uint64
 			for j := lo; j < hi; j++ {
-				rep := &reps[j]
-				radarHits[j] = 0
-				radarCand[j] = -1
-				if rep.MatchWith != radar.Unmatched {
-					continue
+				if pending, stop := census.Count(w, f, core, j); pending {
+					b := (int(stop) + Lanes) / Lanes
+					blocks += uint64(b)
+					comps += uint64(min(b*Lanes, n))
 				}
-				hits := int32(0)
-				cand := int32(-1)
-				blocks := (n + Lanes - 1) / Lanes
-				for _, q := range m.hits.Row(w, f, &m.bufs[core], j) {
-					if ac[q].RMatch != airspace.MatchNone {
-						continue // matched or withdrawn
-					}
-					hits++
-					cand = q
-					if hits > 1 {
-						blocks = int(q)/Lanes + 1
-						break
-					}
-				}
-				vi += uint64(blocks) * viBoxCheck
-				comps += uint64(min(blocks*Lanes, n))
-				radarHits[j] = hits
-				radarCand[j] = cand
 			}
-			t.vecInstr[core] += vi
+			t.vecInstr[core] += blocks * viBoxCheck
 			atomic.AddUint64(&comparisons, comps)
 		})
 
 		// Claim: ambiguous radars are discarded; unique candidates are
 		// claimed with a commutative counter.
 		m.parallel(t, "claim", int32(pass), len(reps), func(core, lo, hi int) {
-			var vi uint64
+			var vi, disc uint64
 			for j := lo; j < hi; j++ {
-				rep := &reps[j]
-				if rep.MatchWith != radar.Unmatched {
-					continue
+				pending, d := census.Claim(f, j)
+				if pending {
+					vi += viClaim
 				}
-				vi += viClaim
-				switch {
-				case radarHits[j] >= 2:
-					rep.MatchWith = radar.Discarded
-					atomic.AddUint64(&discarded, 1)
-				case radarHits[j] == 1:
-					atomic.AddInt32(&acClaims[radarCand[j]], 1)
+				if d {
+					disc++
 				}
 			}
 			t.vecInstr[core] += vi
+			atomic.AddUint64(&discarded, disc)
 		})
 
 		// Arbitrate: contested aircraft are withdrawn.
 		m.parallel(t, "arbitrate", int32(pass), n, func(core, lo, hi int) {
-			var vi uint64
+			var vi, wd uint64
 			for i := lo; i < hi; i++ {
 				if i%Lanes == 0 {
 					vi += viClaim
 				}
-				if acClaims[i] >= 2 && ac[i].RMatch == airspace.MatchNone {
-					ac[i].RMatch = airspace.MatchDiscarded
-					atomic.AddUint64(&withdrawn, 1)
+				if census.Arbitrate(w, i) {
+					wd++
 				}
 			}
 			t.vecInstr[core] += vi
+			atomic.AddUint64(&withdrawn, wd)
 		})
 
-		// Finalize: surviving unique claims become matches; clear the
-		// claim counters for the next pass.
+		// Finalize: surviving unique claims become matches; then the
+		// claim counters are cleared for the next pass (the host clears
+		// them at the next Prepare; the phase carries the charge).
 		m.parallel(t, "finalize", int32(pass), len(reps), func(core, lo, hi int) {
 			var vi uint64
 			for j := lo; j < hi; j++ {
-				rep := &reps[j]
-				if rep.MatchWith != radar.Unmatched || radarHits[j] != 1 {
-					continue
-				}
-				vi += viClaim
-				cand := radarCand[j]
-				if acClaims[cand] == 1 && ac[cand].RMatch == airspace.MatchNone {
-					ac[cand].RMatch = airspace.MatchOne
-					rep.MatchWith = cand
+				if census.Finalize(w, f, j) {
+					vi += viClaim
 				}
 			}
 			t.vecInstr[core] += vi
 		})
 		m.parallel(t, "clearClaims", int32(pass), n, func(core, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				acClaims[i] = 0
-			}
 			t.vecInstr[core] += uint64((hi - lo + Lanes - 1) / Lanes)
 		})
 
@@ -468,31 +377,18 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 }
 
 // DetectResolve runs Tasks 2-3: each core owns a slice of track
-// aircraft; the inner trial scan evaluates the Batcher window for eight
-// trial aircraft at a time against a pre-kernel snapshot (the same
-// snapshot discipline as the CUDA kernel), charged one lane block per
-// eight candidates.
-//
-//atm:allow atomic -- conflict and rotation tallies are order-independent sums read only after the join
+// aircraft and runs the shared snapshot step (tasks.Snapshot) on each
+// against a pre-kernel snapshot of committed courses (the same snapshot
+// discipline as the CUDA kernel). Every scan is charged the lane
+// blocks that cover its candidate list, eight trial aircraft per
+// Batcher window evaluation: contiguous loads over the whole database
+// with no source, gather loads over the broadphase candidate list with
+// one.
 func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Duration) {
-	s := m.loadSOA(w)
 	t := m.newTally()
-	n := s.n
-	m.newDX = growF(m.newDX, n)
-	m.newDY = growF(m.newDY, n)
-	if cap(m.resolved) < n {
-		m.resolved = make([]bool, n)
-	}
-	if len(m.bufs) < m.prof.Cores {
-		m.bufs = make([]tasks.ScanBuf, m.prof.Cores)
-	}
-	newDX, newDY := m.newDX, m.newDY
-	resolved := m.resolved[:n]
-	copy(newDX, s.dx)
-	copy(newDY, s.dy)
-	for i := range resolved {
-		resolved[i] = false
-	}
+	n := w.N()
+	snap := &m.snap
+	snap.Prepare(w, m.src, m.pool, m.prof.Cores)
 
 	// Broadphase index build, charged as one lane-blocked phase. A
 	// maintained source (the production sweep) also builds its
@@ -500,11 +396,9 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	// The charge is identical either way, as bit-identity requires.
 	// With no source the view serves every aircraft and no phase is
 	// charged.
-	m.cols = airspace.Columns{X: s.x, Y: s.y, DX: s.dx, DY: s.dy, Alt: s.alt}
-	m.view.Prepare(m.src, w, &m.cols, parexec.Resolve(m.pool))
 	if m.src != nil {
 		name := "index"
-		if m.view.Maintained() {
+		if snap.Maintained() {
 			name = "index.rebuild"
 		}
 		m.parallel(t, name, 0, n, func(core, lo, hi int) {
@@ -512,76 +406,31 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 		})
 	}
 
-	// scan runs the shared pair scan for track i on course (vx, vy),
-	// charged as the lane blocks that cover its candidate list:
-	// contiguous loads over the whole database with no source, gather
-	// loads over the broadphase candidate list with one.
-	var conflicts, rotations, resolvedCount, unresolvedCount, pairChecks int64
+	// A track's probes have its detection scan's candidate list, so it
+	// is charged 1+probes scans of that list's lane blocks.
 	viBlock := uint64(viPair)
 	if m.src != nil {
 		viBlock += viGather
 	}
-	scan := func(core int, i int, vx, vy float64) (earliest float64, with int32, critical bool) {
-		r := tasks.Scan(&m.cols, &m.view, w, &m.bufs[core], i, vx, vy)
-		t.vecInstr[core] += uint64((r.Cands+Lanes-1)/Lanes) * viBlock
-		atomic.AddInt64(&pairChecks, int64(r.Checks))
-		return r.Tmin, r.With, r.Tmin < airspace.CriticalTime
-	}
-
 	m.parallel(t, "scanresolve", 0, n, func(core, lo, hi int) {
+		var vi uint64
 		for i := lo; i < hi; i++ {
-			a := &w.Aircraft[i]
-			a.ResetConflict()
-			tmin, with, critical := scan(core, i, s.dx[i], s.dy[i])
-			if !critical {
-				continue
+			r := snap.Detect(w, core, i)
+			probes := 0
+			if r.Critical() {
+				probes, _ = snap.Resolve(w, core, i)
 			}
-			atomic.AddInt64(&conflicts, 1)
-			a.Col = true
-			a.ColWith = with
-			a.TimeTill = tmin
-			base := geom.Vec2{X: s.dx[i], Y: s.dy[i]}
-			done := false
-			for _, deg := range tasks.RotationSchedule() {
-				atomic.AddInt64(&rotations, 1)
-				v := base.Rotate(deg)
-				a.BatX, a.BatY = v.X, v.Y
-				tmin, with, critical = scan(core, i, v.X, v.Y)
-				if !critical {
-					newDX[i], newDY[i] = v.X, v.Y
-					resolved[i] = true
-					atomic.AddInt64(&resolvedCount, 1)
-					done = true
-					break
-				}
-				a.ColWith = with
-				if tmin < a.TimeTill {
-					a.TimeTill = tmin
-				}
-			}
-			if !done {
-				atomic.AddInt64(&unresolvedCount, 1)
-			}
+			vi += uint64(1+probes) * uint64((r.Cands+Lanes-1)/Lanes) * viBlock
 		}
+		t.vecInstr[core] += vi
 	})
 
 	m.parallel(t, "commit", 0, n, func(core, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if resolved[i] {
-				a := &w.Aircraft[i]
-				a.DX, a.DY = newDX[i], newDY[i]
-				a.ResetConflict()
-			}
+			snap.Commit(w, i)
 		}
 		t.vecInstr[core] += uint64((hi - lo + Lanes - 1) / Lanes * viCommit)
 	})
 
-	st := tasks.DetectStats{
-		Conflicts:  int(conflicts),
-		Rotations:  int(rotations),
-		Resolved:   int(resolvedCount),
-		Unresolved: int(unresolvedCount),
-		PairChecks: int(pairChecks),
-	}
-	return st, m.taskTime(t)
+	return snap.Stats(), m.taskTime(t)
 }

@@ -139,8 +139,15 @@ run_bench "$tmp/head.bench"
 
 git worktree add --detach "$tmp/base" "$base_ref" >/dev/null
 trap 'git worktree remove --force "$tmp/base" >/dev/null 2>&1 || true; rm -rf "$tmp"' EXIT
-(cd "$tmp/base" && go test -run '^$' -bench "$PATTERN" -benchtime "$TIME" -count "$COUNT" ${CPU:+-cpu "$CPU"} . > "$tmp/base.bench") \
-    || { echo "benchdiff: baseline has no matching benchmarks; nothing to compare"; exit 0; }
+# go test exits 0 when no benchmark matches (compare then lists every
+# head row as new), so a failure here means the baseline did not build
+# or a baseline benchmark failed: nothing was compared, and the gate
+# must not pass.
+if ! (cd "$tmp/base" && go test -run '^$' -bench "$PATTERN" -benchtime "$TIME" -count "$COUNT" ${CPU:+-cpu "$CPU"} . > "$tmp/base.bench" 2>&1); then
+    echo "benchdiff: FAIL: the baseline $base_ref did not build or a baseline benchmark failed; nothing was compared" >&2
+    tail -n 20 "$tmp/base.bench" >&2
+    exit 1
+fi
 
 if command -v benchstat >/dev/null 2>&1; then
     benchstat "$tmp/base.bench" "$tmp/head.bench" || true
