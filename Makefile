@@ -1,7 +1,7 @@
 GO ?= go
 ATMLINT := bin/atmlint
 
-.PHONY: all build test vet lint lint-flow lint-graph lint-fixtures gcdiag bench-smoke bench-diff record-diff fuzz conformance serve serve-smoke clean
+.PHONY: all build test race vet lint lint-flow lint-graph lint-fixtures gcdiag bench-smoke bench-diff record-diff fuzz conformance serve serve-smoke clean
 
 all: build test
 
@@ -10,6 +10,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# race runs the suite under the race detector with CI's flags. Several
+# packages take longer than go test's 10-minute default under -race
+# on two cores, hence CI's 40-minute timeout.
+race:
+	$(GO) test -race -timeout 40m ./...
 
 vet:
 	$(GO) vet ./...

@@ -204,6 +204,17 @@ func SetupFlight(a *Aircraft, id int32, r *rng.Rand) {
 	a.ResetConflict()
 }
 
+// AltOverlap reports whether two altitudes are within AltBandFeet of
+// each other, Algorithm 2's vertical filter: only such pairs are checked
+// for conflicts. A NaN altitude overlaps nothing. The pair scan and the
+// broad phase's candidate table both apply this one expression, so they
+// agree on every pair.
+//
+//atm:inline
+func AltOverlap(a, b float64) bool {
+	return math.Abs(a-b) < AltBandFeet
+}
+
 // InField reports whether position (x, y) lies inside the monitored
 // airfield.
 func InField(x, y float64) bool {

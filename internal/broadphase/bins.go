@@ -41,10 +41,12 @@ const (
 	binSlack = 1e-6
 )
 
-// envelope is one aircraft's reach box. It is stored with the aircraft
-// index in cell order so a query reads one dense stream per cell row.
+// envelope is one aircraft's reach box and altitude. It is stored with
+// the aircraft index in cell order so a query reads one dense stream
+// per cell row.
 type envelope struct {
 	lox, hix, loy, hiy float64
+	alt                float64
 	id                 int32
 }
 
@@ -79,9 +81,9 @@ func binOf(v float64) int {
 	return int(f)
 }
 
-// build bins the n envelopes given as edge columns; maxW is the widest
-// x width among them.
-func (b *binIndex) build(lox, hix, loy, hiy []float64, maxW float64) {
+// build bins the n envelopes given as edge columns, with the aircraft
+// altitudes alt; maxW is the widest x width among them.
+func (b *binIndex) build(lox, hix, loy, hiy, alt []float64, maxW float64) {
 	n := len(lox)
 	if b.start == nil {
 		b.start = make([]int32, binCells+1)
@@ -112,21 +114,23 @@ func (b *binIndex) build(lox, hix, loy, hiy []float64, maxW float64) {
 	// Scatter with start[k] as cell k's cursor, which leaves it at the
 	// cell's end; shifting by one cell restores the starts.
 	for i, k := range b.key {
-		b.env[start[k]] = envelope{lox: lox[i], hix: hix[i], loy: loy[i], hiy: hiy[i], id: int32(i)}
+		b.env[start[k]] = envelope{lox: lox[i], hix: hix[i], loy: loy[i], hiy: hiy[i], alt: alt[i], id: int32(i)}
 		start[k]++
 	}
 	copy(start[1:], start[:binCells])
 	start[0] = 0
 }
 
-// mark sets in words the bit of every aircraft whose envelope passes
-// the window walk's comparisons against q (see appendCandidatesID);
-// winLo is the window start q.lox − maxW.
+// mark counts every aircraft whose envelope passes the window walk's
+// comparisons against q (see appendCandidatesID) and returns the count;
+// winLo is the window start q.lox − maxW. It sets the aircraft's bit in
+// words for each of them, or, with band set, only for those within q's
+// altitude band (airspace.AltOverlap).
 //
 //atm:noalloc
-func (b *binIndex) mark(words []uint64, q *envelope, winLo float64) {
+func (b *binIndex) mark(words []uint64, q *envelope, winLo float64, band bool) (count int) {
 	start := b.start
-	qlox, qhix, qloy, qhiy := q.lox, q.hix, q.loy, q.hiy
+	qlox, qhix, qloy, qhiy, qalt := q.lox, q.hix, q.loy, q.hiy, q.alt
 	for c := 0; c < binClasses; c++ {
 		first := c * binGrid * binGrid
 		if start[first] == start[first+binGrid*binGrid] {
@@ -141,9 +145,13 @@ func (b *binIndex) mark(words []uint64, q *envelope, winLo float64) {
 			for k := range env {
 				e := &env[k]
 				if e.hix >= qlox && e.lox <= qhix && e.hiy >= qloy && e.loy <= qhiy && e.lox >= winLo {
-					words[e.id>>6] |= 1 << (uint(e.id) & 63)
+					count++
+					if !band || airspace.AltOverlap(qalt, e.alt) {
+						words[e.id>>6] |= 1 << (uint(e.id) & 63)
+					}
 				}
 			}
 		}
 	}
+	return count
 }

@@ -113,11 +113,12 @@ func oneSpeed(n int, r *rng.Rand) *airspace.World {
 }
 
 // TestBinnedSweepBoundaries is the binned walk's boundary differential:
-// on worlds built to sit on its edges, every table row and every
-// per-track query of the production sweep must equal the reference
-// sweep's candidate set, at every pool. One source per pool sees every
-// world in turn, so cell contents, class bounds and world size all
-// change between Prepares.
+// on worlds built to sit on its edges, every table row must equal the
+// in-band part of the reference sweep's candidate set, every table
+// count its size, and every per-track query of the production sweep the
+// full set, at every pool. One source per pool sees every world in
+// turn, so cell contents, class bounds and world size all change
+// between Prepares.
 func TestBinnedSweepBoundaries(t *testing.T) {
 	r := rng.New(0xb1a5)
 	cluster, err := scenario.ParseSpec("dense:clusters=1,alt=25000,altspread=14000")

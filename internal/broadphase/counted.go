@@ -75,7 +75,7 @@ func (c *Counted) Take() (queries, candidates int64) {
 // Sharded forwards to the wrapped source; false when it builds no
 // candidate table. Counted thereby satisfies TableSource
 // whenever the wrapped source does, so TableOf resolves through it and
-// table builds are tallied like any other query traffic.
+// table builds are tallied too (see PrepareTable).
 func (c *Counted) Sharded() bool {
 	ts, ok := c.src.(TableSource)
 	return ok && ts.Sharded()
@@ -85,10 +85,13 @@ func (c *Counted) Sharded() bool {
 func (c *Counted) SetPool(p *parexec.Pool) { c.src.(TableSource).SetPool(p) }
 
 // PrepareTable forwards to the wrapped source, tallying the build as
-// one query per track and its candidate total — the same traffic the
-// equivalent per-track AppendCandidates calls would have counted. A
-// nil table (over the source's size limit) tallies nothing here; the
-// per-track queries that replace it are counted as they run.
+// one query per track and the total of the tracks' full candidate sets
+// (PairTable.Count) — what one AppendCandidates call per track would
+// have counted. The scans then served from the table are not tallied,
+// whereas per-track queries are tallied at every scan, probes and
+// rescans included. A nil table (over the source's size limit) tallies
+// nothing here; the per-track queries that replace it are counted as
+// they run.
 //
 //atm:allow atomic -- order-independent sums, drained sequentially between tasks
 func (c *Counted) PrepareTable() *PairTable {
@@ -96,8 +99,12 @@ func (c *Counted) PrepareTable() *PairTable {
 	if t == nil {
 		return nil
 	}
-	c.queries.Add(int64(len(t.Start) - 1))
-	c.candidates.Add(int64(len(t.Cand)))
+	var total int64
+	for _, k := range t.Count {
+		total += int64(k)
+	}
+	c.queries.Add(int64(len(t.Count)))
+	c.candidates.Add(total)
 	return t
 }
 

@@ -23,6 +23,7 @@ func TestRepairOrderMatchesSort(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			lox, hix := make([]float64, n), make([]float64, n)
 			loy, hiy := make([]float64, n), make([]float64, n)
+			alt := make([]float64, n)
 			distinct := 1 + r.IntN(n)
 			if trial%3 == 0 {
 				distinct = 1 + r.IntN(4)
@@ -47,10 +48,11 @@ func TestRepairOrderMatchesSort(t *testing.T) {
 				}
 				lox[i], hix[i] = x-w, x+w
 				loy[i], hiy[i] = y-w, y+w
+				alt[i] = r.Range(airspace.AltMin, airspace.AltMax)
 				maxW = max(maxW, 2*w)
 			}
 			var b binIndex
-			b.build(lox, hix, loy, hiy, maxW)
+			b.build(lox, hix, loy, hiy, alt, maxW)
 
 			want := make([]int32, n)
 			for i := range want {
@@ -67,7 +69,7 @@ func TestRepairOrderMatchesSort(t *testing.T) {
 				if id != want[p] {
 					t.Fatalf("n=%d trial %d: env[%d] holds aircraft %d, sort order %d", n, trial, p, id, want[p])
 				}
-				if e.lox != lox[id] || e.hix != hix[id] || e.loy != loy[id] || e.hiy != hiy[id] {
+				if e.lox != lox[id] || e.hix != hix[id] || e.loy != loy[id] || e.hiy != hiy[id] || e.alt != alt[id] {
 					t.Fatalf("n=%d trial %d: env[%d] does not hold aircraft %d's envelope", n, trial, p, id)
 				}
 				k := int(b.key[id])

@@ -27,9 +27,9 @@ import (
 //     envelopes by position cell and speed class (bins.go), and a query
 //     reads only the cells that can hold a candidate instead of the
 //     x-window's full-height strip of the field. It materializes every
-//     track's candidate set per invocation in one worker-parallel table
-//     build, up to a size limit past which consumers query it per track
-//     (see table.go).
+//     track's candidates inside its altitude band per invocation in one
+//     worker-parallel table build, up to a size limit past which
+//     consumers query it per track (see table.go).
 //
 // Both walks apply the same five comparisons to the envelope values,
 // which both compute identically, and both emit through a bitmap in
@@ -37,8 +37,9 @@ import (
 // envelopes a walk happened to read or in what order.
 type Sweep struct {
 	n int
-	// Envelope edges indexed by aircraft index.
+	// Envelope edges and altitudes indexed by aircraft index.
 	lox, hix, loy, hiy []float64
+	alt                []float64
 	// maxW is the widest x envelope in the world. The envelope fill
 	// loop recomputes it as a running max every Prepare, so it can never
 	// go stale.
@@ -150,9 +151,9 @@ func (s *Sweep) LastPrepareIncremental() bool { return false }
 // Deprecated: the sweep has no incremental mode; kept for Maintainer.
 func (s *Sweep) TakeUpdateStats() UpdateStats { return UpdateStats{} }
 
-// Prepare computes every aircraft's reach envelope and builds the
-// index: the bins on the production sweep, the sorted x order on
-// NewSweep's.
+// Prepare computes every aircraft's reach envelope, keeps its altitude
+// beside it, and builds the index: the bins on the production sweep,
+// the sorted x order on NewSweep's.
 func (s *Sweep) Prepare(w *airspace.World) {
 	s.growFor(w.N())
 	s.maxW = 0
@@ -161,6 +162,7 @@ func (s *Sweep) Prepare(w *airspace.World) {
 		r := Reach(a)
 		s.lox[i], s.hix[i] = a.X-r, a.X+r
 		s.loy[i], s.hiy[i] = a.Y-r, a.Y+r
+		s.alt[i] = a.Alt
 		if 2*r > s.maxW {
 			s.maxW = 2 * r
 		}
@@ -168,12 +170,13 @@ func (s *Sweep) Prepare(w *airspace.World) {
 	s.finishPrepare()
 }
 
-// PrepareColumns is Prepare reading positions and velocities from a
-// column snapshot of the same world state instead of the aircraft
-// records. The envelope expressions evaluate on the same float64
-// values, so the index — and every candidate set — is bit-identical to
-// Prepare's; what changes is that the build walks five dense arrays
-// the caller has already made cache-hot for the scan that follows.
+// PrepareColumns is Prepare reading positions, velocities and
+// altitudes from a column snapshot of the same world state instead of
+// the aircraft records. The envelope expressions evaluate on the same
+// float64 values, so the index — and every candidate set — is
+// bit-identical to Prepare's; what changes is that the build walks five
+// dense arrays the caller has already made cache-hot for the scan that
+// follows.
 func (s *Sweep) PrepareColumns(c *airspace.Columns) {
 	n := c.N()
 	s.growFor(n)
@@ -182,6 +185,7 @@ func (s *Sweep) PrepareColumns(c *airspace.Columns) {
 		r := ReachAt(c.DX[i], c.DY[i])
 		s.lox[i], s.hix[i] = c.X[i]-r, c.X[i]+r
 		s.loy[i], s.hiy[i] = c.Y[i]-r, c.Y[i]+r
+		s.alt[i] = c.Alt[i]
 		if 2*r > s.maxW {
 			s.maxW = 2 * r
 		}
@@ -197,15 +201,17 @@ func (s *Sweep) growFor(n int) {
 		s.hix = make([]float64, n)
 		s.loy = make([]float64, n)
 		s.hiy = make([]float64, n)
+		s.alt = make([]float64, n)
 	}
 	s.lox, s.hix = s.lox[:n], s.hix[:n]
 	s.loy, s.hiy = s.loy[:n], s.hiy[:n]
+	s.alt = s.alt[:n]
 }
 
 // finishPrepare builds the index over the freshly written envelopes.
 func (s *Sweep) finishPrepare() {
 	if s.binned {
-		s.bins.build(s.lox, s.hix, s.loy, s.hiy, s.maxW)
+		s.bins.build(s.lox, s.hix, s.loy, s.hiy, s.alt, s.maxW)
 		return
 	}
 	n := s.n
@@ -263,11 +269,10 @@ func (s *Sweep) AppendCandidates(dst []int32, w *airspace.World, track *airspace
 	return dst
 }
 
-// appendCandidatesID is the query core shared by AppendCandidates and
-// the table build: emit aircraft i's candidates into dst using the
-// caller's bitmap words (len >= ceil(n/64), all zero; left zero on
-// return). Pure with respect to the prepared index, so repeated calls
-// — and the table built from one walk — return identical sets.
+// appendCandidatesID is AppendCandidates' query core: emit aircraft
+// i's candidates into dst using the caller's bitmap words (len >=
+// ceil(n/64), all zero; left zero on return). Pure with respect to the
+// prepared index, so repeated calls return identical sets.
 //
 // An aircraft j is a candidate when its envelope passes the window
 // walk's comparisons against the track's: lox[j] ≥ qloX − maxW (the
@@ -277,12 +282,27 @@ func (s *Sweep) AppendCandidates(dst []int32, w *airspace.World, track *airspace
 //
 //atm:noalloc
 func (s *Sweep) appendCandidatesID(dst []int32, i int, words []uint64) []int32 {
-	q := envelope{lox: s.lox[i], hix: s.hix[i], loy: s.loy[i], hiy: s.hiy[i]}
+	q := s.envelopeOf(i)
 	if s.binned {
-		s.bins.mark(words, &q, q.lox-s.maxW)
+		s.bins.mark(words, &q, q.lox-s.maxW, false)
 	} else {
 		s.markWindow(words, &q)
 	}
+	return s.appendMarked(dst, words)
+}
+
+// envelopeOf returns aircraft i's envelope and altitude.
+//
+//atm:inline
+func (s *Sweep) envelopeOf(i int) envelope {
+	return envelope{lox: s.lox[i], hix: s.hix[i], loy: s.loy[i], hiy: s.hiy[i], alt: s.alt[i]}
+}
+
+// appendMarked appends the index of every bit set in words to dst,
+// ascending, and clears the bits.
+//
+//atm:noalloc
+func (s *Sweep) appendMarked(dst []int32, words []uint64) []int32 {
 	nw := (s.n + 63) / 64
 	for wi := 0; wi < nw; wi++ {
 		word := words[wi]

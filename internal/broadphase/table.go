@@ -1,38 +1,47 @@
 // Worker-parallel candidate tables, built by the production sweep.
 //
-// A PairTable materializes every track's broad-phase candidate set for
-// one detection invocation in CSR form. Building it walks the tracks in
+// A PairTable materializes, for one detection invocation, every
+// track's broad-phase candidates that Algorithm 2 will evaluate: its
+// row holds the candidates inside the track's altitude band
+// (airspace.AltOverlap, the track itself included), in CSR form, and
+// beside it the size of the track's full candidate set, which the
+// executors' modeled charges count. Building it walks the tracks in
 // index order once, partitioned into grain-aligned contiguous segments
 // that self-schedule across the shared parexec pool: each segment emits
-// its tracks' candidate runs into the segment's own padded buffer, and
-// a second pass copies each buffer into its final CSR span, whose
-// offsets depend only on the per-track candidate counts — so the
-// finished table is byte-identical at every worker count, whatever
-// order the segments were claimed in. Buffers are per segment rather
-// than per worker so their steady-state sizes are stable too: a
-// segment's candidate count drifts slowly with traffic, while a
-// worker's share of dynamically claimed segments varies run to run and
-// would regrow its buffer toward the full table size.
+// its tracks' rows into the segment's own padded buffer, and a second
+// pass copies each buffer into its final CSR span, whose offsets depend
+// only on the per-track row lengths — so the finished table is
+// byte-identical at every worker count, whatever order the segments
+// were claimed in. Buffers are per segment rather than per worker so
+// their steady-state sizes are stable too: a segment's row total
+// drifts slowly with traffic, while a worker's share of dynamically
+// claimed segments varies run to run and would regrow its buffer
+// toward the full table size.
 //
 // What the table buys is reuse. The candidate set of a track depends
-// only on positions and speeds, and collision resolution probes rotated
-// headings, which preserve speed; the sweep index is never re-prepared
-// within an invocation. Every rotation probe and every dirty-replay
-// rescan can therefore serve from the table instead of re-running the
-// bitmap walk — bit-identically, because AppendCandidates is a pure
-// function of the prepared index.
+// only on positions and speeds, and altitudes do not change within an
+// invocation; collision resolution probes rotated headings, which
+// preserve speed, and the sweep index is never re-prepared within an
+// invocation. Every rotation probe and every dirty-replay rescan can
+// therefore serve from the table instead of re-running the bitmap walk
+// — bit-identically, because the walk is a pure function of the
+// prepared index. The altitude band is why the rows are short: the
+// scan drops every pair outside it before the pair math, so a row
+// holding only the pairs inside it (about a nineteenth of the full set
+// in uniform traffic) gives the scan the same survivors in the same
+// order.
 //
-// What the table costs is memory: each candidate is held twice (segment
-// buffer and CSR slot) plus headroom, about 9 bytes, and dense traffic
-// has up to N² candidates. The build therefore stops as soon as the
-// running total passes tableLimit(n) and PrepareTable returns nil;
-// consumers then query the same index per track. The segment
-// buffers the stopped build filled stay allocated for the next build,
-// so a sweep past the limit holds about the limit's worth of
-// candidates, never more. Whether the limit is passed depends
-// only on the total candidate count, so the choice is deterministic and
-// identical at every worker count, and both paths emit the same
-// candidate sets.
+// What the table costs is memory: each stored candidate is held twice
+// (segment buffer and CSR slot) plus headroom, about 9 bytes, and dense
+// traffic in one altitude band has up to N² of them. The build
+// therefore stops as soon as the running total of full candidate sets
+// passes tableLimit(n) and PrepareTable returns nil; consumers then
+// query the same index per track. The segment buffers the stopped build
+// filled stay allocated for the next build, so a sweep past the limit
+// holds at most about the limit's worth of candidates. Whether the
+// limit is passed depends only on the total of the full sets, never on
+// the altitudes, so the choice is deterministic and identical at every
+// worker count, and both paths give the scan the same survivors.
 package broadphase
 
 import (
@@ -48,41 +57,47 @@ import (
 // bookkeeping (owner, offset) is noise.
 const tableGrain = 256
 
-// Table size limits, in candidates. tableMaxCand caps one build at
-// ~300 MB whatever the world size, so a request at a server's aircraft
-// limit cannot exhaust host memory; it also keeps every CSR offset
-// inside int32. tableMaxPerTrack additionally bounds the table to a
-// constant multiple of the world size below that: uniform traffic has
-// ~420 candidates per track at N=8000 and ~850 at N=16000, the default
-// dense family ~1600 at N=8000 (where the table runs Tasks 2-3 about
-// 3.5x faster than per-track queries, for ~130 MB), while one tight
-// cluster, with every aircraft a candidate of every other, passes it
-// beyond ~2000 aircraft. tablePublish is how many candidates a segment
-// may emit before adding them to the shared running total, which
-// bounds a build's overshoot past the limit to about that many per
-// worker plus one track's set.
+// Table size limits, in candidates of the full (altitude-blind) sets,
+// of which a table stores at most as many. tableMaxCand caps one build
+// at ~300 MB whatever the world size, so a request at a server's
+// aircraft limit cannot exhaust host memory; it also keeps every CSR
+// offset inside int32. tableMaxPerTrack additionally bounds the table
+// to a constant multiple of the world size below that: uniform traffic
+// has ~420 candidates per track at N=8000 (~22 inside the altitude
+// band) and ~850 at N=16000, the default dense family ~1600 at N=8000,
+// all inside one band (where the table runs Tasks 2-3 about 3.5x
+// faster than per-track queries, for ~130 MB), while one tight cluster,
+// with every aircraft a candidate of every other, passes it beyond
+// ~2000 aircraft whatever its altitude spread.
+// tablePublish is how many candidates a segment may count before adding
+// them to the shared running total, which bounds a build's overshoot
+// past the limit to about that many per worker plus one track's set.
 const (
 	tableMaxPerTrack = 2048
 	tableMaxCand     = 1 << 25
 	tablePublish     = 1 << 16
 )
 
-// tableLimit is the largest candidate total a table over n tracks may
-// hold.
+// tableLimit is the largest total of full candidate sets a table over
+// n tracks may describe.
 func tableLimit(n int) int64 {
 	return min(int64(n)*tableMaxPerTrack, tableMaxCand, math.MaxInt32)
 }
 
-// PairTable holds every track's candidate set in CSR form: track i's
-// candidates are Cand[Start[i]:Start[i+1]], ascending, exactly the
-// slice AppendCandidates would have emitted. It is valid until the next
+// PairTable holds every track's candidates inside its altitude band in
+// CSR form: track i's row is Cand[Start[i]:Start[i+1]], ascending,
+// exactly the slice AppendCandidates would have emitted with every
+// candidate j dropped for which airspace.AltOverlap(alt_i, alt_j) is
+// false; the track itself stays unless its altitude is NaN. Count[i] is
+// the length of that unfiltered slice. A table is valid until the next
 // Prepare of the source that built it.
 type PairTable struct {
 	Start []int32
 	Cand  []int32
+	Count []int32
 }
 
-// Candidates returns track i's candidate set, ascending.
+// Candidates returns track i's row, ascending.
 //
 //atm:noalloc
 //atm:inline
@@ -156,15 +171,17 @@ func (s *Sweep) TakeShardStats() (segments, batches int64) {
 }
 
 // fillJob walks one grain-aligned segment of tracks, emitting each
-// track's candidate run into the segment's buffer and recording the
-// run length in the table's Start[track+1]. The buffer and the query
-// bitmap belong to the segment, not the claiming worker, so steady-
-// state buffer sizes are independent of the claim order, and the walk
-// never borrows from the query pool, which a GC empties.
+// track's row into the segment's buffer and recording the row length
+// in the table's Start[track+1] and the full set's size in Count[track].
+// The buffer and the query bitmap belong to the segment, not the
+// claiming worker, so steady-state buffer sizes are independent of the
+// claim order, and the walk never borrows from the query pool, which a
+// GC empties.
 //
-// Every segment adds what it emitted to the shared running total at
-// least every tablePublish candidates and stops once the total passes
-// the limit; segments claimed after that skip their walk.
+// Every segment adds the full-set sizes it counted to the shared
+// running total at least every tablePublish candidates and stops once
+// the total passes the limit; segments claimed after that skip their
+// walk.
 type fillJob struct{ s *Sweep }
 
 //atm:noalloc
@@ -176,16 +193,20 @@ func (j *fillJob) Chunk(_, lo, hi int) {
 	}
 	tb := &s.chunkBufs[lo/tableGrain]
 	buf := tb.cand[:0]
-	published := 0
+	counted, published := 0, 0
 	for k := lo; k < hi; k++ {
+		q := s.envelopeOf(k)
+		count := s.bins.mark(tb.words, &q, q.lox-s.maxW, true)
 		before := len(buf)
-		buf = s.appendCandidatesID(buf, k, tb.words)
+		buf = s.appendMarked(buf, tb.words)
 		s.table.Start[k+1] = int32(len(buf) - before)
-		if len(buf)-published >= tablePublish || k == hi-1 {
-			if s.tableTotal.Add(int64(len(buf)-published)) > s.tableLimit {
+		s.table.Count[k] = int32(count)
+		counted += count
+		if counted-published >= tablePublish || k == hi-1 {
+			if s.tableTotal.Add(int64(counted-published)) > s.tableLimit {
 				break
 			}
-			published = len(buf)
+			published = counted
 		}
 	}
 	tb.cand = withHeadroom(buf) //atm:allow noallocflow -- headroom regrow only, amortized to nothing in steady state
@@ -220,9 +241,9 @@ func (j *copyJob) Chunk(_, lo, hi int) {
 }
 
 // PrepareTable builds the candidate table for every track by walking
-// the tracks in parallel segments, or returns nil once the candidate
-// total passes tableLimit. Must follow Prepare (or PrepareColumns) of
-// the same world state.
+// the tracks in parallel segments, or returns nil once the total of the
+// full candidate sets passes tableLimit. Must follow Prepare (or
+// PrepareColumns) of the same world state.
 //
 //atm:allow atomic -- resets the running total before the walks and reads it after they finish
 func (s *Sweep) PrepareTable() *PairTable {
@@ -230,8 +251,9 @@ func (s *Sweep) PrepareTable() *PairTable {
 	t := &s.table
 	if cap(t.Start) < n+1 {
 		t.Start = make([]int32, n+1)
+		t.Count = make([]int32, n)
 	}
-	t.Start = t.Start[:n+1]
+	t.Start, t.Count = t.Start[:n+1], t.Count[:n]
 	chunks := (n + tableGrain - 1) / tableGrain
 	if len(s.chunkBufs) < chunks {
 		s.chunkBufs = slices.Grow(s.chunkBufs, chunks-len(s.chunkBufs))[:chunks]
@@ -259,9 +281,9 @@ func (s *Sweep) PrepareTable() *PairTable {
 		return nil
 	}
 
-	// Start[i+1] holds track i's count; the prefix sum turns the counts
-	// into offsets. The total is at most tableLimit, so every offset
-	// fits in int32.
+	// Start[i+1] holds track i's row length; the prefix sum turns the
+	// lengths into offsets. Rows are subsets of the full sets, whose
+	// total is at most tableLimit, so every offset fits in int32.
 	t.Start[0] = 0
 	for i := 1; i <= n; i++ {
 		t.Start[i] += t.Start[i-1]

@@ -2,6 +2,7 @@ package broadphase_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -13,34 +14,45 @@ import (
 	"repro/internal/scenario"
 )
 
-// checkTableMatches requires tab to hold, for every track of w, exactly
-// the slice ref.AppendCandidates emits — same elements, same order.
+// inBand appends to dst the members of cand inside the altitude band of
+// w's aircraft i, in cand's order.
+func inBand(dst []int32, w *airspace.World, i int, cand []int32) []int32 {
+	for _, j := range cand {
+		if airspace.AltOverlap(w.Aircraft[i].Alt, w.Aircraft[j].Alt) {
+			dst = append(dst, j)
+		}
+	}
+	return dst
+}
+
+// checkTableMatches requires tab to hold, for every track of w, the
+// slice ref.AppendCandidates emits with the candidates outside the
+// track's altitude band dropped — same elements, same order — as its
+// row, and the unfiltered slice's length as its Count.
 func checkTableMatches(t *testing.T, label string, w *airspace.World, ref *broadphase.Sweep, tab *broadphase.PairTable) {
 	t.Helper()
-	if len(tab.Start) != w.N()+1 {
-		t.Fatalf("%s: table has %d rows, world %d aircraft", label, len(tab.Start)-1, w.N())
+	if len(tab.Start) != w.N()+1 || len(tab.Count) != w.N() {
+		t.Fatalf("%s: table has %d rows and %d counts, world %d aircraft", label, len(tab.Start)-1, len(tab.Count), w.N())
 	}
-	var buf []int32
+	var buf, row []int32
 	for i := range w.Aircraft {
 		buf = ref.AppendCandidates(buf[:0], w, &w.Aircraft[i])
-		got := tab.Candidates(i)
-		if len(got) != len(buf) {
-			t.Fatalf("%s track %d: table has %d candidates, reference sweep %d", label, i, len(got), len(buf))
+		if int(tab.Count[i]) != len(buf) {
+			t.Fatalf("%s track %d: table counts %d candidates, reference sweep %d", label, i, tab.Count[i], len(buf))
 		}
-		for k := range got {
-			if got[k] != buf[k] {
-				t.Fatalf("%s track %d: table[%d]=%d, reference sweep %d", label, i, k, got[k], buf[k])
-			}
+		row = inBand(row[:0], w, i, buf)
+		if got := tab.Candidates(i); !slices.Equal(got, row) {
+			t.Fatalf("%s track %d: table row %v, reference sweep in band %v", label, i, got, row)
 		}
 	}
 }
 
 // TestPairTableMatchesQueries is the table exactness property: through
 // long randomized mutation sequences, the production sweep's table
-// must hold, for every track, exactly the slice the reference sweep's
-// AppendCandidates emits — same elements, same order — at every worker
-// count, and the tables built by different pools must be byte-identical
-// to each other.
+// must hold, for every track, exactly the in-band part of the slice the
+// reference sweep's AppendCandidates emits — same elements, same order
+// — and that slice's length, at every worker count, and the tables
+// built by different pools must be byte-identical to each other.
 func TestPairTableMatchesQueries(t *testing.T) {
 	pools := []*parexec.Pool{nil, parexec.NewPool(1), parexec.NewPool(3), parexec.NewPool(8)}
 	r := rng.New(0x7ab1e)
@@ -64,9 +76,9 @@ func TestPairTableMatchesQueries(t *testing.T) {
 }
 
 // TestPairTableRepeatable: rebuilding the table from the same prepared
-// index yields the identical layout (Start and Cand byte-for-byte) —
-// the property that makes rotation probes and dirty-replay rescans safe
-// to serve from one build.
+// index yields the identical layout (Start, Cand and Count
+// byte-for-byte) — the property that makes rotation probes and
+// dirty-replay rescans safe to serve from one build.
 func TestPairTableRepeatable(t *testing.T) {
 	r := rng.New(0x7ab1e2)
 	w := randomWorld(r.Split(), 400, 0.3)
@@ -76,8 +88,12 @@ func TestPairTableRepeatable(t *testing.T) {
 	first := s.PrepareTable()
 	start := append([]int32(nil), first.Start...)
 	cand := append([]int32(nil), first.Cand...)
+	count := append([]int32(nil), first.Count...)
 	for trial := 0; trial < 3; trial++ {
 		tab := s.PrepareTable()
+		if !slices.Equal(tab.Count, count) {
+			t.Fatalf("trial %d: counts changed", trial)
+		}
 		if len(tab.Start) != len(start) || len(tab.Cand) != len(cand) {
 			t.Fatalf("trial %d: table shape changed: %d/%d vs %d/%d",
 				trial, len(tab.Start), len(tab.Cand), len(start), len(cand))
@@ -119,7 +135,7 @@ func TestShardedRepairOrderInvariant(t *testing.T) {
 			tab := sweeps[i].PrepareTable()
 			if i == 0 {
 				serial = tab
-			} else if !slices.Equal(tab.Start, serial.Start) || !slices.Equal(tab.Cand, serial.Cand) {
+			} else if !slices.Equal(tab.Start, serial.Start) || !slices.Equal(tab.Cand, serial.Cand) || !slices.Equal(tab.Count, serial.Count) {
 				t.Fatalf("period %d: the table built on pool %d differs from the serial build", period, i)
 			}
 		}
@@ -211,8 +227,8 @@ func resizeWorld(w *airspace.World, n int, r *rng.Rand) {
 // segments and is not a multiple of 256, and one reused source sees 24
 // consecutive Prepares of dead reckoning, torus re-entry
 // (x, y) → (−x, −y), random teleports and N growing and shrinking.
-// Every table row must equal the reference sweep's candidate set
-// exactly.
+// Every table row must equal the in-band part of the reference sweep's
+// candidate set exactly, and every count its size.
 func TestCoherentSweepMatchesRebuildAtScale(t *testing.T) {
 	for _, n0 := range []int{1100, 2600} {
 		r := rng.New(uint64(n0))
@@ -272,14 +288,127 @@ func TestCoherentSweepMatchesRebuildAtScale(t *testing.T) {
 	}
 }
 
+// bandEdges returns compressed uniform traffic whose altitudes sit on
+// the edges of the altitude band, cycling through lo, lo + AltBandFeet
+// and lo − AltBandFeet, each of the latter two also one ulp nearer lo,
+// and NaN.
+func bandEdges(r *rng.Rand, lo float64) *airspace.World {
+	w := randomWorld(r, 1100, 0.3)
+	hi, below := lo+airspace.AltBandFeet, lo-airspace.AltBandFeet
+	alts := []float64{lo, hi, math.Nextafter(hi, lo), below, math.Nextafter(below, lo), math.NaN()}
+	for i := range w.Aircraft {
+		w.Aircraft[i].Alt = alts[i%len(alts)]
+	}
+	return w
+}
+
+// TestPairTableAltitudeRows is the altitude-band differential: on
+// every traffic family and on worlds built to sit on the band's edge,
+// every table row must equal the in-band part of the reference sweep's
+// candidate set and every count that set's size, on pools of 1, 2 and 8
+// workers. One source per pool sees every world in turn, built from
+// records and from columns alternately, as N goes up and down. The
+// one-cluster world whose full sets pass the size limit must build no
+// table, although its rows alone would fit, and the source must build
+// tables again after it.
+func TestPairTableAltitudeRows(t *testing.T) {
+	const lo = 20000.0
+	hi := lo + airspace.AltBandFeet
+	if airspace.AltOverlap(lo, hi) || !airspace.AltOverlap(lo, math.Nextafter(hi, lo)) ||
+		airspace.AltOverlap(math.NaN(), math.NaN()) || airspace.AltOverlap(lo, math.NaN()) {
+		t.Fatal("the altitude band is not open at AltBandFeet, or admits NaN")
+	}
+	r := rng.New(0xa17)
+	type world struct {
+		name  string
+		w     *airspace.World
+		table bool // whether the full sets fit under the size limit
+	}
+	var worlds []world
+	for _, c := range []struct {
+		spec string
+		n    int
+	}{
+		{"uniform", 1100}, {"layers:gap=800", 2600}, {"uniform", 8000}, {"dense", 2600},
+		{"circle", 1100}, {"layers:gap=800", 8000}, {"dense", 1100}, {"circle", 2600},
+	} {
+		spec, err := scenario.ParseSpec(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worlds = append(worlds, world{fmt.Sprintf("%s n=%d", c.spec, c.n), spec.Generate(c.n, r.Split()), true})
+	}
+	cluster, err := scenario.ParseSpec("dense:clusters=1,alt=25000,altspread=14000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := bandEdges(r.Split(), lo)
+	worlds = append(worlds, []world{
+		{"zero speed", withSpeeds(1100, r.Split(), func(i int) float64 { return float64(i % 2) }), true},
+		{"parked at the field edge", parkedAtEdge(r.Split()), true},
+		{"altitudes on the band edge", edges, true},
+		{"one cluster past the table limit", cluster.Generate(2200, rng.New(2018)), false},
+		{"uniform after the limit", airspace.NewWorld(2600, r.Split()), true},
+	}...)
+
+	// The band-edge world must hold 2D candidates exactly AltBandFeet
+	// apart and an altitude ulp inside it.
+	ref := broadphase.NewSweep()
+	ref.Prepare(edges)
+	var exact, inside int
+	var buf []int32
+	for i := range edges.Aircraft {
+		buf = ref.AppendCandidates(buf[:0], edges, &edges.Aircraft[i])
+		for _, j := range buf {
+			switch d := math.Abs(edges.Aircraft[i].Alt - edges.Aircraft[j].Alt); {
+			case d == airspace.AltBandFeet:
+				exact++
+			case d < airspace.AltBandFeet && d > airspace.AltBandFeet-1e-9:
+				inside++
+			}
+		}
+	}
+	if exact == 0 || inside == 0 {
+		t.Fatalf("band-edge world has %d candidate pairs exactly AltBandFeet apart and %d an ulp inside", exact, inside)
+	}
+
+	pools := []*parexec.Pool{parexec.NewPool(1), parexec.NewPool(2), parexec.NewPool(8)}
+	sweeps := make([]*broadphase.Sweep, len(pools))
+	for k, p := range pools {
+		sweeps[k] = newSweep()
+		sweeps[k].SetPool(p)
+	}
+	var cols airspace.Columns
+	for wi, c := range worlds {
+		ref.Prepare(c.w)
+		cols.FillFrom(c.w)
+		for k, s := range sweeps {
+			label := fmt.Sprintf("%s, pool of %d", c.name, pools[k].Workers())
+			if wi%2 == 0 {
+				s.Prepare(c.w)
+			} else {
+				s.PrepareColumns(&cols)
+			}
+			tab := s.PrepareTable()
+			if (tab != nil) != c.table {
+				t.Fatalf("%s: built a table: %v, want %v", label, tab != nil, c.table)
+			}
+			if tab != nil {
+				checkTableMatches(t, label, c.w, ref, tab)
+			}
+		}
+	}
+}
+
 // TestPrepareTableSizeLimit drives the table past its size limit: one
 // dense cluster puts nearly every aircraft in every other's candidate
 // set, N² in all, far beyond the table's per-track average. There
 // PrepareTable must return nil at every worker count, leave the sweep
-// holding less than half of one copy of the full table (the build stops
-// early rather than filling and then discarding), and leave the
-// production sweep's per-track queries equal to the reference sweep's.
-// The same source must build tables again once the traffic thins out.
+// holding less than half of one copy of the full candidate sets (the
+// build stops early rather than filling and then discarding), and leave
+// the production sweep's per-track queries — the full sets — equal to
+// the reference sweep's. The same source must build tables again once
+// the traffic thins out.
 func TestPrepareTableSizeLimit(t *testing.T) {
 	spec, err := scenario.ParseSpec("dense:clusters=1")
 	if err != nil {

@@ -8,11 +8,12 @@ import (
 // View is one Tasks 2-3 invocation's candidate view, set up by
 // Prepare. Its per-track lookup serves the identity list [0, n) when
 // no pair source is installed (the paper's all-pairs scan), the row of
-// the candidate table when the source built one, and a per-track query
-// otherwise; all three yield an ascending set. A View is valid until
-// its next Prepare or the source's next Prepare. Consumers keep one
-// View across invocations: it holds the identity list, so a steady-
-// state Prepare allocates nothing.
+// the candidate table — the candidates inside the track's altitude
+// band — when the source built one, and a per-track query otherwise;
+// all three yield an ascending list holding every candidate inside the
+// band. A View is valid until its next Prepare or the source's next
+// Prepare. Consumers keep one View across invocations: it holds the
+// identity list, so a steady-state Prepare allocates nothing.
 type View struct {
 	src PairSource
 	ts  TableSource
@@ -61,23 +62,31 @@ func (v *View) Prepare(src PairSource, w *airspace.World, cols *airspace.Columns
 // Executors name their index-build spans after it.
 func (v *View) Maintained() bool { return v.ts != nil }
 
-// Candidates returns track i's candidate set, ascending: the identity
-// list with no source, the table row when there is a table, else a
-// per-track query appended to *buf[:0], whose growth *buf keeps. The
-// result is read-only and valid until the next call with the same buf.
-// Safe for concurrent use with distinct bufs.
+// Candidates returns track i's candidate list, ascending, and the size
+// of its full candidate set, which modeled charges count: the identity
+// list and n with no source; the table row and Count[i] when there is
+// a table; else a per-track query appended to *buf[:0], whose growth
+// *buf keeps, and its length. The list is read-only and valid until
+// the next call with the same buf. Safe for concurrent use with
+// distinct bufs.
 //
 //atm:noalloc
-func (v *View) Candidates(buf *[]int32, w *airspace.World, i int) []int32 {
+func (v *View) Candidates(buf *[]int32, w *airspace.World, i int) (cand []int32, count int) {
 	switch {
 	case v.src == nil:
-		return v.all
+		return v.all, len(v.all)
 	case v.tab != nil:
-		return v.tab.Candidates(i)
+		return v.tab.Candidates(i), int(v.tab.Count[i])
 	}
 	*buf = v.src.AppendCandidates((*buf)[:0], w, &w.Aircraft[i])
-	return *buf
+	return *buf, len(*buf)
 }
+
+// Release drops the view's references to the source and its table,
+// keeping the identity list for the next Prepare. A consumer that
+// pools its scratch calls it before returning the view to the pool, so
+// the pool does not keep the caller's source alive.
+func (v *View) Release() { v.src, v.ts, v.tab = nil, nil, nil }
 
 // AddKernelBatches forwards a consumer's batched-kernel iteration count
 // to a maintained source's telemetry; other sources have none.

@@ -12,11 +12,13 @@ import (
 
 // TestPrepareView drives the entry point through a Counted decorator,
 // as core installs sources, over two invocations: the production sweep
-// is maintained and serves table rows, the reference sweep is not
-// maintained and queries per track; both must return exactly what a
-// per-track query on a fresh reference source returns, and the
-// decorator must tally the traffic the view generated. With no source
-// the view serves the identity list [0, n) to every track, without
+// is maintained and serves table rows, the in-band part of what a
+// per-track query on a fresh reference source returns; the reference
+// sweep is not maintained and serves that query whole. Both must count
+// the query's full length, and the decorator must tally the traffic the
+// view generated: a table build as one query per track and the total
+// of the full sets, a per-track query as it runs. With no source the
+// view serves the identity list [0, n) to every track, without
 // allocating, as n grows and shrinks on one View.
 func TestPrepareView(t *testing.T) {
 	w := airspace.NewWorld(700, rng.New(41))
@@ -41,22 +43,28 @@ func TestPrepareView(t *testing.T) {
 				t.Fatalf("%s pass %d: Maintained=%v", c.name, pass, v.Maintained())
 			}
 			c.ref.Prepare(w)
-			counted.Take()
+			buildQ, buildC := counted.Take()
 			var buf []int32
-			var cands int64
+			var total int64
 			for i := range w.Aircraft {
-				got := v.Candidates(&buf, w, i)
-				want := c.ref.AppendCandidates(nil, w, &w.Aircraft[i])
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s pass %d track %d: view %v, query %v", c.name, pass, i, got, want)
+				full := c.ref.AppendCandidates(nil, w, &w.Aircraft[i])
+				want := full
+				if c.maintained {
+					want = inBand(nil, w, i, full)
 				}
-				cands += int64(len(want))
+				got, count := v.Candidates(&buf, w, i)
+				if !slices.Equal(got, want) || count != len(full) {
+					t.Fatalf("%s pass %d track %d: view %v of %d, want %v of %d", c.name, pass, i, got, count, want, len(full))
+				}
+				total += int64(len(full))
 			}
-			// The table build was tallied before the Take above; only
-			// per-track queries may count here.
-			wantQ, wantC := int64(w.N()), cands
+			var wantBuildQ, wantBuildC int64
+			wantQ, wantC := int64(w.N()), total
 			if c.maintained {
-				wantQ, wantC = 0, 0
+				wantBuildQ, wantBuildC, wantQ, wantC = wantQ, wantC, 0, 0
+			}
+			if buildQ != wantBuildQ || buildC != wantBuildC {
+				t.Fatalf("%s pass %d: the build tallied %d queries, %d candidates; want %d, %d", c.name, pass, buildQ, buildC, wantBuildQ, wantBuildC)
 			}
 			if q, n := counted.Take(); q != wantQ || n != wantC {
 				t.Fatalf("%s pass %d: tallied %d queries, %d candidates; want %d, %d", c.name, pass, q, n, wantQ, wantC)
@@ -79,9 +87,9 @@ func TestPrepareView(t *testing.T) {
 		}
 		var buf []int32
 		for i := range w.Aircraft {
-			got := v.Candidates(&buf, w, i)
-			if len(got) != n {
-				t.Fatalf("nil source n=%d track %d: %d candidates, want %d", n, i, len(got), n)
+			got, count := v.Candidates(&buf, w, i)
+			if len(got) != n || count != n {
+				t.Fatalf("nil source n=%d track %d: %d candidates of %d, want %d", n, i, len(got), count, n)
 			}
 			for k, p := range got {
 				if int(p) != k {

@@ -189,8 +189,8 @@ func clamp(v, lo, hi float64) float64 {
 // per-aircraft random speeds and positions, so same-band traffic only
 // conflicts through overtakes while cross-band geometry crosses at
 // every angle: with BandGap below airspace.AltBandFeet those crossings
-// are live conflicts, above it the AltOverlapAt filter must prune every
-// one of them.
+// are live conflicts, above it the altitude filter
+// (airspace.AltOverlap) must prune every one of them.
 //
 //atm:noalloc
 func fillLayers(air []airspace.Aircraft, s *Spec, r *rng.Rand) {

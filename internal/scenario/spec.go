@@ -47,7 +47,7 @@ const (
 	// band, maximizing broad-phase candidate pairs.
 	Dense Family = "dense"
 	// Layers stacks altitude bands of parallel traffic with controlled
-	// vertical gaps, exercising the AltOverlapAt filter on both sides.
+	// vertical gaps, exercising the altitude filter on both sides.
 	Layers Family = "layers"
 	// Burst launches opposed arrival waves timed so conflict load
 	// arrives in periodic spikes — deadline stress.

@@ -21,12 +21,15 @@
 //     of the aircraft records at invocation start and that every
 //     heading commit updates in lockstep (SetVel), so each comparison
 //     evaluates on exactly the float64 the record holds. The altitude
-//     filter rejects ~95% of candidates, and in column form that
-//     rejection touches one dense 8-byte element instead of a whole
-//     Aircraft record. The self-skip compares indices where the
-//     reference compares IDs; these are equivalent by the ID == index
-//     invariant (SetupFlight assigns ID = index and no task reassigns
-//     it), which the sweep's envelope arrays already rely on.
+//     filter rejects ~95% of a per-track query's candidates, and in
+//     column form that rejection touches one dense 8-byte element
+//     instead of a whole Aircraft record; a table row holds only the
+//     candidates inside the band already, filtered by the same
+//     airspace.AltOverlap on the same altitudes, so there the filter
+//     rejects none. The self-skip compares indices where the reference
+//     compares IDs; these are equivalent by the ID == index invariant
+//     (SetupFlight assigns ID = index and no task reassigns it), which
+//     the sweep's envelope arrays already rely on.
 //
 //   - A track's candidate set depends only on positions and speeds,
 //     heading commits preserve speed, and the index is never
@@ -74,8 +77,10 @@ type ScanBuf struct {
 // (airspace.SafeTime if none), the partner that achieved it (first
 // wins on ties; airspace.NoConflict if none), the pair checks — the
 // candidates that passed the self-skip and the altitude band — and the
-// length of the candidate list the scan was handed, the track itself
-// included. Executors charge a scan from Checks and Cands alone.
+// size of the track's full candidate set, the track itself included:
+// the length of the list a per-track query or the identity list hands
+// the scan, and the count a table row carries beside its in-band part.
+// Executors charge a scan from Checks and Cands alone.
 type ScanResult struct {
 	Tmin   float64
 	With   int32
@@ -96,12 +101,12 @@ func (r ScanResult) Critical() bool { return r.Tmin < airspace.CriticalTime }
 // world v was prepared on, which a per-track query reads.
 //
 // Stage 1 compacts the candidates that survive the self-skip and the
-// altitude band (the ~95% reject) into b.keep; the survivor count is
-// the pair-check tally, exactly as the scalar reference counts before
-// its window test. Stage 2 consumes survivors in blocks of kernelBatch
-// SoA lanes with hoisted track scalars and no branches in the window
-// math, then a scalar tail finishes the remainder in the same
-// arithmetic.
+// altitude band (the ~95% reject of a full set) into b.keep; the
+// survivor count is the pair-check tally, exactly as the scalar
+// reference counts before its window test. Stage 2 consumes survivors
+// in blocks of kernelBatch SoA lanes with hoisted track scalars and no
+// branches in the window math, then a scalar tail finishes the
+// remainder in the same arithmetic.
 //
 // Equivalence to PairConflict + the scalar fold, case by case: with
 // d = trial - track and dv relative velocity per axis, the unconditional
@@ -119,37 +124,44 @@ func (r ScanResult) Critical() bool { return r.Tmin < airspace.CriticalTime }
 // every stored tmin is bit-identical to the scalar reference's, and the
 // in-order strict-< fold preserves its first-wins tie-break.
 //
-// Bounds checks: the length guard over the hoisted column locals
-// teaches the prove pass that every column covers [0, n) (fillColumns'
-// idiom) and that i indexes them, candidate IDs are range-checked with
-// a single never-taken uint compare per lane (an out-of-range ID gets
-// the empty window, the same verdict an impossible candidate would
-// earn), and blocks are consumed by reslicing rest so the constant
-// block length is visible to the prover. The gate holds the whole
-// kernel bounds-check-free.
+// Bounds checks: the length guards over the hoisted column locals
+// teach the prove pass that every column covers [0, n), n the altitude
+// column's length (fillColumns' idiom), and that i indexes them,
+// candidate IDs are range-checked with a single never-taken uint
+// compare per lane (an out-of-range ID gets the empty window, the same
+// verdict an impossible candidate would earn), and blocks are consumed
+// by reslicing rest so the constant block length is visible to the
+// prover. The gate holds the whole kernel bounds-check-free. The
+// position and velocity columns are loaded after stage 1, so that they
+// and the candidate count do not crowd its loop's registers.
 //
 //atm:noalloc
 //atm:noescape
 //atm:nobce
 func Scan(c *airspace.Columns, v *broadphase.View, w *airspace.World, b *ScanBuf, i int, vx, vy float64) ScanResult {
 	r := ScanResult{Tmin: airspace.SafeTime, With: airspace.NoConflict}
-	xs, ys, dxs, dys, alts := c.X, c.Y, c.DX, c.DY, c.Alt
-	n := len(xs)
-	if len(ys) < n || len(dxs) < n || len(dys) < n || len(alts) < n || uint(i) >= uint(n) {
-		return r // columns are always filled to equal length, and i indexes them
+	alts := c.Alt
+	n := len(alts)
+	if uint(i) >= uint(n) {
+		return r // i always indexes the columns
 	}
-	cand := v.Candidates(&b.cand, w, i)
-	r.Cands = int32(len(cand))
-	tx, ty, talt := xs[i], ys[i], alts[i]
+	cand, count := v.Candidates(&b.cand, w, i)
+	r.Cands = int32(count)
+	talt := alts[i]
 	keep := b.keep[:0]
 	for _, p := range cand {
 		q := int(p)
-		if uint(q) < uint(n) && q != i && AltOverlapAt(talt, alts[q]) {
+		if uint(q) < uint(n) && q != i && airspace.AltOverlap(talt, alts[q]) {
 			keep = append(keep, p)
 		}
 	}
 	b.keep = keep
 	r.Checks = int32(len(keep))
+	xs, ys, dxs, dys := c.X, c.Y, c.DX, c.DY
+	if len(xs) < n || len(ys) < n || len(dxs) < n || len(dys) < n {
+		return r // columns are always filled to equal length
+	}
+	tx, ty := xs[i], ys[i]
 	const sep = airspace.SepTotal
 	var blo, bhi [kernelBatch]float64
 	rest := keep

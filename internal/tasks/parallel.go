@@ -105,7 +105,14 @@ func getDetectScratch(n, workers int) *detectScratch {
 	return sc
 }
 
-func putDetectScratch(sc *detectScratch) { detectScratchPool.Put(sc) }
+// putDetectScratch returns sc to the pool without the caller's world
+// and source: the pool's victim cache would otherwise keep them live
+// across the next collection.
+func putDetectScratch(sc *detectScratch) {
+	sc.view.Release()
+	sc.job = scanJob{}
+	detectScratchPool.Put(sc)
+}
 
 // dirtyInteracts reports whether any committed heading change could
 // alter track's precomputed scan: a dirty aircraft matters only if it
@@ -161,7 +168,11 @@ func getCorrScratch() *corrScratch {
 	return sc
 }
 
-func putCorrScratch(sc *corrScratch) { corrScratchPool.Put(sc) }
+// putCorrScratch returns sc to the pool without the caller's world.
+func putCorrScratch(sc *corrScratch) {
+	sc.job = corrJob{}
+	corrScratchPool.Put(sc)
+}
 
 // CorrelateNExec is CorrelateN on an explicit engine pool; nil means
 // the process default. It runs Algorithm 1 with the per-pass

@@ -1,7 +1,9 @@
 package tasks
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
@@ -366,5 +368,55 @@ func TestCorrScratchWorkerGrowth(t *testing.T) {
 		if len(b.bufs) < workers || len(b.start) != 16 {
 			t.Fatalf("workers=%d: %d worker buffers, %d radars", workers, len(b.bufs), len(b.start))
 		}
+	}
+}
+
+// TestPooledScratchDropsCaller: once DetectExec, DetectResolveExec or
+// CorrelateNExec returns, the scratch it pooled must hold neither the
+// caller's world nor its pair source. sync.Pool's victim cache keeps a
+// pooled scratch through the next collection, so a scratch still
+// referencing them would keep them live through it; here one
+// collection must find them unreachable and run their finalizers.
+func TestPooledScratchDropsCaller(t *testing.T) {
+	p := parexec.NewPool(2)
+	cases := []struct {
+		name    string
+		withSrc bool
+		run     func(w *airspace.World, src broadphase.PairSource)
+	}{
+		{"DetectExec", true, func(w *airspace.World, src broadphase.PairSource) { DetectExec(w, src, p) }},
+		{"DetectResolveExec", true, func(w *airspace.World, src broadphase.PairSource) { DetectResolveExec(w, src, p) }},
+		{"CorrelateNExec", false, func(w *airspace.World, _ broadphase.PairSource) {
+			CorrelateNExec(w, radar.Generate(w, radar.DefaultNoise, rng.New(2)), BoxPasses, p)
+		}},
+	}
+	for _, c := range cases {
+		worldGone, srcGone := make(chan struct{}), make(chan struct{})
+		func() {
+			w := airspace.NewWorld(600, rng.New(1))
+			runtime.SetFinalizer(w, func(*airspace.World) { close(worldGone) })
+			var src broadphase.PairSource
+			if c.withSrc {
+				s := broadphase.NewSweep()
+				runtime.SetFinalizer(s, func(*broadphase.Sweep) { close(srcGone) })
+				src = s
+			}
+			c.run(w, src)
+		}()
+		runtime.GC()
+		waitCollected(t, c.name+": the world", worldGone)
+		if c.withSrc {
+			waitCollected(t, c.name+": the pair source", srcGone)
+		}
+	}
+}
+
+// waitCollected waits for a finalizer to close gone.
+func waitCollected(t *testing.T, what string, gone <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-gone:
+	case <-time.After(10 * time.Second):
+		t.Errorf("%s is still live after a collection", what)
 	}
 }

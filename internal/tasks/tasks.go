@@ -152,19 +152,12 @@ func PairConflict(tx, ty, tvx, tvy float64, trial *airspace.Aircraft) (timeMin, 
 }
 
 // AltOverlap reports whether two aircraft are within the vertical
-// separation band that makes a horizontal conflict meaningful.
+// separation band that makes a horizontal conflict meaningful
+// (airspace.AltOverlap on their altitudes).
 //
 //atm:inline
 func AltOverlap(a, b *airspace.Aircraft) bool {
-	return AltOverlapAt(a.Alt, b.Alt)
-}
-
-// AltOverlapAt is AltOverlap on scalar altitudes, for Scan's column
-// form. Same expression, bit-identical result.
-//
-//atm:inline
-func AltOverlapAt(a, b float64) bool {
-	return math.Abs(a-b) < airspace.AltBandFeet
+	return airspace.AltOverlap(a.Alt, b.Alt)
 }
 
 // DetectStats reports what Tasks 2-3 did.
