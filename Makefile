@@ -1,7 +1,7 @@
 GO ?= go
 ATMLINT := bin/atmlint
 
-.PHONY: all build test race vet lint lint-flow lint-graph lint-fixtures gcdiag bench-smoke bench-diff record-diff fuzz conformance serve serve-smoke clean
+.PHONY: all build test race vet fmt lint lint-flow lint-graph lint-fixtures gcdiag bench-smoke bench-diff record-diff fuzz conformance serve serve-smoke clean
 
 all: build test
 
@@ -19,6 +19,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the files, when gofmt would reformat any Go file
+# in the tree, and fails when gofmt cannot parse one.
+fmt:
+	@files=$$(gofmt -l .) || exit 1; \
+	if [ -n "$$files" ]; then echo "gofmt would reformat:"; echo "$$files"; exit 1; fi
 
 # The vettool binary; rebuilt whenever the analyzer suite or driver
 # changes. go vet caches per-package results keyed on the binary hash

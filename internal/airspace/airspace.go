@@ -118,9 +118,6 @@ type Aircraft struct {
 // Pos returns the aircraft's current position.
 func (a *Aircraft) Pos() geom.Vec2 { return geom.Vec2{X: a.X, Y: a.Y} }
 
-// Vel returns the aircraft's current velocity in nm/period.
-func (a *Aircraft) Vel() geom.Vec2 { return geom.Vec2{X: a.DX, Y: a.DY} }
-
 // SpeedKnots returns the aircraft's ground speed in nautical miles per
 // hour.
 func (a *Aircraft) SpeedKnots() float64 {

@@ -27,20 +27,6 @@ type Columns struct {
 // N returns the number of aircraft captured by the snapshot.
 func (c *Columns) N() int { return len(c.X) }
 
-// Resize sizes the columns for n aircraft, reusing capacity, without
-// refreshing their contents. Callers that write every element
-// themselves (the modeled-device snapshot kernels) use it in place of
-// FillFrom; like FillFrom, it allocates only while growing.
-func (c *Columns) Resize(n int) {
-	if cap(c.X) < n {
-		c.grow(n)
-		return
-	}
-	c.X, c.Y = c.X[:n], c.Y[:n]
-	c.DX, c.DY = c.DX[:n], c.DY[:n]
-	c.Alt = c.Alt[:n]
-}
-
 // grow resizes the columns for n aircraft, reusing capacity. Growth is
 // the cold path kept out of FillFrom's noalloc contract.
 func (c *Columns) grow(n int) {

@@ -8,7 +8,7 @@
 //
 // # Exactness argument
 //
-// The per-track scan (tasks.scan and its platform ports) initializes
+// The per-track scan (tasks.Scan, every executor's scan) initializes
 // its running minimum to airspace.SafeTime and only records conflicts
 // whose window start tmin is strictly below it; since SafeTime equals
 // the criticality threshold airspace.CriticalTime, a pair whose

@@ -23,9 +23,6 @@ func NewPlatform(p Profile) *Platform {
 	return &Platform{eng: NewEngine(p)}
 }
 
-// Engine exposes the underlying kernel engine.
-func (p *Platform) Engine() *Engine { return p.eng }
-
 // SetPairSource installs a broadphase pair source on the engine (nil
 // restores the paper's all-pairs kernels).
 func (p *Platform) SetPairSource(src broadphase.PairSource) { p.eng.SetPairSource(src) }

@@ -751,11 +751,6 @@ func ParShardTable(cfg Config) (*trace.Dataset, error) {
 	return d, nil
 }
 
-// MeasurementDuration is a tiny helper for callers formatting results.
-func MeasurementDuration(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
-}
-
 // AllResults bundles every artifact of the evaluation, computed from
 // two shared sweeps (the all-platform sweep and the NVIDIA-only sweep)
 // so that each (platform, N) cell is measured exactly once.

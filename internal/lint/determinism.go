@@ -7,9 +7,9 @@ import (
 
 // DeterministicPackages lists the packages whose results must be a
 // pure function of (workload, seed): the reference tasks, the host
-// execution engine, broad-phase pruning, all four platform executors,
-// and the seeded generator itself. The determinism analyzer is a
-// no-op elsewhere.
+// execution engine, broad-phase pruning, all four platform executors
+// and the multicore model two of them share, and the seeded generator
+// itself. The determinism analyzer is a no-op elsewhere.
 var DeterministicPackages = map[string]bool{
 	"repro/internal/tasks":      true,
 	"repro/internal/parexec":    true,
@@ -18,6 +18,7 @@ var DeterministicPackages = map[string]bool{
 	"repro/internal/ap":         true,
 	"repro/internal/mimd":       true,
 	"repro/internal/vector":     true,
+	"repro/internal/cores":      true,
 	"repro/internal/rng":        true,
 	// Scenario generation is a pure function of (spec, n, rng state);
 	// any time/map/goroutine dependence would break the conformance

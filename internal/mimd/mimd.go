@@ -34,7 +34,7 @@ import (
 
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
-	"repro/internal/parexec"
+	"repro/internal/cores"
 	"repro/internal/radar"
 	"repro/internal/rng"
 	"repro/internal/tasks"
@@ -91,49 +91,15 @@ type Machine struct {
 	prof   Profile
 	jitter *rng.Rand
 	src    broadphase.PairSource
-	pool   *parexec.Pool
-	scr    scratch
-
-	// Telemetry phase marks: per-core cumulative op snapshots taken
-	// after each parallel phase when a recorder is attached, converted
-	// to critical-path spans by the platform adapter. Machine-owned
-	// scratch, reused across tasks.
-	marks   []phaseMark
-	markOps []uint64 // len(marks)*Cores cumulative per-core ops
-	marksOn bool
-}
-
-// phaseMark names one parallel phase; its work snapshot lives at the
-// matching offset of markOps.
-type phaseMark struct {
-	name string
-	arg  int32
-}
-
-// beginMarks clears the mark log and enables collection for the next
-// task.
-func (m *Machine) beginMarks() {
-	m.marks = m.marks[:0]
-	m.markOps = m.markOps[:0]
-	m.marksOn = true
-}
-
-// markPhase snapshots the cumulative per-core tally at the end of a
-// parallel phase; a no-op unless beginMarks was called. name must be
-// a static string so steady-state marking stays allocation-free.
-//
-//atm:noalloc
-func (m *Machine) markPhase(t *workTally, name string, arg int32) {
-	if !m.marksOn {
-		return
-	}
-	m.marks = append(m.marks, phaseMark{name: name, arg: arg})
-	m.markOps = append(m.markOps, t.ops...)
+	// cores runs the tasks' phases and holds the per-core op tallies.
+	cores cores.Cores
+	scr   scratch
 }
 
 // scratch holds the machine-owned arrays reused across invocations.
 type scratch struct {
-	tally     workTally
+	// acquired counts a Track call's lock acquisitions (atomic).
+	acquired  uint64
 	locks     []sync.Mutex //atm:allow sync -- machine-owned stripe locks; arbitration order is the modeled FCFS behaviour
 	state     []int32
 	matchedBy []int32
@@ -175,13 +141,7 @@ func (m *Machine) SetPairSource(src broadphase.PairSource) { m.src = src }
 // change wall-clock speed: modeled time derives from per-core op
 // tallies over the static core partition, which is identical at any
 // worker count.
-func (m *Machine) SetWorkers(n int) {
-	if n <= 0 {
-		m.pool = nil
-	} else {
-		m.pool = parexec.NewPool(n)
-	}
-}
+func (m *Machine) SetWorkers(n int) { m.cores.SetWorkers(n) }
 
 // Deterministic reports false: MIMD timing varies run to run, which is
 // the paper's core argument against it for hard real-time systems.
@@ -195,58 +155,6 @@ const (
 	acWithdrawn
 )
 
-// workTally accumulates per-core op counts and lock statistics.
-type workTally struct {
-	ops   []uint64 // per worker
-	locks uint64   // total lock acquisitions (atomic)
-}
-
-// tally resets and returns the machine's reusable work tally.
-func (m *Machine) tally() *workTally {
-	t := &m.scr.tally
-	if cap(t.ops) < m.prof.Cores {
-		t.ops = make([]uint64, m.prof.Cores)
-	}
-	t.ops = t.ops[:m.prof.Cores]
-	for i := range t.ops {
-		t.ops[i] = 0
-	}
-	t.locks = 0
-	return t
-}
-
-// maxOps folds the per-core op tallies to the critical-path maximum.
-//
-//atm:ordered-merge
-func (t *workTally) maxOps() uint64 {
-	var m uint64
-	for _, v := range t.ops {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// parallel runs body(core, lo, hi) over the static contiguous
-// partition of [0, n) across the modeled cores. The logical cores are
-// multiplexed onto the host worker pool: partitions — and therefore
-// per-core op tallies and the modeled critical path — are fixed by the
-// core count alone, while the host worker count only decides how many
-// cores make real progress at once.
-func (m *Machine) parallel(n int, body func(core, lo, hi int)) {
-	cores := m.prof.Cores
-	parexec.Resolve(m.pool).Run(cores, 1, func(_, clo, chi int) {
-		for c := clo; c < chi; c++ {
-			lo := c * n / cores
-			hi := (c + 1) * n / cores
-			if lo < hi {
-				body(c, lo, hi)
-			}
-		}
-	})
-}
-
 // contention returns the modeled slowdown factor at database size n.
 func (m *Machine) contention(n int) float64 {
 	p := &m.prof
@@ -256,14 +164,16 @@ func (m *Machine) contention(n int) float64 {
 	return 1 + p.ContentionCoef*math.Pow(float64(n)/p.ContentionScale, p.ContentionExp)
 }
 
-// taskTime converts a tally into modeled time for one task invocation.
-func (m *Machine) taskTime(n, phases int, t *workTally) time.Duration {
+// taskTime converts the critical core's tally and the task's locks
+// acquired into modeled time for one task invocation.
+func (m *Machine) taskTime(n int, locks uint64) time.Duration {
 	p := &m.prof
-	ops := t.maxOps() + t.locks*uint64(p.LockCycles)/uint64(p.Cores)
+	_, crit := m.cores.Critical()
+	ops := crit + locks*uint64(p.LockCycles)/uint64(p.Cores)
 	base := float64(ops) / (p.IPC * p.ClockHz) * m.contention(n)
 	jitter := m.jitter.Exp(float64(p.JitterMeanPerK) * float64(n) / 1000)
 	return time.Duration(base*float64(time.Second)) +
-		time.Duration(phases)*p.BarrierCost +
+		time.Duration(m.cores.Phases())*p.BarrierCost +
 		time.Duration(jitter)
 }
 
@@ -299,10 +209,11 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	r := f.N()
 	ac := w.Aircraft
 	reps := f.Reports
-	tally := m.tally()
-	phases := 0
+	cs := &m.cores
+	cs.Reset(m.prof.Cores)
 
 	scr := &m.scr
+	scr.acquired = 0
 	clear(scr.withdrawals[:scr.logged.Load()])
 	scr.logged.Store(0)
 	if cap(scr.state) < n {
@@ -321,8 +232,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	locks := scr.locks
 	withdrawals := scr.withdrawals[:n]
 
-	phases++
-	m.parallel(n, func(core, lo, hi int) {
+	cs.Phase("expected", 0, n, func(core, lo, hi int) {
 		var ops uint64
 		for i := lo; i < hi; i++ {
 			a := &ac[i]
@@ -333,21 +243,19 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 			matchedBy[i] = -1
 			ops += opsExpected
 		}
-		tally.ops[core] += ops
+		cs.Add(core, ops)
 	})
-	m.markPhase(tally, "expected", 0)
 	f.Reset()
 
 	boxHalf := tasks.InitialBoxHalf
 	for pass := 0; pass < tasks.BoxPasses; pass++ {
-		pending := scr.hits.Prepare(w, f, boxHalf, m.pool)
+		pending := scr.hits.Prepare(w, f, boxHalf, cs.Pool())
 		st.PassRadars[pass] = pending
 		if pending == 0 {
 			break
 		}
-		phases++
 		var comparisons, discarded, withdrawn uint64
-		m.parallel(r, func(core, lo, hi int) {
+		cs.Phase("boxpass", int32(pass), r, func(core, lo, hi int) {
 			var ops, comps uint64
 			for j := lo; j < hi; j++ {
 				rep := &reps[j]
@@ -384,7 +292,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 					atomic.AddUint64(&discarded, 1)
 				case hits == 1:
 					ops += opsClaim
-					atomic.AddUint64(&tally.locks, 1)
+					atomic.AddUint64(&scr.acquired, 1)
 					mu := &locks[int(cand)%lockStripes]
 					mu.Lock()
 					switch atomic.LoadInt32(&state[cand]) {
@@ -409,10 +317,9 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 					mu.Unlock()
 				}
 			}
-			tally.ops[core] += ops
+			cs.Add(core, ops)
 			atomic.AddUint64(&comparisons, comps)
 		})
-		m.markPhase(tally, "boxpass", int32(pass))
 		st.Comparisons += int(comparisons)
 		st.DiscardedRadars += int(discarded)
 		st.WithdrawnAircraft += int(withdrawn)
@@ -420,8 +327,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	}
 
 	// Commit phase.
-	phases++
-	m.parallel(n, func(core, lo, hi int) {
+	cs.Phase("commit", 0, n, func(core, lo, hi int) {
 		var ops uint64
 		for i := lo; i < hi; i++ {
 			a := &ac[i]
@@ -433,12 +339,10 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 			}
 			ops += opsCommit
 		}
-		tally.ops[core] += ops
+		cs.Add(core, ops)
 	})
-	m.markPhase(tally, "commit", 0)
-	phases++
 	var matched uint64
-	m.parallel(r, func(core, lo, hi int) {
+	cs.Phase("commitRadar", 0, r, func(core, lo, hi int) {
 		var ops uint64
 		for j := lo; j < hi; j++ {
 			rep := &reps[j]
@@ -449,27 +353,24 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 				atomic.AddUint64(&matched, 1)
 			}
 		}
-		tally.ops[core] += ops
+		cs.Add(core, ops)
 	})
-	m.markPhase(tally, "commitRadar", 0)
 	st.Matched = int(matched)
 	for j := range reps {
 		if reps[j].MatchWith == radar.Unmatched {
 			st.UnmatchedRadars++
 		}
 	}
-	phases++
-	m.parallel(n, func(core, lo, hi int) {
+	cs.Phase("wrap", 0, n, func(core, lo, hi int) {
 		var ops uint64
 		for i := lo; i < hi; i++ {
 			airspace.Wrap(&ac[i])
 			ops += opsWrap
 		}
-		tally.ops[core] += ops
+		cs.Add(core, ops)
 	})
-	m.markPhase(tally, "wrap", 0)
 
-	return st, m.taskTime(n, phases, tally)
+	return st, m.taskTime(n, scr.acquired)
 }
 
 // withdrawnThrough counts the logged withdrawals of aircraft with index
@@ -496,17 +397,15 @@ func (s *scratch) withdrawnThrough(stop int32) uint64 {
 // lock-free shared-memory implementation needs it just as much.
 func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Duration) {
 	n := w.N()
-	tally := m.tally()
-	phases := 0
+	cs := &m.cores
+	cs.Reset(m.prof.Cores)
 	snap := &m.scr.snap
-	snap.Prepare(w, m.src, m.pool, m.prof.Cores)
+	snap.Prepare(w, m.src, cs.Pool(), m.prof.Cores)
 
 	// The snapshot copy, charged per aircraft; the host made it above.
-	phases++
-	m.parallel(n, func(core, lo, hi int) {
-		tally.ops[core] += uint64(hi-lo) * opsExpected
+	cs.Phase("snapshot", 0, n, func(core, lo, hi int) {
+		cs.Add(core, uint64(hi-lo)*opsExpected)
 	})
-	m.markPhase(tally, "snapshot", 0)
 
 	// Broadphase index build: single-threaded host-side preparation,
 	// charged as one extra phase of per-aircraft work. The snapshot is
@@ -522,19 +421,16 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 		if snap.Maintained() {
 			name = "index.rebuild"
 		}
-		phases++
-		m.parallel(n, func(core, lo, hi int) {
-			tally.ops[core] += uint64(hi-lo) * opsIndexBuild
+		cs.Phase(name, 0, n, func(core, lo, hi int) {
+			cs.Add(core, uint64(hi-lo)*opsIndexBuild)
 		})
-		m.markPhase(tally, name, 0)
 	}
 
 	// Every scan is charged opsPairCheck per pair check and one filter
 	// compare per other candidate, itself included, and every probe
 	// opsRotate besides. A track's probes have its detection scan's
 	// candidates and checks.
-	phases++
-	m.parallel(n, func(core, lo, hi int) {
+	cs.Phase("scanresolve", 0, n, func(core, lo, hi int) {
 		var ops uint64
 		for i := lo; i < hi; i++ {
 			r := snap.Detect(w, core, i)
@@ -546,18 +442,15 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 			scan := uint64(r.Checks)*opsPairCheck + uint64(r.Cands-r.Checks)
 			ops += (1+probes)*scan + probes*opsRotate
 		}
-		tally.ops[core] += ops
+		cs.Add(core, ops)
 	})
-	m.markPhase(tally, "scanresolve", 0)
 
-	phases++
-	m.parallel(n, func(core, lo, hi int) {
+	cs.Phase("commit", 0, n, func(core, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			snap.Commit(w, i)
 		}
-		tally.ops[core] += uint64(hi-lo) * opsCommit
+		cs.Add(core, uint64(hi-lo)*opsCommit)
 	})
-	m.markPhase(tally, "commit", 0)
 
-	return snap.Stats(), m.taskTime(n, phases, tally)
+	return snap.Stats(), m.taskTime(n, 0)
 }

@@ -21,9 +21,6 @@ func NewPlatform(p Profile, seed uint64) *Platform {
 	return &Platform{m: New(p, seed)}
 }
 
-// Machine exposes the underlying multicore machine.
-func (p *Platform) Machine() *Machine { return p.m }
-
 // SetPairSource installs a broadphase pair source on the machine (nil
 // restores the all-pairs scan).
 func (p *Platform) SetPairSource(src broadphase.PairSource) { p.m.SetPairSource(src) }
@@ -47,31 +44,11 @@ func (p *Platform) SetTelemetry(rec *telemetry.Recorder) { p.rec = rec }
 // spans starting at the recorder's modeled now; total closes the
 // trailing overhead span.
 func (p *Platform) emitMarks(total time.Duration) {
-	m := p.m
-	t := &m.scr.tally
-	cores := m.prof.Cores
-	cstar := 0
-	for c := 1; c < cores; c++ {
-		if t.ops[c] > t.ops[cstar] {
-			cstar = c
-		}
+	prof := &p.m.prof
+	covered := p.m.cores.EmitSpans(p.rec, prof.IPC*prof.ClockHz, prof.BarrierCost)
+	if tail := total - covered; tail > 0 {
+		p.rec.Span(p.rec.Intern("mimd.overhead"), p.rec.Now()+covered, tail)
 	}
-	rate := m.prof.IPC * m.prof.ClockHz
-	base := p.rec.Now()
-	off := base
-	var prev uint64
-	for k := range m.marks {
-		mk := &m.marks[k]
-		cur := m.markOps[k*cores+cstar]
-		dur := time.Duration(float64(cur-prev)/rate*float64(time.Second)) + m.prof.BarrierCost
-		p.rec.SpanArg(p.rec.Intern(mk.name), off, dur, mk.arg)
-		off += dur
-		prev = cur
-	}
-	if tail := total - (off - base); tail > 0 {
-		p.rec.Span(p.rec.Intern("mimd.overhead"), off, tail)
-	}
-	m.marksOn = false
 }
 
 // Name returns the machine name.
@@ -83,7 +60,7 @@ func (p *Platform) Deterministic() bool { return false }
 // Track runs Task 1 and returns the modeled time.
 func (p *Platform) Track(w *airspace.World, f *radar.Frame) time.Duration {
 	if p.rec != nil {
-		p.m.beginMarks()
+		p.m.cores.BeginMarks()
 	}
 	st, d := p.m.Track(w, f)
 	if p.rec != nil {
@@ -96,7 +73,7 @@ func (p *Platform) Track(w *airspace.World, f *radar.Frame) time.Duration {
 // DetectResolve runs Tasks 2-3 and returns the modeled time.
 func (p *Platform) DetectResolve(w *airspace.World) time.Duration {
 	if p.rec != nil {
-		p.m.beginMarks()
+		p.m.cores.BeginMarks()
 	}
 	st, d := p.m.DetectResolve(w)
 	if p.rec != nil {

@@ -18,9 +18,6 @@ type Platform struct {
 // NewPlatform returns a scheduler-facing wide-vector platform.
 func NewPlatform(p Profile) *Platform { return &Platform{m: New(p)} }
 
-// Machine exposes the underlying machine.
-func (p *Platform) Machine() *Machine { return p.m }
-
 // SetPairSource installs a broadphase pair source on the machine (nil
 // restores the all-pairs lane sweep).
 func (p *Platform) SetPairSource(src broadphase.PairSource) { p.m.SetPairSource(src) }
@@ -41,27 +38,8 @@ func (p *Platform) SetTelemetry(rec *telemetry.Recorder) { p.rec = rec }
 // emitMarks converts the machine's per-phase instruction snapshots to
 // back-to-back spans starting at the recorder's modeled now.
 func (p *Platform) emitMarks() {
-	m := p.m
-	t := &m.tally
-	cores := m.prof.Cores
-	cstar := 0
-	for c := 1; c < cores; c++ {
-		if t.vecInstr[c] > t.vecInstr[cstar] {
-			cstar = c
-		}
-	}
-	rate := m.prof.IssueRate * m.prof.ClockHz
-	off := p.rec.Now()
-	var prev uint64
-	for k := range m.marks {
-		mk := &m.marks[k]
-		cur := m.markOps[k*cores+cstar]
-		dur := time.Duration(float64(cur-prev)/rate*float64(time.Second)) + m.prof.BarrierCost
-		p.rec.SpanArg(p.rec.Intern(mk.name), off, dur, mk.arg)
-		off += dur
-		prev = cur
-	}
-	m.marksOn = false
+	prof := &p.m.prof
+	p.m.cores.EmitSpans(p.rec, prof.IssueRate*prof.ClockHz, prof.BarrierCost)
 }
 
 // Name returns the machine name.
@@ -73,7 +51,7 @@ func (p *Platform) Deterministic() bool { return p.m.Deterministic() }
 // Track runs Task 1 and returns the modeled time.
 func (p *Platform) Track(w *airspace.World, f *radar.Frame) time.Duration {
 	if p.rec != nil {
-		p.m.beginMarks()
+		p.m.cores.BeginMarks()
 	}
 	st, d := p.m.Track(w, f)
 	if p.rec != nil {
@@ -86,7 +64,7 @@ func (p *Platform) Track(w *airspace.World, f *radar.Frame) time.Duration {
 // DetectResolve runs Tasks 2-3 and returns the modeled time.
 func (p *Platform) DetectResolve(w *airspace.World) time.Duration {
 	if p.rec != nil {
-		p.m.beginMarks()
+		p.m.cores.BeginMarks()
 	}
 	st, d := p.m.DetectResolve(w)
 	if p.rec != nil {

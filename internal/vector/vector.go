@@ -30,7 +30,7 @@ import (
 
 	"repro/internal/airspace"
 	"repro/internal/broadphase"
-	"repro/internal/parexec"
+	"repro/internal/cores"
 	"repro/internal/radar"
 	"repro/internal/tasks"
 )
@@ -80,36 +80,15 @@ var AVX2Workstation = Profile{
 type Machine struct {
 	prof Profile
 	src  broadphase.PairSource
-	pool *parexec.Pool
+	// cores runs the tasks' phases and holds the per-core
+	// vector-instruction tallies.
+	cores cores.Cores
 
-	tally tally
 	// census is Track's per-pass census and snap DetectResolve's
 	// snapshot of committed courses; the slots of both are the
 	// modeled cores.
 	census tasks.Census
 	snap   tasks.Snapshot
-
-	// Telemetry phase marks: per-core cumulative instruction
-	// snapshots taken after each parallel phase when a recorder is
-	// attached. Machine-owned scratch, reused across tasks.
-	marks   []phaseMark
-	markOps []uint64 // len(marks)*Cores snapshots
-	marksOn bool
-}
-
-// phaseMark names one parallel phase; its per-core cumulative
-// instruction snapshot lives at the matching offset of markOps.
-type phaseMark struct {
-	name string
-	arg  int32
-}
-
-// beginMarks clears the mark log and enables collection for the next
-// task (telemetry; see the platform adapter).
-func (m *Machine) beginMarks() {
-	m.marks = m.marks[:0]
-	m.markOps = m.markOps[:0]
-	m.marksOn = true
 }
 
 // New returns a machine for the profile.
@@ -133,80 +112,18 @@ func (m *Machine) SetPairSource(src broadphase.PairSource) { m.src = src }
 // cores (n <= 0 restores the process-default pool). The per-core
 // vector-instruction tallies come from the static core partition, so
 // modeled time is identical at any worker count.
-func (m *Machine) SetWorkers(n int) {
-	if n <= 0 {
-		m.pool = nil
-	} else {
-		m.pool = parexec.NewPool(n)
-	}
-}
+func (m *Machine) SetWorkers(n int) { m.cores.SetWorkers(n) }
 
 // Deterministic reports true for the idealized vector model (see the
 // package comment for the caveat).
 func (m *Machine) Deterministic() bool { return true }
 
-// tally accumulates per-core vector-instruction counts.
-type tally struct {
-	vecInstr []uint64
-	phases   int
-}
-
-// max folds the per-core instruction tallies to the critical-path
-// maximum.
-//
-//atm:ordered-merge
-func (t *tally) max() uint64 {
-	var m uint64
-	for _, v := range t.vecInstr {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// parallel splits [0, n) across the modeled cores using the static
-// contiguous partition, multiplexing the logical cores onto the host
-// worker pool. Partitions — and so per-core instruction tallies and
-// the modeled critical path — depend only on the core count; the host
-// worker count affects wall-clock speed alone.
-func (m *Machine) parallel(t *tally, name string, arg int32, n int, body func(core, lo, hi int)) {
-	t.phases++
-	cores := m.prof.Cores
-	parexec.Resolve(m.pool).Run(cores, 1, func(_, clo, chi int) {
-		for c := clo; c < chi; c++ {
-			lo := c * n / cores
-			hi := (c + 1) * n / cores
-			if lo < hi {
-				body(c, lo, hi)
-			}
-		}
-	})
-	if m.marksOn {
-		m.marks = append(m.marks, phaseMark{name: name, arg: arg})
-		m.markOps = append(m.markOps, t.vecInstr...)
-	}
-}
-
-// newTally resets and returns the machine's reusable tally.
-func (m *Machine) newTally() *tally {
-	t := &m.tally
-	if cap(t.vecInstr) < m.prof.Cores {
-		t.vecInstr = make([]uint64, m.prof.Cores)
-	}
-	t.vecInstr = t.vecInstr[:m.prof.Cores]
-	for i := range t.vecInstr {
-		t.vecInstr[i] = 0
-	}
-	t.phases = 0
-	return t
-}
-
-// taskTime converts the tally into modeled time.
-func (m *Machine) taskTime(t *tally) time.Duration {
-	secs := float64(t.max()) / (m.prof.IssueRate * m.prof.ClockHz)
+// taskTime converts the critical core's tally into modeled time.
+func (m *Machine) taskTime() time.Duration {
+	_, crit := m.cores.Critical()
+	secs := float64(crit) / (m.prof.IssueRate * m.prof.ClockHz)
 	return time.Duration(secs*float64(time.Second)) +
-		time.Duration(t.phases)*m.prof.BarrierCost
+		time.Duration(m.cores.Phases())*m.prof.BarrierCost
 }
 
 // Vector-instruction charges per lane-block of work. A bounding-box
@@ -239,27 +156,28 @@ const (
 //atm:allow atomic -- the comparison, discard, withdrawal and match tallies are commutative sums read only after the phase barrier
 func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats, time.Duration) {
 	var st tasks.CorrelateStats
-	t := m.newTally()
+	cs := &m.cores
+	cs.Reset(m.prof.Cores)
 	ac := w.Aircraft
 	reps := f.Reports
 	n := len(ac)
 
 	// Expected positions: pure vector adds over the whole database.
-	m.parallel(t, "expected", 0, n, func(core, lo, hi int) {
+	cs.Phase("expected", 0, n, func(core, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a := &ac[i]
 			a.ExpX = a.X + a.DX
 			a.ExpY = a.Y + a.DY
 			a.RMatch = airspace.MatchNone
 		}
-		t.vecInstr[core] += uint64((hi-lo+Lanes-1)/Lanes) * viExpected
+		cs.Add(core, uint64((hi-lo+Lanes-1)/Lanes)*viExpected)
 	})
 	f.Reset()
 
 	census := &m.census
 	boxHalf := tasks.InitialBoxHalf
 	for pass := 0; pass < tasks.BoxPasses; pass++ {
-		pending := census.Prepare(w, f, boxHalf, m.pool, m.prof.Cores)
+		pending := census.Prepare(w, f, boxHalf, cs.Pool(), m.prof.Cores)
 		st.PassRadars[pass] = pending
 		if pending == 0 {
 			break
@@ -269,7 +187,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 		// Census: every still-unmatched radar scans the database in
 		// lane blocks until a block holds its second eligible hit.
 		// Match state is frozen for the whole phase.
-		m.parallel(t, "census", int32(pass), len(reps), func(core, lo, hi int) {
+		cs.Phase("census", int32(pass), len(reps), func(core, lo, hi int) {
 			var blocks, comps uint64
 			for j := lo; j < hi; j++ {
 				if pending, stop := census.Count(w, f, core, j); pending {
@@ -278,13 +196,13 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 					comps += uint64(min(b*Lanes, n))
 				}
 			}
-			t.vecInstr[core] += blocks * viBoxCheck
+			cs.Add(core, blocks*viBoxCheck)
 			atomic.AddUint64(&comparisons, comps)
 		})
 
 		// Claim: ambiguous radars are discarded; unique candidates are
 		// claimed with a commutative counter.
-		m.parallel(t, "claim", int32(pass), len(reps), func(core, lo, hi int) {
+		cs.Phase("claim", int32(pass), len(reps), func(core, lo, hi int) {
 			var vi, disc uint64
 			for j := lo; j < hi; j++ {
 				pending, d := census.Claim(f, j)
@@ -295,12 +213,12 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 					disc++
 				}
 			}
-			t.vecInstr[core] += vi
+			cs.Add(core, vi)
 			atomic.AddUint64(&discarded, disc)
 		})
 
 		// Arbitrate: contested aircraft are withdrawn.
-		m.parallel(t, "arbitrate", int32(pass), n, func(core, lo, hi int) {
+		cs.Phase("arbitrate", int32(pass), n, func(core, lo, hi int) {
 			var vi, wd uint64
 			for i := lo; i < hi; i++ {
 				if i%Lanes == 0 {
@@ -310,24 +228,24 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 					wd++
 				}
 			}
-			t.vecInstr[core] += vi
+			cs.Add(core, vi)
 			atomic.AddUint64(&withdrawn, wd)
 		})
 
 		// Finalize: surviving unique claims become matches; then the
 		// claim counters are cleared for the next pass (the host clears
 		// them at the next Prepare; the phase carries the charge).
-		m.parallel(t, "finalize", int32(pass), len(reps), func(core, lo, hi int) {
+		cs.Phase("finalize", int32(pass), len(reps), func(core, lo, hi int) {
 			var vi uint64
 			for j := lo; j < hi; j++ {
 				if census.Finalize(w, f, j) {
 					vi += viClaim
 				}
 			}
-			t.vecInstr[core] += vi
+			cs.Add(core, vi)
 		})
-		m.parallel(t, "clearClaims", int32(pass), n, func(core, lo, hi int) {
-			t.vecInstr[core] += uint64((hi - lo + Lanes - 1) / Lanes)
+		cs.Phase("clearClaims", int32(pass), n, func(core, lo, hi int) {
+			cs.Add(core, uint64((hi-lo+Lanes-1)/Lanes))
 		})
 
 		st.Comparisons += int(comparisons)
@@ -337,7 +255,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 	}
 
 	// Commit.
-	m.parallel(t, "commit", 0, n, func(core, lo, hi int) {
+	cs.Phase("commit", 0, n, func(core, lo, hi int) {
 		var vi uint64
 		for i := lo; i < hi; i++ {
 			a := &ac[i]
@@ -346,10 +264,10 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 				vi += viCommit
 			}
 		}
-		t.vecInstr[core] += vi
+		cs.Add(core, vi)
 	})
 	var matched uint64
-	m.parallel(t, "commitRadar", 0, len(reps), func(core, lo, hi int) {
+	cs.Phase("commitRadar", 0, len(reps), func(core, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			rep := &reps[j]
 			if rep.MatchWith >= 0 && ac[rep.MatchWith].RMatch == airspace.MatchOne {
@@ -358,7 +276,7 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 				atomic.AddUint64(&matched, 1)
 			}
 		}
-		t.vecInstr[core] += uint64((hi - lo + Lanes - 1) / Lanes * viCommit)
+		cs.Add(core, uint64((hi-lo+Lanes-1)/Lanes*viCommit))
 	})
 	st.Matched = int(matched)
 	for j := range reps {
@@ -366,14 +284,14 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 			st.UnmatchedRadars++
 		}
 	}
-	m.parallel(t, "wrap", 0, n, func(core, lo, hi int) {
+	cs.Phase("wrap", 0, n, func(core, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			airspace.Wrap(&ac[i])
 		}
-		t.vecInstr[core] += uint64((hi - lo + Lanes - 1) / Lanes * viCommit)
+		cs.Add(core, uint64((hi-lo+Lanes-1)/Lanes*viCommit))
 	})
 
-	return st, m.taskTime(t)
+	return st, m.taskTime()
 }
 
 // DetectResolve runs Tasks 2-3: each core owns a slice of track
@@ -385,10 +303,11 @@ func (m *Machine) Track(w *airspace.World, f *radar.Frame) (tasks.CorrelateStats
 // with no source, gather loads over the broadphase candidate list with
 // one.
 func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Duration) {
-	t := m.newTally()
+	cs := &m.cores
+	cs.Reset(m.prof.Cores)
 	n := w.N()
 	snap := &m.snap
-	snap.Prepare(w, m.src, m.pool, m.prof.Cores)
+	snap.Prepare(w, m.src, cs.Pool(), m.prof.Cores)
 
 	// Broadphase index build, charged as one lane-blocked phase. A
 	// maintained source (the production sweep) also builds its
@@ -401,8 +320,8 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 		if snap.Maintained() {
 			name = "index.rebuild"
 		}
-		m.parallel(t, name, 0, n, func(core, lo, hi int) {
-			t.vecInstr[core] += uint64((hi-lo+Lanes-1)/Lanes) * viIndex
+		cs.Phase(name, 0, n, func(core, lo, hi int) {
+			cs.Add(core, uint64((hi-lo+Lanes-1)/Lanes)*viIndex)
 		})
 	}
 
@@ -412,7 +331,7 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 	if m.src != nil {
 		viBlock += viGather
 	}
-	m.parallel(t, "scanresolve", 0, n, func(core, lo, hi int) {
+	cs.Phase("scanresolve", 0, n, func(core, lo, hi int) {
 		var vi uint64
 		for i := lo; i < hi; i++ {
 			r := snap.Detect(w, core, i)
@@ -422,15 +341,15 @@ func (m *Machine) DetectResolve(w *airspace.World) (tasks.DetectStats, time.Dura
 			}
 			vi += uint64(1+probes) * uint64((r.Cands+Lanes-1)/Lanes) * viBlock
 		}
-		t.vecInstr[core] += vi
+		cs.Add(core, vi)
 	})
 
-	m.parallel(t, "commit", 0, n, func(core, lo, hi int) {
+	cs.Phase("commit", 0, n, func(core, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			snap.Commit(w, i)
 		}
-		t.vecInstr[core] += uint64((hi - lo + Lanes - 1) / Lanes * viCommit)
+		cs.Add(core, uint64((hi-lo+Lanes-1)/Lanes*viCommit))
 	})
 
-	return snap.Stats(), m.taskTime(t)
+	return snap.Stats(), m.taskTime()
 }

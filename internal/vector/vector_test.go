@@ -4,11 +4,13 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/airspace"
 	"repro/internal/radar"
 	"repro/internal/rng"
 	"repro/internal/tasks"
+	"repro/internal/telemetry"
 )
 
 func gridWorld(n int) *airspace.World {
@@ -58,23 +60,24 @@ func tailWorld(pair ...int) (*airspace.World, *radar.Frame) {
 }
 
 // censusBlocks runs Track with phase marks on and returns the lane
-// blocks each census phase was charged, with the Track's stats.
+// blocks each census phase was charged, with the Track's stats. The
+// machine has one core, so the critical core's spans carry every
+// instruction, and the spans are emitted at one instruction per second
+// with no barrier, so each lasts its instruction count in seconds.
 func censusBlocks(w *airspace.World, f *radar.Frame) ([]int, tasks.CorrelateStats) {
-	m := New(XeonPhi7210)
-	m.beginMarks()
+	prof := XeonPhi7210
+	prof.Cores = 1
+	m := New(prof)
+	m.cores.BeginMarks()
 	st, _ := m.Track(w, f)
-	cores := m.prof.Cores
+	rec := telemetry.NewRecorder(0)
+	m.cores.EmitSpans(rec, 1, 0)
 	var blocks []int
-	for k, mk := range m.marks {
-		if mk.name != "census" {
-			continue
+	rec.Visit(func(ev telemetry.Event) {
+		if rec.Name(ev.Name) == "census" {
+			blocks = append(blocks, int(time.Duration(ev.Value)/(viBoxCheck*time.Second)))
 		}
-		var d uint64
-		for c := 0; c < cores; c++ {
-			d += m.markOps[k*cores+c] - m.markOps[(k-1)*cores+c]
-		}
-		blocks = append(blocks, int(d/viBoxCheck))
-	}
+	})
 	return blocks, st
 }
 
