@@ -511,6 +511,40 @@ func BenchmarkParShard_Task23_10000_W8(b *testing.B) {
 	benchSteadyDetect(b, broadphase.MustNew(broadphase.SweepName), 10000, 8)
 }
 
+// benchTable times the candidate-table build alone (T-PS): on a fixed
+// world of the given scenario family, each op is the production
+// sweep's PrepareColumns plus PrepareTable on a pool of the given
+// size. The build is most of a pruned Tasks 2-3 pass at N=8000, so
+// these lanes gate it apart from the scan; the dense lane, whose
+// candidates nearly all sit in one altitude band, keeps its worst case
+// in view. The untimed first build grows every buffer, so the timed
+// loop is steady state.
+func benchTable(b *testing.B, family string, n, workers int) {
+	b.Helper()
+	b.ReportAllocs()
+	spec, err := scenario.ParseSpec(family)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cols airspace.Columns
+	cols.FillFrom(spec.Generate(n, rng.New(2018)))
+	s := broadphase.MustNew(broadphase.SweepName).(*broadphase.Sweep)
+	s.SetPool(parexec.NewPool(workers))
+	s.PrepareColumns(&cols)
+	if s.PrepareTable() == nil {
+		b.Fatalf("%s N=%d passed the table limit", family, n)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.PrepareColumns(&cols)
+		s.PrepareTable()
+	}
+}
+
+func BenchmarkParShard_Table_8000_W1(b *testing.B)       { benchTable(b, "uniform", 8000, 1) }
+func BenchmarkParShard_Table_8000_W8(b *testing.B)       { benchTable(b, "uniform", 8000, 8) }
+func BenchmarkParShard_Table_Dense_8000_W8(b *testing.B) { benchTable(b, "dense", 8000, 8) }
+
 // Extension — radar-network report generation (multi-site coverage,
 // cones of silence, dropouts).
 func BenchmarkRadarNet_Generate(b *testing.B) {

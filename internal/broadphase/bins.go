@@ -121,37 +121,38 @@ func (b *binIndex) build(lox, hix, loy, hiy, alt []float64, maxW float64) {
 	start[0] = 0
 }
 
-// mark counts every aircraft whose envelope passes the window walk's
-// comparisons against q (see appendCandidatesID) and returns the count;
-// winLo is the window start q.lox − maxW. It sets the aircraft's bit in
-// words for each of them, or, with band set, only for those within q's
-// altitude band (airspace.AltOverlap).
+// block returns the query block of q in speed class c: the cell
+// columns x0..x1 and rows y0..y1 that q's envelope, widened by the
+// class's widest half-width and binSlack, covers. It holds every
+// class-c envelope that overlaps q's on both axes.
+func (b *binIndex) block(q *envelope, c int) (x0, x1, y0, y1 int) {
+	h := b.half[c] + binSlack
+	return binOf(q.lox - h), binOf(q.hix + h), binOf(q.loy - h), binOf(q.hiy + h)
+}
+
+// mark sets the bit in words of every aircraft whose envelope passes
+// the window walk's comparisons against q (see appendCandidatesID);
+// winLo is the window start q.lox − maxW.
 //
 //atm:noalloc
-func (b *binIndex) mark(words []uint64, q *envelope, winLo float64, band bool) (count int) {
+func (b *binIndex) mark(words []uint64, q *envelope, winLo float64) {
 	start := b.start
-	qlox, qhix, qloy, qhiy, qalt := q.lox, q.hix, q.loy, q.hiy, q.alt
+	qlox, qhix, qloy, qhiy := q.lox, q.hix, q.loy, q.hiy
 	for c := 0; c < binClasses; c++ {
 		first := c * binGrid * binGrid
 		if start[first] == start[first+binGrid*binGrid] {
 			continue
 		}
-		h := b.half[c] + binSlack
-		x0, x1 := binOf(qlox-h), binOf(qhix+h)
-		y0, y1 := binOf(qloy-h), binOf(qhiy+h)
+		x0, x1, y0, y1 := b.block(q, c)
 		for cy := y0; cy <= y1; cy++ {
 			row := first + cy*binGrid
 			env := b.env[start[row+x0]:start[row+x1+1]]
 			for k := range env {
 				e := &env[k]
 				if e.hix >= qlox && e.lox <= qhix && e.hiy >= qloy && e.loy <= qhiy && e.lox >= winLo {
-					count++
-					if !band || airspace.AltOverlap(qalt, e.alt) {
-						words[e.id>>6] |= 1 << (uint(e.id) & 63)
-					}
+					words[e.id>>6] |= 1 << (uint(e.id) & 63)
 				}
 			}
 		}
 	}
-	return count
 }

@@ -64,28 +64,33 @@ type Sweep struct {
 	// allocates its closure pair on every call.
 	sorter sweepOrder
 
-	// pool runs PrepareTable's segment walk; nil keeps it serial.
-	// Consumers install it through SetPool.
+	// pool runs PrepareTable's pair walk, scatter and row sort; nil
+	// keeps them serial. Consumers install it through SetPool.
 	pool *parexec.Pool
-	// table is the source-owned candidate table PrepareTable fills;
-	// chunkBufs is its build scratch. tableTotal is the build's running
-	// candidate total, shared by the segment walks (held by pointer
-	// like scratch, so a copy of the struct shares it), and tableLimit
-	// the total past which the build gives up (see tableLimit in
-	// table.go).
+	// table is the source-owned candidate table PrepareTable fills.
+	// segs holds each walk segment's stored in-band pairs as runs,
+	// about 2 bytes per row entry, and workers each worker's
+	// per-track tally (8 bytes a track) and row-sort bitmap; all
+	// persist across builds.
+	// tableTotal is the build's running candidate total, shared by the
+	// segment walks (held by pointer like scratch, so a copy of the
+	// struct shares it), and tableLimit the total past which the build
+	// gives up (see tableLimit in table.go).
 	table      PairTable
-	chunkBufs  []tableBuf
+	segs       []tableSeg
+	workers    []tableWorker
 	tableTotal *atomic.Int64 //atm:allow atomic -- order-independent sum of the segment walks, read only after they finish
 	tableLimit int64
 	// Shard counters, drained by TakeShardStats. statSegments counts
-	// table-build segments; statBatches accumulates consumer-reported
-	// batched-kernel iterations. Prepare is sequential by contract, so
-	// plain fields suffice.
+	// table-build walk segments; statBatches accumulates
+	// consumer-reported batched-kernel iterations. Prepare is
+	// sequential by contract, so plain fields suffice.
 	statSegments, statBatches int64
 	// Persistent job bodies for the engine's RunBody dispatch, held as
 	// fields so steady-state parallel phases allocate nothing.
-	fill   fillJob
-	copier copyJob
+	walk    walkJob
+	scatter scatterJob
+	rows    sortJob
 
 	// scratch pools *sweepScratch for concurrent queries. Held by
 	// pointer: sync.Pool contains a noCopy lock and per-P caches, so a
@@ -284,11 +289,11 @@ func (s *Sweep) AppendCandidates(dst []int32, w *airspace.World, track *airspace
 func (s *Sweep) appendCandidatesID(dst []int32, i int, words []uint64) []int32 {
 	q := s.envelopeOf(i)
 	if s.binned {
-		s.bins.mark(words, &q, q.lox-s.maxW, false)
+		s.bins.mark(words, &q, q.lox-s.maxW)
 	} else {
 		s.markWindow(words, &q)
 	}
-	return s.appendMarked(dst, words)
+	return appendMarked(dst, words[:(s.n+63)/64], 0)
 }
 
 // envelopeOf returns aircraft i's envelope and altitude.
@@ -299,18 +304,17 @@ func (s *Sweep) envelopeOf(i int) envelope {
 }
 
 // appendMarked appends the index of every bit set in words to dst,
-// ascending, and clears the bits.
+// ascending, and clears the bits; words[0] holds the bits of indices
+// 64·w0 to 64·w0+63.
 //
 //atm:noalloc
-func (s *Sweep) appendMarked(dst []int32, words []uint64) []int32 {
-	nw := (s.n + 63) / 64
-	for wi := 0; wi < nw; wi++ {
-		word := words[wi]
+func appendMarked(dst []int32, words []uint64, w0 int) []int32 {
+	for wi, word := range words {
 		if word == 0 {
 			continue
 		}
 		words[wi] = 0
-		base := int32(wi) << 6
+		base := int32(w0+wi) << 6
 		for word != 0 {
 			dst = append(dst, base+int32(bits.TrailingZeros64(word)))
 			word &= word - 1

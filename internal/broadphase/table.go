@@ -5,18 +5,47 @@
 // row holds the candidates inside the track's altitude band
 // (airspace.AltOverlap, the track itself included), in CSR form, and
 // beside it the size of the track's full candidate set, which the
-// executors' modeled charges count. Building it walks the tracks in
-// index order once, partitioned into grain-aligned contiguous segments
-// that self-schedule across the shared parexec pool: each segment emits
-// its tracks' rows into the segment's own padded buffer, and a second
-// pass copies each buffer into its final CSR span, whose offsets depend
-// only on the per-track row lengths — so the finished table is
-// byte-identical at every worker count, whatever order the segments
-// were claimed in. Buffers are per segment rather than per worker so
-// their steady-state sizes are stable too: a segment's row total
-// drifts slowly with traffic, while a worker's share of dynamically
-// claimed segments varies run to run and would regrow its buffer
-// toward the full table size.
+// executors' modeled charges count.
+//
+// Building it walks the binned envelopes once, in bin order, and
+// visits each unordered pair of envelopes once. From the envelope at
+// bin position p the walk reads the query blocks of the higher speed
+// classes in full; in its own class it reads only the cell rows at or
+// above its own, and in its own row only the positions after p. That
+// reaches every candidate pair: four of the five comparisons that make
+// j a candidate of i (the box overlap on both axes) are symmetric in i
+// and j, and they put each envelope inside the other's query block
+// (bins.go), so whichever of the two comes first in bin order — the
+// lower class, or in one class the lower position — reads the other.
+// A visit evaluates those four comparisons once and the fifth, the
+// window start lox − maxW, in each direction with the reference's own
+// expression: an envelope's hix − lox can exceed maxW by an ulp, so a
+// pair may be a candidate one way only. Each direction that holds adds
+// one to that track's full count. A pair inside the altitude band
+// (AltOverlap is symmetric) is stored once: as a partner in the run of
+// the envelope it was visited from when it is a candidate both ways,
+// as a directed entry in the rare case it is not.
+//
+// The walk runs in grain-aligned segments of bin positions that
+// self-schedule across the shared parexec pool: each segment stores
+// its runs in its own buffer, and each worker adds counts and row
+// lengths into its own per-track tally. One pass then sums the
+// tallies into Count and the CSR offsets and turns each worker's row
+// tally into its cursors, which start every row where the entries
+// counted by lower-numbered workers end. A counting sort by row
+// follows, one chunk per worker: it moves the runs of the segments
+// that worker walked — a run's partners into its own row as one copy,
+// the run's aircraft into each partner's row — into slots no other
+// chunk writes. Last, each row is put in ascending order with a
+// bitmap: its bits are set, then emitted in index order back into the
+// row's span. A pair is visited once, so a row holds each candidate
+// once and the bitmap gives back exactly the row; sums and ascending
+// rows do not depend on which worker claimed which segment, so the
+// finished table is byte-identical at every worker count. Run buffers
+// are per segment rather than per worker so their steady-state sizes
+// are stable too: a segment's total drifts slowly with traffic, while
+// a worker's share of dynamically claimed segments varies run to run
+// and would regrow its buffer toward the whole table.
 //
 // What the table buys is reuse. The candidate set of a track depends
 // only on positions and speeds, and altitudes do not change within an
@@ -31,30 +60,35 @@
 // in uniform traffic) gives the scan the same survivors in the same
 // order.
 //
-// What the table costs is memory: each stored candidate is held twice
-// (segment buffer and CSR slot) plus headroom, about 9 bytes, and dense
-// traffic in one altitude band has up to N² of them. The build
-// therefore stops as soon as the running total of full candidate sets
-// passes tableLimit(n) and PrepareTable returns nil; consumers then
-// query the same index per track. The segment buffers the stopped build
-// filled stay allocated for the next build, so a sweep past the limit
-// holds at most about the limit's worth of candidates. Whether the
-// limit is passed depends only on the total of the full sets, never on
-// the altitudes, so the choice is deterministic and identical at every
-// worker count, and both paths give the scan the same survivors.
+// What the table costs is memory: a stored pair takes 4 bytes of its
+// run and stands for two row entries, each of which takes a 4-byte CSR
+// slot, so with the runs' 8-byte headers and the headroom a stored
+// candidate costs about 6-7 bytes, and dense traffic in one altitude
+// band has up to N² of them. The walk therefore stops as soon as the
+// running total of full candidate sets — every direction of every pair
+// it has counted — passes tableLimit(n), and PrepareTable returns nil;
+// consumers then query the same index per track. The run buffers the
+// stopped walk filled stay allocated for the next build, so a sweep
+// past the limit holds at most about the limit's worth of candidates.
+// Whether the limit is passed depends only on the total of the full
+// sets (the sum of Count over every track), never on the altitudes, so
+// the choice is deterministic and identical at every worker count, and
+// both paths give the scan the same survivors.
 package broadphase
 
 import (
 	"math"
 	"slices"
 
+	"repro/internal/airspace"
 	"repro/internal/parexec"
 )
 
-// tableGrain is the segment size of the table build: one self-scheduled
-// chunk covers this many consecutive tracks. Small enough to
-// load-balance skewed candidate counts, large enough that the per-chunk
-// bookkeeping (owner, offset) is noise.
+// tableGrain is the segment size of the table build's phases: one
+// self-scheduled chunk covers this many consecutive bin positions in
+// the walk and this many consecutive rows in the row sort. Small enough
+// to load-balance skewed candidate counts, large enough that the
+// per-chunk bookkeeping is noise.
 const tableGrain = 256
 
 // Table size limits, in candidates of the full (altitude-blind) sets,
@@ -71,7 +105,8 @@ const tableGrain = 256
 // ~2000 aircraft whatever its altitude spread.
 // tablePublish is how many candidates a segment may count before adding
 // them to the shared running total, which bounds a build's overshoot
-// past the limit to about that many per worker plus one track's set.
+// past the limit to about that many per worker plus one envelope's
+// visits.
 const (
 	tableMaxPerTrack = 2048
 	tableMaxCand     = 1 << 25
@@ -141,21 +176,47 @@ func TableOf(src PairSource) TableSource {
 	return nil
 }
 
-// tableBuf is one segment's candidate-run buffer and the query bitmap
-// its walk uses, padded so slice headers written by different workers
-// don't share a cache line.
-type tableBuf struct {
-	cand  []int32
+// A walk segment stores what it finds as runs in one []int32, one run
+// per envelope it visited from that stored anything: the aircraft
+// index a, complemented (^a, negative) when a is not in its own row;
+// the number m of partners that follow; and the m partners b, each an
+// in-band pair that is a candidate both ways, so that b belongs in a's
+// row and a in b's. The rare in-band pair that is a candidate one way
+// only is stored apart, as a directed entry.
+
+// tableEntry is one directed row entry: cand belongs in row's row.
+type tableEntry struct{ row, cand int32 }
+
+// tableSeg is one walk segment's stored runs and one-way entries and
+// the worker that walked it, padded so slice headers written by
+// different workers don't share a cache line.
+type tableSeg struct {
+	runs   []int32
+	oneWay []tableEntry
+	walker int32
+	_      [12]byte
+}
+
+// tableWorker is one worker's build scratch: its tally of every
+// track's full-set size and row length, and the bitmap its row sort
+// uses, padded like tableSeg.
+type tableWorker struct {
+	tally []rowTally
 	words []uint64
 	_     [16]byte
 }
+
+// rowTally is one worker's share of a track's full-set size and row
+// length. Once the tallies are summed, row becomes the worker's cursor
+// into the track's row for the scatter.
+type rowTally struct{ count, row int32 }
 
 // Sharded reports whether the sweep builds the candidate table: true
 // for the production sweep, false for NewSweep's.
 func (s *Sweep) Sharded() bool { return s.binned }
 
-// SetPool hands the sweep the engine pool PrepareTable's segment walk
-// runs on; nil keeps it serial.
+// SetPool hands the sweep the engine pool PrepareTable's phases run
+// on; nil keeps them serial.
 func (s *Sweep) SetPool(p *parexec.Pool) { s.pool = p }
 
 // AddKernelBatches accumulates a consumer's batched-kernel iteration
@@ -170,82 +231,240 @@ func (s *Sweep) TakeShardStats() (segments, batches int64) {
 	return segments, batches
 }
 
-// fillJob walks one grain-aligned segment of tracks, emitting each
-// track's row into the segment's buffer and recording the row length
-// in the table's Start[track+1] and the full set's size in Count[track].
-// The buffer and the query bitmap belong to the segment, not the
-// claiming worker, so steady-state buffer sizes are independent of the
-// claim order, and the walk never borrows from the query pool, which a
-// GC empties.
+// walkJob walks one grain-aligned segment of bin positions, visiting
+// each position's pairs into the segment's buffers and the claiming
+// worker's tally. The buffers belong to the segment, not the worker,
+// so steady-state buffer sizes are independent of the claim order.
 //
 // Every segment adds the full-set sizes it counted to the shared
 // running total at least every tablePublish candidates and stops once
 // the total passes the limit; segments claimed after that skip their
 // walk.
-type fillJob struct{ s *Sweep }
+type walkJob struct{ s *Sweep }
 
 //atm:noalloc
 //atm:allow atomic -- the running total is an order-independent sum; whether it passes the limit depends only on the final sum, never on the claim order
-func (j *fillJob) Chunk(_, lo, hi int) {
+func (j *walkJob) Chunk(worker, lo, hi int) {
 	s := j.s
 	if s.tableTotal.Load() > s.tableLimit {
 		return
 	}
-	tb := &s.chunkBufs[lo/tableGrain]
-	buf := tb.cand[:0]
+	seg := &s.segs[lo/tableGrain]
+	seg.walker = int32(worker)
+	tally := s.workers[worker].tally
+	runs, oneWay := seg.runs[:0], seg.oneWay[:0]
 	counted, published := 0, 0
-	for k := lo; k < hi; k++ {
-		q := s.envelopeOf(k)
-		count := s.bins.mark(tb.words, &q, q.lox-s.maxW, true)
-		before := len(buf)
-		buf = s.appendMarked(buf, tb.words)
-		s.table.Start[k+1] = int32(len(buf) - before)
-		s.table.Count[k] = int32(count)
-		counted += count
-		if counted-published >= tablePublish || k == hi-1 {
+	for p := lo; p < hi; p++ {
+		var c int
+		runs, oneWay, c = s.bins.pairsFrom(runs, oneWay, tally, p, s.maxW)
+		counted += c
+		if counted-published >= tablePublish || p == hi-1 {
 			if s.tableTotal.Add(int64(counted-published)) > s.tableLimit {
 				break
 			}
 			published = counted
 		}
 	}
-	tb.cand = withHeadroom(buf) //atm:allow noallocflow -- headroom regrow only, amortized to nothing in steady state
+	seg.runs = withHeadroom(runs)     //atm:allow noallocflow -- headroom regrow only, amortized to nothing in steady state
+	seg.oneWay = withHeadroom(oneWay) //atm:allow noallocflow -- headroom regrow only, amortized to nothing in steady state
+}
+
+// pairsFrom visits the envelope at bin position p paired with itself
+// and with every envelope after it in the walk order (see the file
+// comment). For each pair that passes the four box comparisons it adds
+// the directions that pass the window start to the two tracks' counts
+// in tally and, when the pair is inside the altitude band, to their
+// row lengths, and stores the pair: in the envelope's run when it is a
+// candidate both ways, in oneWay otherwise. It returns the extended
+// runs and oneWay and the number of candidates it counted.
+//
+//atm:noalloc
+func (b *binIndex) pairsFrom(runs []int32, oneWay []tableEntry, tally []rowTally, p int, maxW float64) ([]int32, []tableEntry, int) {
+	start := b.start
+	q := &b.env[p]
+	a := q.id
+	qlox, qhix, qloy, qhiy, qalt := q.lox, q.hix, q.loy, q.hiy, q.alt
+	winLo := qlox - maxW
+	// own is a's tally; theirs counts the other tracks' candidates.
+	var own rowTally
+	theirs := 0
+	head := ^a
+	if qhix >= qlox && qlox <= qhix && qhiy >= qloy && qloy <= qhiy && qlox >= winLo {
+		own.count++
+		if airspace.AltOverlap(qalt, qalt) {
+			own.row++
+			head = a
+		}
+	}
+	at := len(runs)
+	runs = append(runs, head, 0)
+	cell := int(b.key[a])
+	class, cy := cell/(binGrid*binGrid), cell/binGrid%binGrid
+	for c := class; c < binClasses; c++ {
+		first := c * binGrid * binGrid
+		if start[first] == start[first+binGrid*binGrid] {
+			continue
+		}
+		x0, x1, y0, y1 := b.block(q, c)
+		if c == class {
+			y0 = max(y0, cy)
+		}
+		for y := y0; y <= y1; y++ {
+			row := first + y*binGrid
+			lo, hi := int(start[row+x0]), int(start[row+x1+1])
+			if c == class && y == cy {
+				lo = p + 1 // p's own cell lies inside its block
+			}
+			env := b.env[lo:hi]
+			for k := range env {
+				e := &env[k]
+				if e.hix >= qlox && e.lox <= qhix && e.hiy >= qloy && e.loy <= qhiy {
+					in := e.lox >= winLo      // e is a candidate of q
+					out := qlox >= e.lox-maxW // q is a candidate of e
+					t := &tally[e.id]
+					if in {
+						own.count++
+					}
+					if out {
+						t.count++
+						theirs++
+					}
+					if !airspace.AltOverlap(qalt, e.alt) {
+						continue
+					}
+					switch {
+					case in && out:
+						own.row++
+						t.row++
+						runs = append(runs, e.id)
+					case in:
+						own.row++
+						oneWay = append(oneWay, tableEntry{a, e.id})
+					case out:
+						t.row++
+						oneWay = append(oneWay, tableEntry{e.id, a})
+					}
+				}
+			}
+		}
+	}
+	if m := len(runs) - at - 2; m > 0 || head >= 0 {
+		runs[at+1] = int32(m)
+	} else {
+		runs = runs[:at]
+	}
+	tally[a].count += own.count
+	tally[a].row += own.row
+	return runs, oneWay, int(own.count) + theirs
 }
 
 // withHeadroom returns buf, reallocated with an eighth of spare
-// capacity when it has nearly run out. Segment candidate counts drift
-// a little every period, and a buffer ending exactly at capacity would
-// regrow on the very next build; the headroom absorbs the drift so the
-// steady state stays allocation-free. Same policy as the CSR Cand
-// array in PrepareTable.
-func withHeadroom(buf []int32) []int32 {
+// capacity when it has nearly run out. Segment totals drift a little
+// every period, and a buffer ending exactly at capacity would regrow
+// on the very next build; the headroom absorbs the drift so the steady
+// state stays allocation-free. Same policy as the CSR Cand array in
+// PrepareTable.
+func withHeadroom[T any](buf []T) []T {
 	if cap(buf)-len(buf) >= len(buf)/16 {
 		return buf
 	}
-	nb := make([]int32, len(buf), len(buf)+len(buf)/8+64)
+	nb := make([]T, len(buf), len(buf)+len(buf)/8+64)
 	copy(nb, buf)
 	return nb
 }
 
-// copyJob moves one segment's candidate runs from the segment buffer
-// into their CSR span. The segment's tracks are consecutive, so their
-// rows are one span whose offset is fully determined by the per-track
-// counts: the result is independent of the fill pass's claim order.
-type copyJob struct{ s *Sweep }
+// scatterJob is the counting sort by row: chunk k moves the runs and
+// one-way entries of every segment worker k walked into their rows,
+// writing from worker k's cursors. Those cursors start each row where
+// the entries counted by lower-numbered workers end, so the chunks
+// write disjoint slots, and which slots a worker's entries take does
+// not matter: the row sort that follows orders every row. A run's own
+// row receives its partners as one copy; each partner's row receives
+// the run's aircraft.
+type scatterJob struct{ s *Sweep }
 
 //atm:noalloc
-//atm:noescape
-func (j *copyJob) Chunk(_, lo, hi int) {
-	t := &j.s.table
-	copy(t.Cand[t.Start[lo]:t.Start[hi]], j.s.chunkBufs[lo/tableGrain].cand)
+func (j *scatterJob) Chunk(_, lo, hi int) {
+	s := j.s
+	cand := s.table.Cand
+	segs := s.segs[:(s.n+tableGrain-1)/tableGrain]
+	for k := lo; k < hi; k++ {
+		cur := s.workers[k].tally
+		for g := range segs {
+			seg := &segs[g]
+			if int(seg.walker) != k {
+				continue
+			}
+			runs := seg.runs
+			for len(runs) >= 2 {
+				a, m := runs[0], int(runs[1])
+				partners := runs[2 : 2+m]
+				runs = runs[2+m:]
+				if a < 0 {
+					a = ^a
+				} else {
+					cand[cur[a].row] = a
+					cur[a].row++
+				}
+				c := cur[a].row
+				copy(cand[c:], partners)
+				cur[a].row = c + int32(m)
+				for _, b := range partners {
+					cand[cur[b].row] = a
+					cur[b].row++
+				}
+			}
+			for _, e := range seg.oneWay {
+				cand[cur[e.row].row] = e.cand
+				cur[e.row].row++
+			}
+		}
+	}
 }
 
-// PrepareTable builds the candidate table for every track by walking
-// the tracks in parallel segments, or returns nil once the total of the
-// full candidate sets passes tableLimit. Must follow Prepare (or
-// PrepareColumns) of the same world state.
+// sortJob puts the rows of one grain-aligned range of tracks in
+// ascending order through the claiming worker's bitmap, which it
+// leaves clear. A row holds each candidate once, so the bitmap's set
+// bits, emitted in index order, fill the row's span exactly.
+type sortJob struct{ s *Sweep }
+
+//atm:noalloc
+func (j *sortJob) Chunk(worker, lo, hi int) {
+	t := &j.s.table
+	words := j.s.workers[worker].words
+	for i := lo; i < hi; i++ {
+		row := t.Cand[t.Start[i]:t.Start[i+1]]
+		if len(row) < 2 {
+			continue
+		}
+		w0, w1 := len(words), 0
+		for _, c := range row {
+			wi := int(c >> 6)
+			words[wi] |= 1 << (uint(c) & 63)
+			w0, w1 = min(w0, wi), max(w1, wi)
+		}
+		appendMarked(row[:0], words[w0:w1+1], w0)
+	}
+}
+
+// runTable dispatches body over [0, n) in chunks of grain on the
+// sweep's pool, or serially without one.
+func (s *Sweep) runTable(n, grain int, body parexec.Body) {
+	if s.pool == nil {
+		for lo := 0; lo < n; lo += grain {
+			body.Chunk(0, lo, min(lo+grain, n))
+		}
+		return
+	}
+	s.pool.RunBody(n, grain, body)
+}
+
+// PrepareTable builds the candidate table for every track by one
+// worker-parallel walk over the envelope pairs, or returns nil once
+// the total of the full candidate sets passes tableLimit. Must follow
+// Prepare (or PrepareColumns) of the same world state.
 //
-//atm:allow atomic -- resets the running total before the walks and reads it after they finish
+//atm:allow atomic -- resets the running total before the walk and reads it after it finishes
 func (s *Sweep) PrepareTable() *PairTable {
 	n := s.n
 	t := &s.table
@@ -254,39 +473,53 @@ func (s *Sweep) PrepareTable() *PairTable {
 		t.Count = make([]int32, n)
 	}
 	t.Start, t.Count = t.Start[:n+1], t.Count[:n]
-	chunks := (n + tableGrain - 1) / tableGrain
-	if len(s.chunkBufs) < chunks {
-		s.chunkBufs = slices.Grow(s.chunkBufs, chunks-len(s.chunkBufs))[:chunks]
+	segs := (n + tableGrain - 1) / tableGrain
+	if len(s.segs) < segs {
+		s.segs = slices.Grow(s.segs, segs-len(s.segs))[:segs]
+	}
+	workers := 1
+	if s.pool != nil {
+		workers = s.pool.Workers()
+	}
+	if len(s.workers) < workers {
+		s.workers = slices.Grow(s.workers, workers-len(s.workers))[:workers]
 	}
 	nw := (n + 63) / 64
-	for k := range s.chunkBufs[:chunks] {
-		if len(s.chunkBufs[k].words) < nw {
-			s.chunkBufs[k].words = make([]uint64, nw)
+	for k := range s.workers[:workers] {
+		wk := &s.workers[k]
+		if cap(wk.tally) < n {
+			wk.tally = make([]rowTally, n)
+		}
+		wk.tally = wk.tally[:n]
+		clear(wk.tally)
+		if len(wk.words) < nw {
+			wk.words = make([]uint64, nw)
 		}
 	}
 
 	s.tableLimit = tableLimit(n)
 	s.tableTotal.Store(0)
-	s.fill.s = s
-	if s.pool == nil {
-		for lo := 0; lo < n; lo += tableGrain {
-			s.fill.Chunk(0, lo, min(lo+tableGrain, n))
-		}
-	} else {
-		s.pool.RunBody(n, tableGrain, &s.fill)
-	}
-
-	s.statSegments += int64(chunks)
+	s.walk.s = s
+	s.runTable(n, tableGrain, &s.walk)
+	s.statSegments += int64(segs)
 	if s.tableTotal.Load() > s.tableLimit {
 		return nil
 	}
 
-	// Start[i+1] holds track i's row length; the prefix sum turns the
-	// lengths into offsets. Rows are subsets of the full sets, whose
-	// total is at most tableLimit, so every offset fits in int32.
-	t.Start[0] = 0
-	for i := 1; i <= n; i++ {
-		t.Start[i] += t.Start[i-1]
+	// Sum the tallies into Count and the row lengths into the offsets,
+	// turning each worker's row tally into its scatter cursor on the
+	// way. Rows are subsets of the full sets, whose total is at most
+	// tableLimit, so every offset fits in int32.
+	for i := 0; i < n; i++ {
+		var count int32
+		slot := t.Start[i]
+		for k := range s.workers[:workers] {
+			v := &s.workers[k].tally[i]
+			count += v.count
+			v.row, slot = slot, slot+v.row
+		}
+		t.Count[i] = count
+		t.Start[i+1] = slot
 	}
 	sum := int(t.Start[n])
 	if cap(t.Cand) < sum {
@@ -297,13 +530,9 @@ func (s *Sweep) PrepareTable() *PairTable {
 	}
 	t.Cand = t.Cand[:sum]
 
-	s.copier.s = s
-	if s.pool == nil {
-		for lo := 0; lo < n; lo += tableGrain {
-			s.copier.Chunk(0, lo, min(lo+tableGrain, n))
-		}
-	} else {
-		s.pool.RunBody(n, tableGrain, &s.copier)
-	}
+	s.scatter.s = s
+	s.runTable(workers, 1, &s.scatter)
+	s.rows.s = s
+	s.runTable(n, tableGrain, &s.rows)
 	return t
 }

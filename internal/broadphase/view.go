@@ -57,6 +57,10 @@ func (v *View) Prepare(src PairSource, w *airspace.World, cols *airspace.Columns
 	}
 }
 
+// Table returns the candidate table the view serves rows from, or nil
+// when it serves the identity list or per-track queries.
+func (v *View) Table() *PairTable { return v.tab }
+
 // Maintained reports whether the source builds the candidate table,
 // whichever side of the table's size limit this invocation fell on.
 // Executors name their index-build spans after it.

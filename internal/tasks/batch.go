@@ -296,17 +296,18 @@ func DetectResolveExec(w *airspace.World, src broadphase.PairSource, pool *parex
 	replay := p.Workers() > 1
 	if replay {
 		// Parallel phase: scan every track against the pre-resolution
-		// snapshot, and record its reach envelope (a function of
+		// snapshot, and, where the replay tests envelopes rather than
+		// table rows, record its reach envelope (a function of
 		// position and speed only, both invariant across heading
 		// commits).
-		sc.job = scanJob{sc: sc, w: w, wantReach: true}
+		sc.job = scanJob{sc: sc, w: w, wantReach: sc.view.Table() == nil}
 		p.RunBody(w.N(), scanGrain, &sc.job)
 	}
 
 	// Serial pass in index order: Algorithm 2 in place at one worker;
 	// above that, the replay, which keeps a precomputed scan unless a
-	// dirty aircraft (one whose heading has been committed) passes the
-	// envelope-interaction test.
+	// dirty aircraft (one whose heading has been committed) can reach
+	// it (see stale).
 	var st DetectStats
 	var batches int64
 	c := &sc.cols
@@ -315,14 +316,18 @@ func DetectResolveExec(w *airspace.World, src broadphase.PairSource, pool *parex
 	for i := range w.Aircraft {
 		track := &w.Aircraft[i]
 		r := sc.res[i]
-		if !replay || dirtyInteracts(w, sc, track, dirty) {
+		if !replay || sc.stale(w, i, dirty) {
 			r = Scan(c, &sc.view, w, b, i, track.DX, track.DY)
 		}
 		probes, resolved := ResolveInPlace(c, &sc.view, w, b, i, r, &st)
 		batches += int64(1+probes) * kernelBatches(r.Checks)
 		if resolved {
 			dirty = append(dirty, int32(i))
+			sc.dirtyBits[i>>6] |= 1 << (uint(i) & 63)
 		}
+	}
+	for _, j := range dirty {
+		sc.dirtyBits[j>>6] = 0
 	}
 	sc.dirty = dirty[:0]
 	sc.view.AddKernelBatches(batches)

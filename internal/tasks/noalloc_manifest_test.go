@@ -31,7 +31,10 @@ type noallocSpec struct {
 //   - reviewers deciding whether a new hot-path function needs the
 //     directive: if it is called per period, it belongs here.
 var noallocContract = map[string]noallocSpec{
-	"dirtyInteracts": {decl: true},
+	// The Tasks 2-3 replay's staleness test and its per-dirty-aircraft
+	// fallback.
+	"detectScratch.stale": {decl: true},
+	"dirtyInteracts":      {decl: true},
 	// Task 1: the persistent body of its element-wise phases (expected
 	// positions, commit, wrap), and the box search every executor
 	// shares — Prepare's per-radar body, the row read and the all-N

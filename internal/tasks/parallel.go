@@ -25,16 +25,22 @@
 //   - DetectResolve: the only cross-track dependency is a committed
 //     heading change (DX, DY) by an earlier-index aircraft. The
 //     parallel phase scans every track against the pre-resolution
-//     velocity snapshot; the serial replay keeps a list of aircraft
-//     whose heading was committed ("dirty") and recomputes a
-//     precomputed scan only when a dirty aircraft could influence it —
-//     decided by the broadphase reach-envelope test, which is exact
-//     for any heading at a given speed (see package broadphase), and
-//     rotation preserves speed. A pair outside each other's envelopes
-//     contributes no conflict with tmin below CriticalTime under the
-//     old or the new heading, and the scan's strict-< fold ignores
-//     such pairs entirely, so the precomputed result is already the
-//     one the reference would compute.
+//     velocity snapshot; the serial replay keeps the aircraft whose
+//     heading was committed ("dirty") as a list and a bitmap, and
+//     recomputes a precomputed scan only when a dirty aircraft could
+//     influence it. When the view serves candidate-table rows, that is
+//     when a dirty aircraft is in the track's row: the scan reads
+//     nothing of any other aircraft, so with no dirty one in the row
+//     it reads exactly what the precomputed scan read. The test costs
+//     one bitmap probe per row entry. With the identity list or
+//     per-track queries it is the broadphase reach-envelope test
+//     against every dirty aircraft, which is exact for any heading at
+//     a given speed (see package broadphase), and rotation preserves
+//     speed: a pair outside each other's envelopes contributes no
+//     conflict with tmin below CriticalTime under the old or the new
+//     heading, and the scan's strict-< fold ignores such pairs
+//     entirely, so the precomputed result is already the one the
+//     reference would compute.
 //
 //   - Correlate: expected positions are fixed for the whole
 //     invocation, so each (radar, pass) bounding-box hit row is a pure
@@ -73,8 +79,12 @@ const (
 type detectScratch struct {
 	res   []ScanResult
 	reach []float64
-	dirty []int32
-	bufs  []ScanBuf
+	// dirty lists the aircraft whose heading the replay has committed,
+	// and dirtyBits holds the same set as a bitmap, clear between
+	// invocations.
+	dirty     []int32
+	dirtyBits []uint64
+	bufs      []ScanBuf
 	// cols is the column snapshot every scan reads, and view serves
 	// each track's candidates (batch.go).
 	cols airspace.Columns
@@ -99,6 +109,9 @@ func getDetectScratch(n, workers int) *detectScratch {
 		sc.reach = make([]float64, n)
 	}
 	sc.reach = sc.reach[:n]
+	if nw := (n + 63) / 64; len(sc.dirtyBits) < nw {
+		sc.dirtyBits = make([]uint64, nw)
+	}
 	if len(sc.bufs) < workers {
 		sc.bufs = slices.Grow(sc.bufs, workers-len(sc.bufs))[:workers]
 	}
@@ -112,6 +125,29 @@ func putDetectScratch(sc *detectScratch) {
 	sc.view.Release()
 	sc.job = scanJob{}
 	detectScratchPool.Put(sc)
+}
+
+// stale reports whether the precomputed scan of the track at index i
+// may differ from a fresh one, given the aircraft committed so far in
+// dirty (and in sc.dirtyBits). Where the view serves table rows, that
+// is whether a dirty aircraft is in the track's row, the only aircraft
+// the scan reads; otherwise dirtyInteracts decides.
+//
+//atm:noalloc
+func (sc *detectScratch) stale(w *airspace.World, i int, dirty []int32) bool {
+	if len(dirty) == 0 {
+		return false
+	}
+	tab := sc.view.Table()
+	if tab == nil {
+		return dirtyInteracts(w, sc, &w.Aircraft[i], dirty)
+	}
+	for _, j := range tab.Candidates(i) {
+		if sc.dirtyBits[j>>6]&(1<<(uint(j)&63)) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // dirtyInteracts reports whether any committed heading change could
