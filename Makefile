@@ -87,12 +87,14 @@ record-diff:
 	./scripts/recorddiff.sh $(BASE_REF)
 
 # fuzz runs the fuzzers for a bounded interval each on top of their
-# checked-in seed corpora (internal/trace and internal/scenario
-# testdata/fuzz). go test allows one -fuzz target per invocation.
+# checked-in seed corpora (internal/trace, internal/scenario and
+# internal/tasks testdata/fuzz). go test allows one -fuzz target per
+# invocation.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/scenario
+	$(GO) test -run=NONE -fuzz=FuzzBoxHits -fuzztime=$(FUZZTIME) ./internal/tasks
 
 # conformance runs the full differential matrix: every scenario family
 # x platform x pair source x worker count, asserting the invariance

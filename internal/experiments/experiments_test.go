@@ -398,7 +398,12 @@ func TestCoherenceTable(t *testing.T) {
 	if want := 2 * 2 * 3; len(d.Series) != want {
 		t.Fatalf("%d series, want %d (ms and allocs per lane per motion)", len(d.Series), want)
 	}
-	// Steady-state passes allocate nothing in either lane.
+	// Steady-state passes allocate nothing in either lane. Under -race
+	// the detector's instrumentation allocates and sync.Pool drops one
+	// Put in four, so the count is asserted only without it.
+	if raceEnabled {
+		return
+	}
 	for _, s := range d.Series {
 		if len(s.Label) > 6 && s.Label[:6] == "allocs" {
 			for _, p := range s.Points {

@@ -108,14 +108,37 @@ func (j *boxJob) Chunk(worker, lo, hi int) {
 }
 
 // appendBoxRow appends to dst, in ascending order, the index of every
-// aircraft whose box contains rep.
+// aircraft whose box contains rep: the radar lies strictly inside the
+// boxHalf-sized box around the aircraft's expected position.
+//
+// The loop evaluates all four strict comparisons, each turned into 0 or
+// 1, and branches only on their AND, so the one branch is the rare hit.
+// A short-circuit test over the same comparisons branches unpredictably
+// on about half the aircraft. The verdicts are identical: the
+// comparisons have no side effects and read the same float64
+// expressions, and a NaN or ±Inf compares the same in either form.
 //
 //atm:noalloc
+//atm:nobce
 func appendBoxRow(dst []int32, ac []airspace.Aircraft, rep *radar.Report, boxHalf float64) []int32 {
+	rx, ry := rep.RX, rep.RY
 	for q := range ac {
-		if inBox(rep, &ac[q], boxHalf) {
+		x, y := ac[q].ExpX, ac[q].ExpY
+		if bit(rx > x-boxHalf)&bit(rx < x+boxHalf)&bit(ry > y-boxHalf)&bit(ry < y+boxHalf) != 0 {
 			dst = append(dst, int32(q))
 		}
 	}
 	return dst
+}
+
+// bit is b as 0 or 1, which the compiler emits as a SETcc, not a
+// branch.
+//
+//atm:inline
+func bit(b bool) uint8 {
+	var u uint8
+	if b {
+		u = 1
+	}
+	return u
 }

@@ -26,6 +26,14 @@ func boxCensus(ac []airspace.Aircraft, rep *radar.Report, h float64) []int32 {
 	return row
 }
 
+// inBox is the box test for one record, short-circuit: the radar lies
+// strictly inside the boxHalf-sized box around the aircraft's expected
+// position. The census and replay oracles use it.
+func inBox(rep *radar.Report, a *airspace.Aircraft, boxHalf float64) bool {
+	return rep.RX > a.ExpX-boxHalf && rep.RX < a.ExpX+boxHalf &&
+		rep.RY > a.ExpY-boxHalf && rep.RY < a.ExpY+boxHalf
+}
+
 // boxWorld returns an n-aircraft world with current expected positions
 // and a noisy frame of its radar fixes. Every fifth aircraft sits
 // within 2 nm of the ±FieldHalf edge (every tenth in a corner), so its

@@ -115,15 +115,6 @@ func releaseRadarOf(f *radar.Frame, id int32) {
 	}
 }
 
-// inBox reports whether the radar lies strictly inside the boxHalf-sized
-// bounding box around the aircraft's expected position.
-//
-//atm:inline
-func inBox(rep *radar.Report, a *airspace.Aircraft, boxHalf float64) bool {
-	return rep.RX > a.ExpX-boxHalf && rep.RX < a.ExpX+boxHalf &&
-		rep.RY > a.ExpY-boxHalf && rep.RY < a.ExpY+boxHalf
-}
-
 // PairConflict evaluates Equations 1-6 for one (track, trial) pair. The
 // track aircraft flies from (tx, ty) with velocity (tvx, tvy) — passed
 // explicitly because collision resolution probes rotated trial

@@ -11,6 +11,12 @@
 # always comes from the embedded comparator so the script works in
 # containers where benchstat cannot be installed.
 #
+# The hot benchmarks are the pruned Tasks 2-3 lanes (Coherent_,
+# ParShard_, Reference_Task23, Broadphase_Sweep_10000), scenario
+# generation, and Task 1: Fig4_Task1 on titanx, staran and xeon16 (the
+# cuda, AP and multicore Track at N=4000) and ParExec_Task1_4000 (the
+# reference body) at one worker and at all cores.
+#
 # Snapshot mode:
 #   scripts/benchdiff.sh snapshot [out.json]
 # runs the hot benchmarks on the current tree only and writes a
@@ -32,7 +38,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PATTERN=${BENCH_PATTERN:-'^(BenchmarkCoherent_|BenchmarkParShard_|BenchmarkReference_Task23$|BenchmarkBroadphase_Sweep_10000$|BenchmarkScenario_Generate_)'}
+PATTERN=${BENCH_PATTERN:-'^(BenchmarkCoherent_|BenchmarkParShard_|BenchmarkReference_Task23$|BenchmarkBroadphase_Sweep_10000$|BenchmarkScenario_Generate_|BenchmarkFig4_Task1_(TitanXPascal|STARAN|Xeon16)$|BenchmarkParExec_Task1_4000_(Serial|AllCores)$)'}
 TIME=${BENCH_TIME:-1s}
 COUNT=${BENCH_COUNT:-3}
 CPU=${BENCH_CPU:-}
